@@ -15,8 +15,9 @@ when the system goes quiescent, which resumes the run.
 
 The scheduler only picks *which* nonempty queue dispatches next:
 
-* ``global-fifo`` - the pending envelope with the minimum sequence
-  number (the deterministic reference order);
+* ``global-fifo`` - the nonempty queue whose head has the smallest
+  sequence number (the deterministic reference order). In `run` every
+  envelope is enqueued in seq order, so this is the global minimum;
 * ``random`` - a uniformly chosen nonempty receiver under a seeded RNG,
   then that receiver's oldest envelope. Per-receiver FIFO order is never
   violated, so causality holds for every seed.
@@ -32,6 +33,7 @@ values appear as 0/1 in traces.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from collections import deque
@@ -341,6 +343,21 @@ def group_injections(scenario: ir.Scenario) -> tuple[dict[int, list[ir.Injection
     return groups, sorted(groups)
 
 
+def enqueue_injections(state: SystemState, injections: list[ir.Injection], push) -> None:
+    """Hand `push` one envelope per injection, in file order, each with
+    the next seq."""
+    for inj in injections:
+        push(SignalEnvelope(
+            state.next_seq, ENV_SENDER, inj.instance, inj.signal, tuple(int(a) for a in inj.args)
+        ))
+        state.next_seq += 1
+
+
+def scheduler_rng(config: ExecConfig) -> random.Random | None:
+    """The seeded RNG of the random scheduler, or None under global-fifo."""
+    return random.Random(config.seed) if config.scheduler == RANDOM else None
+
+
 def check_expectations(
     machine: Machine, state: SystemState, scenario: ir.Scenario
 ) -> list[ExpectationResult]:
@@ -364,20 +381,46 @@ def check_expectations(
 # ---------------------------------------------------------------------------
 
 
-def _pick_fifo(state: SystemState, order: list[str]) -> SignalEnvelope:
-    best = None
-    for name in order:
-        q = state.pending[name]
-        if q and (best is None or q[0].seq < best[0].seq):
-            best = q
-    assert best is not None
-    return best.popleft()
+class Island:
+    """The scheduler over some instances' queues in `state.pending`, which
+    stay the state of record; `count` is their number of pending envelopes.
 
+    Under global-fifo, `heap` holds one `(head seq, instance)` entry per
+    nonempty queue. It is keyed on queue heads, not on every envelope: in
+    cosim a bus delivery can arrive behind a younger envelope already
+    queued for its receiver, and it still waits its turn in that queue.
+    The random scheduler draws over the nonempty receivers in `names`
+    order. The queues start empty.
+    """
 
-def _pick_random(state: SystemState, order: list[str], rng: random.Random) -> SignalEnvelope:
-    nonempty = [name for name in order if state.pending[name]]
-    choice = nonempty[rng.randrange(len(nonempty))]
-    return state.pending[choice].popleft()
+    def __init__(self, state: SystemState, names: list[str], rng: random.Random | None):
+        self.pending = state.pending
+        self.names = names
+        self.rng = rng
+        self.heap: list[tuple[int, str]] = []
+        self.count = 0
+
+    def push(self, env: SignalEnvelope) -> None:
+        q = self.pending[env.receiver]
+        if not q and self.rng is None:
+            heapq.heappush(self.heap, (env.seq, env.receiver))
+        q.append(env)
+        self.count += 1
+
+    def pop(self) -> SignalEnvelope:
+        """Dequeue the next envelope to dispatch; `count` must be nonzero."""
+        self.count -= 1
+        if self.rng is not None:
+            nonempty = [name for name in self.names if self.pending[name]]
+            return self.pending[nonempty[self.rng.randrange(len(nonempty))]].popleft()
+        name = self.heap[0][1]
+        q = self.pending[name]
+        env = q.popleft()
+        if q:
+            heapq.heapreplace(self.heap, (q[0].seq, name))
+        else:
+            heapq.heappop(self.heap)
+        return env
 
 
 def run(model: ir.Model, scenario: ir.Scenario, config: ExecConfig | None = None) -> Trace:
@@ -393,40 +436,27 @@ def run(model: ir.Model, scenario: ir.Scenario, config: ExecConfig | None = None
     state = machine.initial_state()
     groups, at_steps = group_injections(scenario)
     pending_ats = list(at_steps)
-    rng = random.Random(config.seed) if config.scheduler == RANDOM else None
+    island = Island(state, machine.instance_order, scheduler_rng(config))
 
     events: list[TraceEvent] = []
     outcome = Outcome(QUIESCENT)
 
-    def enqueue_group(at: int) -> None:
-        for inj in groups[at]:
-            env = SignalEnvelope(
-                state.next_seq, ENV_SENDER, inj.instance, inj.signal,
-                tuple(int(a) for a in inj.args),
-            )
-            state.next_seq += 1
-            state.pending[inj.instance].append(env)
-
-    def deliver(env: SignalEnvelope) -> None:
-        state.pending[env.receiver].append(env)
-
     while True:
         if pending_ats and pending_ats[0] == state.dispatch_count:
-            enqueue_group(pending_ats.pop(0))
-        if state.quiescent():
+            enqueue_injections(state, groups[pending_ats.pop(0)], island.push)
+        if not island.count:
             if pending_ats:
                 # injections beyond the final step resume the run
-                enqueue_group(pending_ats.pop(0))
+                enqueue_injections(state, groups[pending_ats.pop(0)], island.push)
                 continue
             break
         if state.dispatch_count >= config.max_steps:
             outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
             break
-        if rng is None:
-            env = _pick_fifo(state, machine.instance_order)
-        else:
-            env = _pick_random(state, machine.instance_order, rng)
-        event = execute_rtc_step(machine, state, env, deliver, state.dispatch_count, config.mode)
+        env = island.pop()
+        event = execute_rtc_step(
+            machine, state, env, island.push, state.dispatch_count, config.mode
+        )
         if event is None:
             outcome = Outcome(
                 RUNTIME_ERROR,

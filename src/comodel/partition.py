@@ -15,6 +15,9 @@ enqueue directly; cross-boundary sends travel through a FIFO bus and
 arrive `latency` bus ticks later (one tick per dispatch round, fixed
 round order: SW step, HW step, bus tick). Sequence numbers stay global,
 so every executor trace check applies unchanged to the merged trace.
+Under global-fifo each island serves the nonempty queue whose head has
+the smallest seq. A bus delivery joins the back of its receiver's queue,
+so it can wait behind a younger envelope already queued there.
 
 `equivalence_check` grades a partitioned run against the reference run:
 
@@ -30,18 +33,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import executor, ir
 from .executor import (
-    ENV_SENDER,
-    GLOBAL_FIFO,
     QUIESCENT,
     RUNTIME_ERROR,
     STEP_LIMIT,
-    STRICT,
     ExecConfig,
+    Island,
     Machine,
     Outcome,
     SignalEnvelope,
@@ -184,13 +185,6 @@ class PartitionedTrace(Trace):
     bus_crossings: int = 0
 
 
-@dataclass
-class _BusEntry:
-    envelope: SignalEnvelope
-    enqueue_round: int
-    deliver_round: int
-
-
 def cosim(
     model: ir.Model,
     partition: Partition,
@@ -213,92 +207,68 @@ def cosim(
     machine = Machine(model)
     executor.check_scenario_refs(model, scenario)
     state = machine.initial_state()
+    domain_of = {n: partition.of_instance(machine, n) for n in machine.instance_order}
+    rng = executor.scheduler_rng(config)
     islands = {
-        SW: [n for n in machine.instance_order if partition.of_instance(machine, n) == SW],
-        HW: [n for n in machine.instance_order if partition.of_instance(machine, n) == HW],
+        d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
+        for d in (SW, HW)
     }
     groups, at_steps = executor.group_injections(scenario)
     pending_ats = list(at_steps)
-    rng = random.Random(config.seed) if config.scheduler == executor.RANDOM else None
 
-    bus: list[_BusEntry] = []
+    # (deliver round, envelope); latency is constant, so deliver rounds
+    # never decrease along the deque and the due entries sit at its left
+    bus: deque[tuple[int, SignalEnvelope]] = deque()
     bus_steps: dict[int, tuple[int, int]] = {}  # seq -> (enqueue, deliver) rounds
-    bus_crossings = 0
     events: list[TraceEvent] = []
     outcome = Outcome(QUIESCENT)
     round_no = 0
 
-    def enqueue_group(at: int) -> None:
-        for inj in groups[at]:
-            env = SignalEnvelope(
-                state.next_seq, ENV_SENDER, inj.instance, inj.signal,
-                tuple(int(a) for a in inj.args),
-            )
-            state.next_seq += 1
-            state.pending[inj.instance].append(env)
+    def enqueue(env: SignalEnvelope) -> None:
+        islands[domain_of[env.receiver]].push(env)
 
     def inject_due() -> None:
         if pending_ats and pending_ats[0] == state.dispatch_count:
-            enqueue_group(pending_ats.pop(0))
-
-    def island_pending(domain: str) -> bool:
-        return any(state.pending[n] for n in islands[domain])
-
-    def pick(domain: str) -> SignalEnvelope:
-        if rng is None:
-            best = None
-            for name in islands[domain]:
-                q = state.pending[name]
-                if q and (best is None or q[0].seq < best[0].seq):
-                    best = q
-            assert best is not None
-            return best.popleft()
-        nonempty = [n for n in islands[domain] if state.pending[n]]
-        return state.pending[nonempty[rng.randrange(len(nonempty))]].popleft()
+            executor.enqueue_injections(state, groups[pending_ats.pop(0)], enqueue)
 
     def make_deliver(sender_domain: str):
+        local = islands[sender_domain]
+
         def deliver(env: SignalEnvelope) -> None:
-            nonlocal bus_crossings
-            recv_domain = partition.of_instance(machine, env.receiver)
-            if recv_domain == sender_domain:
-                state.pending[env.receiver].append(env)
+            if domain_of[env.receiver] == sender_domain:
+                local.push(env)
             else:
-                bus.append(_BusEntry(env, round_no, round_no + latency))
+                bus.append((round_no + latency, env))
                 bus_steps[env.seq] = (round_no, round_no + latency)
-                bus_crossings += 1
         return deliver
 
+    deliver = {SW: make_deliver(SW), HW: make_deliver(HW)}
+
     while True:
-        # bus delivery due this round (FIFO order preserves send order)
-        still = []
-        for entry in bus:
-            if entry.deliver_round <= round_no:
-                state.pending[entry.envelope.receiver].append(entry.envelope)
-            else:
-                still.append(entry)
-        bus[:] = still
+        while bus and bus[0][0] <= round_no:
+            enqueue(bus.popleft()[1])
 
         inject_due()
-        if state.quiescent():
+        if not (islands[SW].count or islands[HW].count):
             if bus:
                 round_no += 1
                 continue
             if pending_ats:
-                enqueue_group(pending_ats.pop(0))
+                executor.enqueue_injections(state, groups[pending_ats.pop(0)], enqueue)
                 continue
             break
 
         error = None
-        for domain in (SW, HW):
+        for domain, island in islands.items():
             inject_due()
-            if not island_pending(domain):
+            if not island.count:
                 continue
             if state.dispatch_count >= config.max_steps:
                 error = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
                 break
-            env = pick(domain)
+            env = island.pop()
             event = executor.execute_rtc_step(
-                machine, state, env, make_deliver(domain),
+                machine, state, env, deliver[domain],
                 state.dispatch_count, config.mode,
             )
             if event is None:
@@ -309,20 +279,8 @@ def cosim(
                 )
                 break
             enq, dly = bus_steps.get(env.seq, (None, None))
-            events.append(
-                CosimEvent(
-                    step=event.step,
-                    envelope=event.envelope,
-                    from_state=event.from_state,
-                    to_state=event.to_state,
-                    writes=event.writes,
-                    sent=event.sent,
-                    dropped=event.dropped,
-                    domain=domain,
-                    bus_enqueue_step=enq,
-                    bus_deliver_step=dly,
-                )
-            )
+            events.append(CosimEvent(**vars(event), domain=domain,
+                                     bus_enqueue_step=enq, bus_deliver_step=dly))
             state.dispatch_count += 1
         if error is not None:
             outcome = error
@@ -340,7 +298,7 @@ def cosim(
         final=state,
         outcome=outcome,
         expectations=expectations,
-        bus_crossings=bus_crossings,
+        bus_crossings=len(bus_steps),
     )
 
 

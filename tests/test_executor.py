@@ -122,6 +122,9 @@ def test_step_limit():
     trace = run(model, parse_scenario("at 0 send a.Go();"), ExecConfig(max_steps=10))
     assert trace.outcome.kind == "step-limit"
     assert len(trace.events) == 10
+    # the envelope the limit cut off stays queued in the final state
+    assert not trace.final.quiescent()
+    assert sum(len(q) for q in trace.final.pending.values()) == 1
 
 
 def test_run_finishing_at_exactly_max_steps_is_quiescent(pingpong, pingpong_scenario):

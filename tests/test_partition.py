@@ -187,6 +187,30 @@ def test_bus_monotonicity_same_pair():
         assert check_pair_fifo(trace)
 
 
+def test_bus_delivery_waits_behind_younger_queued_envelope():
+    # b's Put (seq 3) is queued for rec before a's Put (seq 2) comes off
+    # the bus; fifo serves rec's queue head, not the smallest pending seq
+    model = load_model("race")
+    p = Partition(domain={"Alpha": SW, "Beta": HW, "Recorder": HW})
+    trace = cosim(model, p, load_scenario("race_both"), latency=1)
+    assert [e.envelope.seq for e in trace.events if e.envelope.receiver == "rec"] == [3, 2]
+    assert trace.final.attrs["rec"]["last"] == 1
+
+
+def test_seeded_random_order_is_pinned():
+    model = load_model("pipeline")
+    scenario = load_scenario("pipeline_three")
+    p = derive_partition(model, load_marks("pipeline_counter_hw"))
+    config = ExecConfig(scheduler="random", seed=11)
+    order = [(e.envelope.receiver, e.envelope.seq) for e in run(model, scenario, config).events]
+    assert order == [("ticker", 0), ("counter", 3), ("ticker", 1), ("ticker", 2),
+                     ("counter", 4), ("counter", 5), ("reporter", 6)]
+    trace = cosim(model, p, scenario, config, latency=2)
+    order = [(e.envelope.receiver, e.envelope.seq) for e in trace.events]
+    assert order == [("ticker", 0), ("ticker", 1), ("ticker", 2), ("counter", 3),
+                     ("counter", 4), ("counter", 5), ("reporter", 6)]
+
+
 def test_cosim_unhandled_strict():
     model = parse_model(
         "class A { signal S(); statemachine { initial I; state I {"
