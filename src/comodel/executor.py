@@ -13,6 +13,11 @@ Scenario injections with `at N` are enqueued, in file order, before
 dispatch step N; injections that fall beyond quiescence are enqueued
 when the system goes quiescent, which resumes the run.
 
+`run` and `partition.cosim` share one dispatch loop, which holds these
+rules, the step limit and the outcome once. `run` is its one-island
+case, in which every send goes straight to its receiver's queue. The
+golden traces remain the independent oracle for that loop.
+
 The scheduler only picks *which* nonempty queue dispatches next:
 
 * ``global-fifo`` - the nonempty queue whose head has the smallest
@@ -335,32 +340,7 @@ def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
             fail(f"instance {exp.instance} has no attribute {exp.attr}")
 
 
-def group_injections(scenario: ir.Scenario) -> tuple[dict[int, list[ir.Injection]], list[int]]:
-    """Group injections by at-step, preserving file order inside a group."""
-    groups: dict[int, list[ir.Injection]] = {}
-    for inj in scenario.injections:
-        groups.setdefault(inj.at, []).append(inj)
-    return groups, sorted(groups)
-
-
-def enqueue_injections(state: SystemState, injections: list[ir.Injection], push) -> None:
-    """Hand `push` one envelope per injection, in file order, each with
-    the next seq."""
-    for inj in injections:
-        push(SignalEnvelope(
-            state.next_seq, ENV_SENDER, inj.instance, inj.signal, tuple(int(a) for a in inj.args)
-        ))
-        state.next_seq += 1
-
-
-def scheduler_rng(config: ExecConfig) -> random.Random | None:
-    """The seeded RNG of the random scheduler, or None under global-fifo."""
-    return random.Random(config.seed) if config.scheduler == RANDOM else None
-
-
-def check_expectations(
-    machine: Machine, state: SystemState, scenario: ir.Scenario
-) -> list[ExpectationResult]:
+def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[ExpectationResult]:
     results = []
     for exp in scenario.expectations:
         actual = state.attrs[exp.instance].get(exp.attr)
@@ -377,7 +357,7 @@ def check_expectations(
 
 
 # ---------------------------------------------------------------------------
-# The reference run loop
+# The dispatch loop
 # ---------------------------------------------------------------------------
 
 
@@ -423,57 +403,127 @@ class Island:
         return env
 
 
-def run(model: ir.Model, scenario: ir.Scenario, config: ExecConfig | None = None) -> Trace:
-    """Execute a scenario against a validated model and return the trace.
+def _dispatch(
+    machine: Machine,
+    scenario: ir.Scenario,
+    config: ExecConfig,
+    domain_of: dict[str, str] | None = None,
+    domains: tuple[str | None, ...] = (None,),
+    latency: int = 0,
+    hook=None,
+) -> tuple[Trace, dict[int, tuple[int, int]]]:
+    """The one dispatch loop, shared by `run` and `partition.cosim`.
 
-    Dynamic failures (unhandled signal in strict mode, step limit) are
-    reported in the trace outcome; unresolvable scenario references
-    raise ScenarioError before any step runs.
+    `domains` names the islands in round order, and `domain_of` maps
+    every instance to one of them. With `domain_of` None, one island
+    holds every instance and every send goes straight to its queue (the
+    `run` case). Otherwise a send to another island rides the bus and
+    becomes deliverable `latency` rounds later. A round runs at most one
+    step per island, then a bus tick. `hook(event, domain, bus_steps)`,
+    if given, turns each event into the one the trace records, as its
+    step runs. Returns the trace and the bus `seq -> (enqueue, deliver)`
+    rounds.
     """
-    config = config or ExecConfig()
-    machine = Machine(model)
-    check_scenario_refs(model, scenario)
+    check_scenario_refs(machine.model, scenario)
     state = machine.initial_state()
-    groups, at_steps = group_injections(scenario)
-    pending_ats = list(at_steps)
-    island = Island(state, machine.instance_order, scheduler_rng(config))
+    rng = random.Random(config.seed) if config.scheduler == RANDOM else None
+    groups: dict[int, list[ir.Injection]] = {}  # at-step -> injections in file order
+    for inj in scenario.injections:
+        groups.setdefault(inj.at, []).append(inj)
+    pending_ats = sorted(groups)
+    # (deliver round, envelope); latency is constant, so deliver rounds
+    # never decrease along the deque and the due entries sit at its left
+    bus: deque[tuple[int, SignalEnvelope]] = deque()
+    bus_steps: dict[int, tuple[int, int]] = {}
+    round_no = 0
+
+    if domain_of is None:
+        island = Island(state, machine.instance_order, rng)
+        enqueue = island.push
+        islands = [(domains[0], island, island.push)]
+    else:
+        by_domain = {
+            d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
+            for d in domains
+        }
+
+        def enqueue(env: SignalEnvelope) -> None:
+            by_domain[domain_of[env.receiver]].push(env)
+
+        def make_deliver(sender_domain: str):
+            local = by_domain[sender_domain]
+
+            def deliver(env: SignalEnvelope) -> None:
+                if domain_of[env.receiver] == sender_domain:
+                    local.push(env)
+                else:
+                    bus.append((round_no + latency, env))
+                    bus_steps[env.seq] = (round_no, round_no + latency)
+            return deliver
+
+        islands = [(d, by_domain[d], make_deliver(d)) for d in domains]
+
+    def inject_next() -> None:
+        for inj in groups[pending_ats.pop(0)]:
+            args = tuple(int(a) for a in inj.args)
+            enqueue(SignalEnvelope(state.next_seq, ENV_SENDER, inj.instance, inj.signal, args))
+            state.next_seq += 1
 
     events: list[TraceEvent] = []
-    outcome = Outcome(QUIESCENT)
-
-    while True:
-        if pending_ats and pending_ats[0] == state.dispatch_count:
-            enqueue_injections(state, groups[pending_ats.pop(0)], island.push)
-        if not island.count:
-            if pending_ats:
-                # injections beyond the final step resume the run
-                enqueue_injections(state, groups[pending_ats.pop(0)], island.push)
+    outcome: Outcome | None = None
+    while outcome is None:
+        while bus and bus[0][0] <= round_no:
+            enqueue(bus.popleft()[1])
+        steps_before = state.dispatch_count
+        for domain, island, deliver in islands:
+            # the injections `at N` are enqueued, in file order, before step N
+            if pending_ats and pending_ats[0] == state.dispatch_count:
+                inject_next()
+            if not island.count:
                 continue
-            break
-        if state.dispatch_count >= config.max_steps:
-            outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
-            break
-        env = island.pop()
-        event = execute_rtc_step(
-            machine, state, env, island.push, state.dispatch_count, config.mode
-        )
-        if event is None:
-            outcome = Outcome(
-                RUNTIME_ERROR,
-                f"E_UNHANDLED {env.receiver}.{env.signal} in state"
-                f" {state.states[env.receiver]} at step {state.dispatch_count}",
+            if state.dispatch_count >= config.max_steps:
+                outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
+                break
+            env = island.pop()
+            event = execute_rtc_step(
+                machine, state, env, deliver, state.dispatch_count, config.mode
             )
-            break
-        events.append(event)
-        state.dispatch_count += 1
+            if event is None:
+                outcome = Outcome(
+                    RUNTIME_ERROR,
+                    f"E_UNHANDLED {env.receiver}.{env.signal} in state"
+                    f" {state.states[env.receiver]} at step {state.dispatch_count}",
+                )
+                break
+            events.append(event if hook is None else hook(event, domain, bus_steps))
+            state.dispatch_count += 1
+        else:
+            if state.dispatch_count == steps_before and not bus:  # every queue is empty
+                if not pending_ats:
+                    outcome = Outcome(QUIESCENT)
+                    break
+                inject_next()  # injections beyond quiescence resume the run
+                continue
+            round_no += 1
 
     expectations: list[ExpectationResult] = []
     if outcome.kind == QUIESCENT:
-        expectations = check_expectations(machine, state, scenario)
+        expectations = check_expectations(state, scenario)
         failed = sum(1 for e in expectations if not e.passed)
         if failed:
             outcome = Outcome(QUIESCENT, f"{failed} expectation(s) failed")
-    return Trace(events=events, final=state, outcome=outcome, expectations=expectations)
+    return Trace(events, state, outcome, expectations), bus_steps
+
+
+def run(model: ir.Model, scenario: ir.Scenario, config: ExecConfig | None = None) -> Trace:
+    """Execute a scenario against a validated model and return the trace.
+
+    This is the one-island case of the dispatch loop. Dynamic failures
+    (unhandled signal in strict mode, step limit) are reported in the
+    trace outcome; unresolvable scenario references raise ScenarioError
+    before any step runs.
+    """
+    return _dispatch(Machine(model), scenario, config or ExecConfig())[0]
 
 
 # ---------------------------------------------------------------------------

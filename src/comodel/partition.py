@@ -9,12 +9,14 @@ The boundary is the set of signals with at least one send route whose
 endpoints lie in different domains; the generated interface consists of
 exactly these.
 
-`cosim` splits execution into two islands that each run the reference
-run-to-completion semantics over their own instances. Intra-domain sends
-enqueue directly; cross-boundary sends travel through a FIFO bus and
-arrive `latency` bus ticks later (one tick per dispatch round, fixed
-round order: SW step, HW step, bus tick). Sequence numbers stay global,
-so every executor trace check applies unchanged to the merged trace.
+`cosim` runs the dispatch loop of `executor.run` with two islands, SW
+and HW, where `run` has one; the partition only decides which island an
+instance sits on. Intra-domain sends enqueue directly; cross-boundary
+sends travel through a FIFO bus and arrive `latency` bus ticks later
+(one tick per dispatch round, fixed round order: SW step, HW step, bus
+tick). Sequence numbers stay global, so every executor trace check
+applies unchanged to the merged trace, and the golden traces remain the
+independent oracle for the shared loop.
 Under global-fifo each island serves the nonempty queue whose head has
 the smallest seq. A bus delivery joins the back of its receiver's queue,
 so it can wait behind a younger envelope already queued there.
@@ -33,22 +35,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import executor, ir
-from .executor import (
-    QUIESCENT,
-    RUNTIME_ERROR,
-    STEP_LIMIT,
-    ExecConfig,
-    Island,
-    Machine,
-    Outcome,
-    SignalEnvelope,
-    Trace,
-    TraceEvent,
-)
+from .executor import ExecConfig, Machine, Trace, TraceEvent
 
 HW = "HW"
 SW = "SW"
@@ -203,103 +193,21 @@ def cosim(
     """
     if latency < 1:
         raise ValueError("latency must be >= 1")
-    config = config or ExecConfig()
     machine = Machine(model)
-    executor.check_scenario_refs(model, scenario)
-    state = machine.initial_state()
     domain_of = {n: partition.of_instance(machine, n) for n in machine.instance_order}
-    rng = executor.scheduler_rng(config)
-    islands = {
-        d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
-        for d in (SW, HW)
-    }
-    groups, at_steps = executor.group_injections(scenario)
-    pending_ats = list(at_steps)
-
-    # (deliver round, envelope); latency is constant, so deliver rounds
-    # never decrease along the deque and the due entries sit at its left
-    bus: deque[tuple[int, SignalEnvelope]] = deque()
-    bus_steps: dict[int, tuple[int, int]] = {}  # seq -> (enqueue, deliver) rounds
-    events: list[TraceEvent] = []
-    outcome = Outcome(QUIESCENT)
-    round_no = 0
-
-    def enqueue(env: SignalEnvelope) -> None:
-        islands[domain_of[env.receiver]].push(env)
-
-    def inject_due() -> None:
-        if pending_ats and pending_ats[0] == state.dispatch_count:
-            executor.enqueue_injections(state, groups[pending_ats.pop(0)], enqueue)
-
-    def make_deliver(sender_domain: str):
-        local = islands[sender_domain]
-
-        def deliver(env: SignalEnvelope) -> None:
-            if domain_of[env.receiver] == sender_domain:
-                local.push(env)
-            else:
-                bus.append((round_no + latency, env))
-                bus_steps[env.seq] = (round_no, round_no + latency)
-        return deliver
-
-    deliver = {SW: make_deliver(SW), HW: make_deliver(HW)}
-
-    while True:
-        while bus and bus[0][0] <= round_no:
-            enqueue(bus.popleft()[1])
-
-        inject_due()
-        if not (islands[SW].count or islands[HW].count):
-            if bus:
-                round_no += 1
-                continue
-            if pending_ats:
-                executor.enqueue_injections(state, groups[pending_ats.pop(0)], enqueue)
-                continue
-            break
-
-        error = None
-        for domain, island in islands.items():
-            inject_due()
-            if not island.count:
-                continue
-            if state.dispatch_count >= config.max_steps:
-                error = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
-                break
-            env = island.pop()
-            event = executor.execute_rtc_step(
-                machine, state, env, deliver[domain],
-                state.dispatch_count, config.mode,
-            )
-            if event is None:
-                error = Outcome(
-                    RUNTIME_ERROR,
-                    f"E_UNHANDLED {env.receiver}.{env.signal} in state"
-                    f" {state.states[env.receiver]} at step {state.dispatch_count}",
-                )
-                break
-            enq, dly = bus_steps.get(env.seq, (None, None))
-            events.append(CosimEvent(**vars(event), domain=domain,
-                                     bus_enqueue_step=enq, bus_deliver_step=dly))
-            state.dispatch_count += 1
-        if error is not None:
-            outcome = error
-            break
-        round_no += 1
-
-    expectations: list[executor.ExpectationResult] = []
-    if outcome.kind == QUIESCENT:
-        expectations = executor.check_expectations(machine, state, scenario)
-        failed = sum(1 for e in expectations if not e.passed)
-        if failed:
-            outcome = Outcome(QUIESCENT, f"{failed} expectation(s) failed")
-    return PartitionedTrace(
-        events=events,
-        final=state,
-        outcome=outcome,
-        expectations=expectations,
-        bus_crossings=len(bus_steps),
+    trace, bus_steps = executor._dispatch(
+        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency, _cosim_event
     )
+    return PartitionedTrace(
+        trace.events, trace.final, trace.outcome, trace.expectations, len(bus_steps)
+    )
+
+
+def _cosim_event(
+    event: TraceEvent, domain: str, bus_steps: dict[int, tuple[int, int]]
+) -> CosimEvent:
+    enq, dly = bus_steps.get(event.envelope.seq, (None, None))
+    return CosimEvent(**vars(event), domain=domain, bus_enqueue_step=enq, bus_deliver_step=dly)
 
 
 def serialize_partitioned_trace(trace: PartitionedTrace) -> str:
@@ -308,9 +216,9 @@ def serialize_partitioned_trace(trace: PartitionedTrace) -> str:
     lines = []
     for ev in trace.events:
         d = executor.event_dict(ev)
-        d["domain"] = ev.domain if isinstance(ev, CosimEvent) else SW
-        d["bus_enqueue_step"] = getattr(ev, "bus_enqueue_step", None)
-        d["bus_deliver_step"] = getattr(ev, "bus_deliver_step", None)
+        d["domain"] = ev.domain
+        d["bus_enqueue_step"] = ev.bus_enqueue_step
+        d["bus_deliver_step"] = ev.bus_deliver_step
         lines.append(json.dumps(d))
     lines.append(json.dumps(executor.summary_dict(trace)))
     return "\n".join(lines) + "\n"

@@ -101,8 +101,7 @@ def test_unhandled_strict():
     model = parse_model(UNHANDLED)
     trace = run(model, parse_scenario("at 0 send ping.Hit();"))
     assert trace.outcome.kind == "runtime-error"
-    assert "E_UNHANDLED" in trace.outcome.detail
-    assert "at step 1" in trace.outcome.detail
+    assert trace.outcome.detail == "E_UNHANDLED pong.Hit in state Waiting at step 1"
     assert len(trace.events) == 1  # only the successful first step
 
 

@@ -6,7 +6,15 @@ import pytest
 from conftest import CORPUS_MODELS, CORPUS_PAIRS, load_marks, load_model, load_scenario
 
 from comodel import ir
-from comodel.executor import ExecConfig, check_causality, check_pair_fifo, event_dict, run
+from comodel.executor import (
+    LENIENT,
+    ExecConfig,
+    check_causality,
+    check_pair_fifo,
+    event_dict,
+    run,
+    summary_dict,
+)
 from comodel.frontend import parse_marks, parse_model, parse_scenario, print_marks
 from comodel.partition import (
     HW,
@@ -150,18 +158,30 @@ def test_cosim_rejects_bad_latency(pingpong, pingpong_scenario):
               pingpong_scenario, latency=0)
 
 
+# (id suffix, config); the default config keeps the bare domain id
+DEGENERATE_CONFIGS = [
+    ("", ExecConfig()),
+    ("-max3", ExecConfig(max_steps=3)),
+    ("-lenient", ExecConfig(mode=LENIENT)),
+    ("-lenient-max3", ExecConfig(mode=LENIENT, max_steps=3)),
+]
+
+
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS)
-@pytest.mark.parametrize("domain", [SW, HW])
-def test_degenerate_partitions_reproduce_reference(model_name, scn_name, domain):
+@pytest.mark.parametrize(
+    "domain,config",
+    [pytest.param(d, c, id=d + suffix) for suffix, c in DEGENERATE_CONFIGS for d in (SW, HW)],
+)
+def test_degenerate_partitions_reproduce_reference(model_name, scn_name, domain, config):
     model = load_model(model_name)
     scenario = load_scenario(scn_name)
-    reference = run(model, scenario)
+    reference = run(model, scenario, config)
     p = Partition(domain={c.name: domain for c in model.classes})
-    partitioned = cosim(model, p, scenario)
+    partitioned = cosim(model, p, scenario, config)
     assert [event_dict(e) for e in partitioned.events] == [
         event_dict(e) for e in reference.events
     ]
-    assert partitioned.final.attrs == reference.final.attrs
+    assert summary_dict(partitioned) == summary_dict(reference)
     assert partitioned.bus_crossings == 0
 
 
@@ -221,7 +241,7 @@ def test_cosim_unhandled_strict():
     p = Partition(domain={"A": SW, "B": HW})
     trace = cosim(model, p, parse_scenario("at 0 send a.S();"))
     assert trace.outcome.kind == "runtime-error"
-    assert "E_UNHANDLED" in trace.outcome.detail
+    assert trace.outcome.detail == "E_UNHANDLED b.S in state I at step 1"
 
 
 def test_cosim_step_limit():
@@ -236,6 +256,21 @@ def test_cosim_step_limit():
     trace = cosim(model, p, parse_scenario("at 0 send a.Go();"),
                   ExecConfig(max_steps=8))
     assert trace.outcome.kind == "step-limit"
+
+
+def test_cosim_injections_beyond_quiescence_resume(pingpong):
+    p = derive_partition(pingpong, load_marks("pingpong_pong_hw"))
+    scenario = parse_scenario("at 0 send ping.Hit(); at 50 send ping.Hit();")
+    trace = cosim(pingpong, p, scenario, latency=2)
+    assert trace.outcome.kind == "quiescent"
+    report = equivalence_check(run(pingpong, scenario), trace, scenario.confluent)
+    assert [l.passed for l in report.levels[:2]] == [True, True]
+    assert [(e.step, e.domain, e.bus_enqueue_step, e.bus_deliver_step) for e in trace.events] == [
+        (0, SW, None, None),
+        (1, HW, 0, 2),
+        (2, SW, None, None),
+        (3, HW, 3, 5),
+    ]
 
 
 def test_partitioned_trace_serialization_keys(pingpong, pingpong_scenario):
