@@ -63,6 +63,16 @@ def _load_marks(path: str | None) -> ir.MarkSet:
         raise _InputError(str(e)) from e
 
 
+def _load_partition(model: ir.Model, marks_path: str | None) -> part.Partition:
+    try:
+        p = part.derive_partition(model, _load_marks(marks_path))
+    except part.MarkError as e:
+        raise _InputError(str(e)) from e
+    for d in p.warnings:
+        print(d.render(), file=sys.stderr)
+    return p
+
+
 def _load_scenario(path: str) -> ir.Scenario:
     try:
         return frontend.parse_scenario(_read(path), path)
@@ -130,14 +140,7 @@ def cmd_run(args) -> int:
 
 def cmd_partition(args) -> int:
     model = _load_model(args.model)
-    marks = _load_marks(args.marks)
-    try:
-        p = part.derive_partition(model, marks)
-    except part.MarkError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT
-    for d in p.warnings:
-        print(d.render(), file=sys.stderr)
+    p = _load_partition(model, args.marks)
     for cls in model.classes:
         print(f"{cls.name} {p.domain[cls.name]}")
     for bs in part.boundary(model, p):
@@ -147,13 +150,8 @@ def cmd_partition(args) -> int:
 
 def cmd_cosim(args) -> int:
     model = _load_model(args.model)
-    marks = _load_marks(args.marks)
+    p = _load_partition(model, args.marks)
     scenario = _load_scenario(args.scenario)
-    try:
-        p = part.derive_partition(model, marks)
-    except part.MarkError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT
     if args.latency < 1:
         raise _UsageError("latency must be >= 1")
     config = executor.ExecConfig()
@@ -188,12 +186,7 @@ def _gen_paths(out_dir: Path, stem: str) -> dict[str, Path]:
 
 def cmd_gen(args) -> int:
     model = _load_model(args.model)
-    marks = _load_marks(args.marks)
-    try:
-        p = part.derive_partition(model, marks)
-    except part.MarkError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT
+    p = _load_partition(model, args.marks)
     stem = Path(args.model).stem
     try:
         out = codegen.emit(model, p, name=stem)

@@ -93,18 +93,10 @@ def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
 
 def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManifest:
     """Derive the interface manifest for a (model, partition) pair."""
-    ir.ensure_valid(model)
-    params_of = {
-        (c.name, s.name): s.params for c in model.classes for s in c.signals
-    }
+    layouts = _payload_layouts(ir.ensure_valid(model))
     signals = []
     for idx, bs in enumerate(part.boundary(model, partition)):
-        payload = []
-        offset = 0
-        for p in params_of[(bs.receiver_class, bs.signal)]:
-            width = ir.WIDTHS[p.type]
-            payload.append(PayloadField(p.name, width, offset))
-            offset += width
+        payload = layouts[(bs.receiver_class, bs.signal)]
         signals.append(
             ManifestSignal(
                 id=idx,
@@ -112,7 +104,7 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
                 signal=bs.signal,
                 direction=bs.direction,
                 payload=payload,
-                payload_total_bits=offset,
+                payload_total_bits=_payload_bits(payload),
             )
         )
     manifest = InterfaceManifest(
@@ -186,27 +178,22 @@ def _payload_bytes(bits: int) -> int:
     return max(1, (bits + 7) // 8)
 
 
-def _max_args(model: ir.Model) -> int:
-    n = max((len(s.params) for c in model.classes for s in c.signals), default=0)
-    return max(1, n)
+def _payload_layouts(checked: ir.Checked) -> dict[tuple[str, str], list[PayloadField]]:
+    """The packed payload of every (class, signal): its parameters in
+    declaration order, bit offsets ascending from 0."""
+    layouts = {}
+    for key, sig in checked.signals.items():
+        layout = []
+        offset = 0
+        for p in sig.params:
+            layout.append(PayloadField(p.name, ir.WIDTHS[p.type], offset))
+            offset += ir.WIDTHS[p.type]
+        layouts[key] = layout
+    return layouts
 
 
-def _class_payload_layout(cls: ir.ClassDef, signal: str) -> list[tuple[ir.SignalParam, int]]:
-    """(param, bit offset) pairs, declaration order, offsets ascending."""
-    sig = next(s for s in cls.signals if s.name == signal)
-    layout = []
-    offset = 0
-    for p in sig.params:
-        layout.append((p, offset))
-        offset += ir.WIDTHS[p.type]
-    return layout
-
-
-def _class_args_bits(cls: ir.ClassDef) -> int:
-    widths = [
-        sum(ir.WIDTHS[p.type] for p in s.params) for s in cls.signals
-    ]
-    return max(1, max(widths, default=0))
+def _payload_bits(layout: list[PayloadField]) -> int:
+    return sum(f.width_bits for f in layout)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +201,7 @@ def _class_args_bits(cls: ir.ClassDef) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _c_expr(e: ir.Expr, param_index: dict[str, tuple[int, str]]) -> str:
+def _c_expr(e: ir.Expr, param_index: dict[str, int]) -> str:
     if isinstance(e, ir.IntLit):
         return f"{e.value}u"
     if isinstance(e, ir.BoolLit):
@@ -222,8 +209,7 @@ def _c_expr(e: ir.Expr, param_index: dict[str, tuple[int, str]]) -> str:
     if isinstance(e, ir.AttrRef):
         return f"self->{e.name}"
     if isinstance(e, ir.ParamRef):
-        idx, ty = param_index[e.name]
-        return f"({C_TYPES[ty]})args[{idx}]"
+        return f"({C_TYPES[e.ty]})args[{param_index[e.name]}]"
     if isinstance(e, ir.Unary):
         inner = _c_expr(e.operand, param_index)
         if e.op == "!":
@@ -232,6 +218,9 @@ def _c_expr(e: ir.Expr, param_index: dict[str, tuple[int, str]]) -> str:
     if isinstance(e, ir.Binary):
         l = _c_expr(e.left, param_index)
         r = _c_expr(e.right, param_index)
+        if e.op == "*" and ir.WIDTHS[e.ty] < 32:
+            # narrow operands promote to int, whose product can overflow
+            return f"({C_TYPES[e.ty]})((uint32_t){l} * {r})"
         if e.op in ("+", "-", "*"):
             return f"({C_TYPES[e.ty]})({l} {e.op} {r})"
         return f"(uint8_t)({l} {e.op} {r})"
@@ -241,23 +230,23 @@ def _c_expr(e: ir.Expr, param_index: dict[str, tuple[int, str]]) -> str:
 class _CEmitter:
     def __init__(
         self,
-        model: ir.Model,
+        checked: ir.Checked,
         partition: part.Partition,
         manifest: InterfaceManifest,
         name: str,
     ):
-        self.model = model
+        self.instance_class = checked.instance_class
+        self.layouts = _payload_layouts(checked)
         self.partition = partition
         self.manifest = manifest
         self.name = name
-        self.classes = {c.name: c for c in model.classes}
-        self.instances = {i.name: i for i in model.instances}
-        self.sw_classes = [c for c in model.classes if partition.domain[c.name] == part.SW]
-        self.sw_instances = [
-            i for i in model.instances if partition.domain[i.class_name] == part.SW
+        self.sw_classes = [
+            c for c in checked.classes.values() if partition.domain[c.name] == part.SW
         ]
-        self.sw_index = {i.name: k for k, i in enumerate(self.sw_instances)}
-        self.max_args = _max_args(model)
+        self.sw_instances = [
+            (n, c) for n, c in self.instance_class.items() if partition.domain[c.name] == part.SW
+        ]
+        self.max_args = max([1] + [len(layout) for layout in self.layouts.values()])
         self.inbound = [s for s in manifest.signals if s.direction == part.HW_TO_SW]
 
     def header(self) -> str:
@@ -277,8 +266,8 @@ class _CEmitter:
             w.w(f"#define {mangle(s.receiver_class, s.signal)}_BITS {s.payload_total_bits}")
         w.w()
         w.w("/* Software instance ids (dispatch and bus addressing) */")
-        for inst in self.sw_instances:
-            w.w(f"#define SWI_{inst.name.upper()} {self.sw_index[inst.name]}u")
+        for k, (inst, _) in enumerate(self.sw_instances):
+            w.w(f"#define SWI_{inst.upper()} {k}u")
         w.w(f"#define SW_INSTANCE_COUNT {len(self.sw_instances)}u")
         w.w()
         w.w("/* Provided by the platform: outbound boundary transport. */")
@@ -377,8 +366,8 @@ class _CEmitter:
         w.w()
 
     def _instance_storage(self, w: _Writer) -> None:
-        for inst in self.sw_instances:
-            w.w(f"static {inst.class_name}_t inst_{inst.name};")
+        for inst, cls in self.sw_instances:
+            w.w(f"static {cls.name}_t inst_{inst};")
         if self.sw_instances:
             w.w()
 
@@ -422,12 +411,10 @@ class _CEmitter:
         w.w("}")
         w.w()
 
-    def _send_stmt(self, w: _Writer, cls: ir.ClassDef, s: ir.Send,
-                   param_index: dict[str, tuple[int, str]]) -> None:
-        recv = self.instances[s.instance]
-        recv_cls = self.classes[recv.class_name]
-        if self.partition.domain[recv.class_name] == part.SW:
-            ev = f"{recv.class_name.upper()}_EV_{s.signal.upper()}"
+    def _send_stmt(self, w: _Writer, s: ir.Send, param_index: dict[str, int]) -> None:
+        recv = self.instance_class[s.instance].name
+        if self.partition.domain[recv] == part.SW:
+            ev = f"{recv.upper()}_EV_{s.signal.upper()}"
             if s.args:
                 w.w("{")
                 w.indent += 1
@@ -443,37 +430,35 @@ class _CEmitter:
             else:
                 w.w(f"queue_push(SWI_{s.instance.upper()}, {ev}, 0, 0u);")
         else:
-            macro = mangle(recv.class_name, s.signal)
-            layout = _class_payload_layout(recv_cls, s.signal)
-            total = sum(ir.WIDTHS[p.type] for p, _ in layout)
+            macro = mangle(recv, s.signal)
+            layout = self.layouts[(recv, s.signal)]
             w.w(f"{{ /* send {s.instance}.{s.signal}: cross-boundary */")
             w.indent += 1
-            w.w(f"uint8_t payload[{_payload_bytes(total)}] = {{0}};")
-            for (p, offset), a in zip(layout, s.args):
+            w.w(f"uint8_t payload[{_payload_bytes(_payload_bits(layout))}] = {{0}};")
+            for f, a in zip(layout, s.args):
                 w.w(
-                    f"put_bits(payload, {offset}u, {ir.WIDTHS[p.type]}u,"
+                    f"put_bits(payload, {f.bit_offset}u, {f.width_bits}u,"
                     f" (uint32_t){_c_expr(a, param_index)});"
                 )
             w.w(f"{self.name}_bus_send({macro}, payload, {macro}_BITS);")
             w.indent -= 1
             w.w("}")
 
-    def _stmts(self, w: _Writer, cls: ir.ClassDef, stmts: list[ir.Stmt],
-               param_index: dict[str, tuple[int, str]]) -> None:
+    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], param_index: dict[str, int]) -> None:
         for s in stmts:
             if isinstance(s, ir.Assign):
                 w.w(f"self->{s.attr} = {_c_expr(s.value, param_index)};")
             elif isinstance(s, ir.Send):
-                self._send_stmt(w, cls, s, param_index)
+                self._send_stmt(w, s, param_index)
             elif isinstance(s, ir.If):
                 w.w(f"if ({_c_expr(s.cond, param_index)}) {{")
                 w.indent += 1
-                self._stmts(w, cls, s.then, param_index)
+                self._stmts(w, s.then, param_index)
                 w.indent -= 1
                 if s.orelse:
                     w.w("} else {")
                     w.indent += 1
-                    self._stmts(w, cls, s.orelse, param_index)
+                    self._stmts(w, s.orelse, param_index)
                     w.indent -= 1
                 w.w("}")
 
@@ -498,13 +483,11 @@ class _CEmitter:
             if st.transitions:
                 w.w("switch (ev) {")
                 for tr in st.transitions:
-                    sig = next(s for s in cls.signals if s.name == tr.signal)
-                    param_index = {
-                        p.name: (i, p.type) for i, p in enumerate(sig.params)
-                    }
+                    layout = self.layouts[(cls.name, tr.signal)]
+                    param_index = {f.name: i for i, f in enumerate(layout)}
                     w.w(f"case {up}_EV_{tr.signal.upper()}: {{")
                     w.indent += 1
-                    self._stmts(w, cls, tr.actions, param_index)
+                    self._stmts(w, tr.actions, param_index)
                     w.w(f"self->state = {up}_ST_{tr.target.upper()};")
                     w.w("break;")
                     w.indent -= 1
@@ -523,12 +506,10 @@ class _CEmitter:
         w.w(f"void {self.name}_reset(void) {{")
         w.indent += 1
         w.w("uint32_t k;")
-        for inst in self.sw_instances:
-            cls = self.classes[inst.class_name]
-            up = cls.name.upper()
-            w.w(f"inst_{inst.name}.state = {up}_ST_{cls.machine.initial.upper()};")
+        for inst, cls in self.sw_instances:
+            w.w(f"inst_{inst}.state = {cls.name.upper()}_ST_{cls.machine.initial.upper()};")
             for a in cls.attributes:
-                w.w(f"inst_{inst.name}.{a.name} = {int(a.default)}u;")
+                w.w(f"inst_{inst}.{a.name} = {int(a.default)}u;")
         w.w(f"for (k = 0; k < {max(1, len(self.sw_instances))}u; k++) {{")
         w.w("    queues[k].head = 0;")
         w.w("    queues[k].count = 0;")
@@ -542,9 +523,9 @@ class _CEmitter:
         w.indent += 1
         if self.sw_instances:
             w.w("switch (inst_id) {")
-            for inst in self.sw_instances:
-                w.w(f"case SWI_{inst.name.upper()}:")
-                w.w(f"    {inst.class_name}_dispatch(&inst_{inst.name}, ev, args);")
+            for inst, cls in self.sw_instances:
+                w.w(f"case SWI_{inst.upper()}:")
+                w.w(f"    {cls.name}_dispatch(&inst_{inst}, ev, args);")
                 w.w("    break;")
             w.w("default:")
             w.w("    break;")
@@ -601,7 +582,6 @@ class _CEmitter:
             w.w("}")
             w.w("switch (sig_id) {")
             for s in self.inbound:
-                cls = self.classes[s.receiver_class]
                 w.w(f"case {mangle(s.receiver_class, s.signal)}: {{")
                 w.indent += 1
                 for i, f in enumerate(s.payload):
@@ -625,9 +605,9 @@ def emit_c(
     name: str = "model",
 ) -> tuple[str, str]:
     """Emit the software half; returns (c_source, c_header)."""
-    ir.ensure_valid(model)
+    checked = ir.ensure_valid(model)
     _check_name_clashes(manifest)
-    emitter = _CEmitter(model, partition, manifest, name)
+    emitter = _CEmitter(checked, partition, manifest, name)
     return emitter.source(), emitter.header()
 
 
@@ -636,7 +616,7 @@ def emit_c(
 # ---------------------------------------------------------------------------
 
 
-def _v_expr(e: ir.Expr, layout: dict[str, tuple[int, int]]) -> str:
+def _v_expr(e: ir.Expr, layout: dict[str, PayloadField]) -> str:
     if isinstance(e, ir.IntLit):
         if e.value > 2**31 - 1:
             # beyond the guaranteed VHDL integer range: hex bit string
@@ -647,8 +627,8 @@ def _v_expr(e: ir.Expr, layout: dict[str, tuple[int, int]]) -> str:
     if isinstance(e, ir.AttrRef):
         return f"v_{e.name}"
     if isinstance(e, ir.ParamRef):
-        offset, width = layout[e.name]
-        return f"unsigned(ev_args({offset + width - 1} downto {offset}))"
+        f = layout[e.name]
+        return f"unsigned(ev_args({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}))"
     if isinstance(e, ir.Unary):
         inner = _v_expr(e.operand, layout)
         if e.op == "!":
@@ -673,29 +653,23 @@ def _v_expr(e: ir.Expr, layout: dict[str, tuple[int, int]]) -> str:
 class _VhdlEmitter:
     def __init__(
         self,
-        model: ir.Model,
+        checked: ir.Checked,
         partition: part.Partition,
         manifest: InterfaceManifest,
         name: str,
     ):
-        self.model = model
+        self.checked = checked
+        self.layouts = _payload_layouts(checked)
         self.partition = partition
         self.manifest = manifest
         self.name = name
-        self.classes = {c.name: c for c in model.classes}
-        self.instances = {i.name: i for i in model.instances}
-        self.hw_classes = [c for c in model.classes if partition.domain[c.name] == part.HW]
+        self.hw_classes = [
+            c for c in checked.classes.values() if partition.domain[c.name] == part.HW
+        ]
         self.snd_bits = max(
             [1] + [s.payload_total_bits for s in manifest.signals]
         )
-        self.loc_bits = max(
-            [1]
-            + [
-                sum(ir.WIDTHS[p.type] for p in s.params)
-                for c in model.classes
-                for s in c.signals
-            ]
-        )
+        self.loc_bits = max([1] + [_payload_bits(layout) for layout in self.layouts.values()])
 
     def emit(self) -> str:
         w = _Writer()
@@ -720,10 +694,10 @@ class _VhdlEmitter:
             w.w(f"constant {base} : natural := {s.id};")
             w.w(f"constant {base}_BITS : natural := {s.payload_total_bits};")
         w.w("-- Instance ids (model population, document order)")
-        for k, inst in enumerate(self.model.instances):
-            w.w(f"constant INST_{inst.name.upper()} : natural := {k};")
+        for k, inst in enumerate(self.checked.instance_class):
+            w.w(f"constant INST_{inst.upper()} : natural := {k};")
         w.w("-- Class-local event ids")
-        for cls in self.model.classes:
+        for cls in self.checked.classes.values():
             for i, s in enumerate(cls.signals):
                 w.w(f"constant EV_{cls.name.upper()}_{s.name.upper()} : natural := {i};")
         w.w("function to_u1(b : boolean) return unsigned;")
@@ -751,7 +725,7 @@ class _VhdlEmitter:
         w.w()
 
     def _entity(self, w: _Writer, cls: ir.ClassDef) -> None:
-        ev_bits = _class_args_bits(cls)
+        ev_bits = max([1] + [_payload_bits(self.layouts[(cls.name, s.name)]) for s in cls.signals])
         n_ev = max(1, len(cls.signals))
         w.w("library ieee;")
         w.w("use ieee.std_logic_1164.all;")
@@ -843,14 +817,10 @@ class _VhdlEmitter:
                 w.w("case ev_id is")
                 w.indent += 1
                 for tr in st.transitions:
-                    sig = next(s for s in cls.signals if s.name == tr.signal)
-                    layout = {
-                        p.name: (off, ir.WIDTHS[p.type])
-                        for p, off in _class_payload_layout(cls, tr.signal)
-                    }
+                    layout = {f.name: f for f in self.layouts[(cls.name, tr.signal)]}
                     w.w(f"when EV_{cls.name.upper()}_{tr.signal.upper()} =>")
                     w.indent += 1
-                    self._stmts(w, cls, tr.actions, layout)
+                    self._stmts(w, tr.actions, layout)
                     w.w(f"state <= ST_{tr.target.upper()};")
                     w.indent -= 1
                 w.w("when others =>")
@@ -863,56 +833,44 @@ class _VhdlEmitter:
         w.indent -= 1
         w.w("end case;")
 
-    def _stmts(self, w: _Writer, cls: ir.ClassDef, stmts: list[ir.Stmt],
-               layout: dict[str, tuple[int, int]]) -> None:
+    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], layout: dict[str, PayloadField]) -> None:
         for s in stmts:
             if isinstance(s, ir.Assign):
                 w.w(f"v_{s.attr} := {_v_expr(s.value, layout)};")
             elif isinstance(s, ir.Send):
-                self._send(w, cls, s, layout)
+                self._send(w, s, layout)
             elif isinstance(s, ir.If):
                 w.w(f"if to_bool({_v_expr(s.cond, layout)}) then")
                 w.indent += 1
-                self._stmts(w, cls, s.then, layout)
+                self._stmts(w, s.then, layout)
                 w.indent -= 1
                 if s.orelse:
                     w.w("else")
                     w.indent += 1
-                    self._stmts(w, cls, s.orelse, layout)
+                    self._stmts(w, s.orelse, layout)
                     w.indent -= 1
                 w.w("end if;")
 
-    def _send(self, w: _Writer, cls: ir.ClassDef, s: ir.Send,
-              layout: dict[str, tuple[int, int]]) -> None:
-        recv = self.instances[s.instance]
-        recv_cls = self.classes[recv.class_name]
-        target_layout = _class_payload_layout(recv_cls, s.signal)
-        if self.partition.domain[recv.class_name] == part.HW:
-            # intra-hardware send: local event interconnect
-            w.w(f"-- send {s.instance}.{s.signal} (local)")
-            w.w("v_loc := (others => '0');")
-            for (p, off), a in zip(target_layout, s.args):
-                width = ir.WIDTHS[p.type]
-                w.w(
-                    f"v_loc({off + width - 1} downto {off}) :="
-                    f" std_logic_vector({_v_expr(a, layout)});"
-                )
+    def _send(self, w: _Writer, s: ir.Send, layout: dict[str, PayloadField]) -> None:
+        recv = self.checked.instance_class[s.instance].name
+        # an intra-hardware send uses the local event interconnect
+        local = self.partition.domain[recv] == part.HW
+        var = "v_loc" if local else "v_snd"
+        w.w(f"-- send {s.instance}.{s.signal} ({'local' if local else 'cross-boundary'})")
+        w.w(f"{var} := (others => '0');")
+        for f, a in zip(self.layouts[(recv, s.signal)], s.args):
+            w.w(
+                f"{var}({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}) :="
+                f" std_logic_vector({_v_expr(a, layout)});"
+            )
+        if local:
             w.w("loc_valid <= '1';")
             w.w(f"loc_inst <= INST_{s.instance.upper()};")
-            w.w(f"loc_ev <= EV_{recv.class_name.upper()}_{s.signal.upper()};")
+            w.w(f"loc_ev <= EV_{recv.upper()}_{s.signal.upper()};")
             w.w("loc_args <= v_loc;")
         else:
-            base = mangle(recv.class_name, s.signal)
-            w.w(f"-- send {s.instance}.{s.signal} (cross-boundary)")
-            w.w("v_snd := (others => '0');")
-            for (p, off), a in zip(target_layout, s.args):
-                width = ir.WIDTHS[p.type]
-                w.w(
-                    f"v_snd({off + width - 1} downto {off}) :="
-                    f" std_logic_vector({_v_expr(a, layout)});"
-                )
             w.w("snd_valid <= '1';")
-            w.w(f"snd_sig <= {base};")
+            w.w(f"snd_sig <= {mangle(recv, s.signal)};")
             w.w("snd_payload <= v_snd;")
 
 
@@ -923,9 +881,9 @@ def emit_vhdl(
     name: str = "model",
 ) -> str:
     """Emit the hardware half as one VHDL text."""
-    ir.ensure_valid(model)
+    checked = ir.ensure_valid(model)
     _check_name_clashes(manifest)
-    return _VhdlEmitter(model, partition, manifest, name).emit()
+    return _VhdlEmitter(checked, partition, manifest, name).emit()
 
 
 # ---------------------------------------------------------------------------

@@ -162,24 +162,22 @@ class Trace:
 
 
 class Machine:
-    """Lookup tables for a validated model, shared by run() and cosim()."""
+    """A valid model and its dispatch tables, shared by run() and cosim().
+
+    The tables are the model's `ir.Checked` record, read through
+    `ir.ensure_valid`, so a model that was validated is not validated
+    again and one that never was is validated here. `instance_class`
+    maps each instance to its class and `transitions` maps (class,
+    state, signal) to the transition; `instance_order` lists the
+    instances in document order.
+    """
 
     def __init__(self, model: ir.Model):
-        ir.ensure_valid(model)
         self.model = model
-        self.classes = {c.name: c for c in model.classes}
-        self.instance_class: dict[str, ir.ClassDef] = {
-            i.name: self.classes[i.class_name] for i in model.instances
-        }
-        self.instance_order = [i.name for i in model.instances]
-        self.transitions: dict[tuple[str, str, str], ir.TransitionDef] = {}
-        self.signal_params: dict[tuple[str, str], list[ir.SignalParam]] = {}
-        for c in model.classes:
-            for s in c.signals:
-                self.signal_params[(c.name, s.name)] = s.params
-            for st in c.machine.states:
-                for tr in st.transitions:
-                    self.transitions[(c.name, st.name, tr.signal)] = tr
+        self.checked = ir.ensure_valid(model)
+        self.instance_class = self.checked.instance_class
+        self.instance_order = list(self.instance_class)
+        self.transitions = self.checked.transitions
 
     def initial_state(self) -> SystemState:
         states = {}
@@ -271,10 +269,8 @@ def execute_rtc_step(
             return None
         return TraceEvent(step_index, envelope, cur, cur, [], [], dropped=True)
 
-    params = {
-        p.name: v
-        for p, v in zip(machine.signal_params[(cls.name, envelope.signal)], envelope.args)
-    }
+    sig = machine.checked.signals[(cls.name, envelope.signal)]
+    params = {p.name: v for p, v in zip(sig.params, envelope.args)}
     attrs = state.attrs[inst]
     writes: list[tuple[str, int]] = []
     sent: list[int] = []
@@ -306,18 +302,16 @@ def execute_rtc_step(
 
 def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
     """Raise ScenarioError unless every scenario reference resolves."""
-    instances = {i.name: i for i in model.instances}
-    classes = {c.name: c for c in model.classes}
+    checked = ir.ensure_valid(model)
 
     def fail(msg: str) -> None:
         raise ScenarioError(f"E_SCENARIO_REF: {msg}")
 
     for inj in scenario.injections:
-        inst = instances.get(inj.instance)
-        if inst is None:
+        cls = checked.instance_class.get(inj.instance)
+        if cls is None:
             fail(f"injection targets unknown instance {inj.instance}")
-        cls = classes[inst.class_name]
-        sig = next((s for s in cls.signals if s.name == inj.signal), None)
+        sig = checked.signals.get((cls.name, inj.signal))
         if sig is None:
             fail(f"instance {inj.instance} has no signal {inj.signal}")
         if len(inj.args) != len(sig.params):
@@ -332,10 +326,9 @@ def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
             elif not 0 <= a <= ir.mask_of(p.type):
                 fail(f"argument {a} does not fit parameter {p.name}: {p.type}")
     for exp in scenario.expectations:
-        inst = instances.get(exp.instance)
-        if inst is None:
+        cls = checked.instance_class.get(exp.instance)
+        if cls is None:
             fail(f"expectation references unknown instance {exp.instance}")
-        cls = classes[inst.class_name]
         if not any(a.name == exp.attr for a in cls.attributes):
             fail(f"instance {exp.instance} has no attribute {exp.attr}")
 

@@ -12,8 +12,14 @@ bounded number of statements.
 executed or translated. As a side effect it annotates each expression
 node with its resolved scalar type (the `ty` field), which the executor
 and both code generators rely on for width-exact wrapping arithmetic.
-IR values are treated as immutable once validation has run; they can be
-shared freely across threads.
+When the report is ok it also records the validator's symbol tables on
+the model as a `Checked` value (`Model.checked`), and clears them
+otherwise. Every later layer (`run`, `cosim`, the partitioner and both
+code generators) reads that one index through `ensure_valid`, which
+validates only a model that carries none. A model is therefore validated
+once and then trusted: IR values are treated as immutable once
+validation has run, mutating them afterwards is unsupported (the record
+would go stale), and they can be shared freely across threads.
 
 Marks, scenarios and the diagnostic report types also live here so the
 parser, the partitioner and the executor share one vocabulary.
@@ -183,6 +189,8 @@ class InstanceDecl:
 class Model:
     classes: list[ClassDef] = field(default_factory=list)
     instances: list[InstanceDecl] = field(default_factory=list)
+    # set by validate(); not part of the model's value
+    checked: Checked | None = field(default=None, init=False, compare=False, repr=False)
 
     def class_by_name(self, name: str) -> ClassDef | None:
         for c in self.classes:
@@ -284,6 +292,21 @@ class ValidationReport:
         return "\n".join(d.render() for d in self.diagnostics)
 
 
+@dataclass(frozen=True)
+class Checked:
+    """The symbol tables of a model that validated clean.
+
+    Each maps a name to the IR node that defines it: `classes` by class
+    name, `instance_class` by instance name (document order), `signals`
+    by (class, signal) and `transitions` by (class, state, signal).
+    """
+
+    classes: dict[str, ClassDef]
+    instance_class: dict[str, ClassDef]
+    signals: dict[tuple[str, str], SignalDef]
+    transitions: dict[tuple[str, str, str], TransitionDef]
+
+
 class InvalidModelError(Exception):
     """Raised when an operation requiring a valid model receives one that
     fails validation."""
@@ -359,13 +382,19 @@ class _Validator:
         self.model = model
         self.out: list[Diagnostic] = []
         # First-occurrence symbol tables; duplicates are reported but the
-        # first definition stays authoritative for resolution.
+        # first definition stays authoritative for resolution. A clean
+        # report turns them into the model's Checked record.
         self.classes: dict[str, ClassDef] = {}
         self.instances: dict[str, InstanceDecl] = {}
+        self.signals: dict[tuple[str, str], SignalDef] = {}
+        self.transitions: dict[tuple[str, str, str], TransitionDef] = {}
         for c in model.classes:
             self.classes.setdefault(c.name, c)
         for i in model.instances:
             self.instances.setdefault(i.name, i)
+        for c in self.classes.values():
+            for s in c.signals:
+                self.signals.setdefault((c.name, s.name), s)
 
     def error(self, code: str, path: str, message: str) -> None:
         self.out.append(Diagnostic(ERROR, code, path, message))
@@ -392,6 +421,10 @@ class _Validator:
                 )
         return ValidationReport(self.out)
 
+    def checked(self) -> Checked:
+        instance_class = {n: self.classes[i.class_name] for n, i in self.instances.items()}
+        return Checked(self.classes, instance_class, self.signals, self.transitions)
+
     def check_class(self, cls: ClassDef) -> None:
         attrs: dict[str, AttributeDef] = {}
         for a in cls.attributes:
@@ -405,12 +438,12 @@ class _Validator:
                     f"{cls.name}.{a.name}",
                     f"default {a.default} does not fit {a.type}",
                 )
-        signals: dict[str, SignalDef] = {}
+        seen_signals: set[str] = set()
         for s in cls.signals:
-            if s.name in signals:
+            if s.name in seen_signals:
                 self.error("E_DUP_SIGNAL", f"{cls.name}.{s.name}", "duplicate signal name")
                 continue
-            signals[s.name] = s
+            seen_signals.add(s.name)
             seen_params: set[str] = set()
             for p in s.params:
                 if p.name in seen_params:
@@ -420,14 +453,9 @@ class _Validator:
                         f"duplicate parameter name {p.name}",
                     )
                 seen_params.add(p.name)
-        self.check_machine(cls, attrs, signals)
+        self.check_machine(cls, attrs)
 
-    def check_machine(
-        self,
-        cls: ClassDef,
-        attrs: dict[str, AttributeDef],
-        signals: dict[str, SignalDef],
-    ) -> None:
+    def check_machine(self, cls: ClassDef, attrs: dict[str, AttributeDef]) -> None:
         m = cls.machine
         if not m.initial and not m.states:
             # parser default for a class body with no statemachine block
@@ -448,7 +476,8 @@ class _Validator:
             seen_states.add(st.name)
             seen_signals: set[str] = set()
             for tr in st.transitions:
-                if tr.signal not in signals:
+                sig = self.signals.get((cls.name, tr.signal))
+                if sig is None:
                     self.error(
                         "E_UNKNOWN_SIGNAL",
                         f"{cls.name}.{tr.signal}",
@@ -463,13 +492,14 @@ class _Validator:
                     )
                     continue
                 seen_signals.add(tr.signal)
+                self.transitions[(cls.name, st.name, tr.signal)] = tr
                 if tr.target not in state_names:
                     self.error(
                         "E_UNKNOWN_STATE",
                         f"{cls.name}.{tr.target}",
                         f"transition target {tr.target} is not declared",
                     )
-                params = {p.name: p for p in signals[tr.signal].params}
+                params = {p.name: p for p in sig.params}
                 for stmt in tr.actions:
                     self.check_stmt(cls, attrs, params, stmt)
 
@@ -507,7 +537,7 @@ class _Validator:
                 # instance with an unknown class is reported at the
                 # instance declaration; nothing further to check here
                 return
-            sig = next((s for s in recv_cls.signals if s.name == stmt.signal), None)
+            sig = self.signals.get((recv_cls.name, stmt.signal))
             if sig is None:
                 self.error(
                     "E_UNKNOWN_SIGNAL",
@@ -673,18 +703,26 @@ def validate(model: Model) -> ValidationReport:
     Every violated invariant is reported with a stable diagnostic code;
     nothing is thrown. Diagnostics come out in document order (classes
     first, then instance declarations), so the report is deterministic
-    for a given model value.
+    for a given model value. Sets `model.checked` to the symbol tables
+    when the report is ok, and to None otherwise.
     """
-    return _Validator(model).run()
+    validator = _Validator(model)
+    report = validator.run()
+    model.checked = validator.checked() if report.ok else None
+    return report
 
 
-def ensure_valid(model: Model) -> None:
-    """Validate and raise InvalidModelError if any error diagnostics exist.
+def ensure_valid(model: Model) -> Checked:
+    """Return the model's Checked record, validating it only if it has none.
 
-    Operations that require a valid model (execution, code generation)
-    call this defensively; it also guarantees expression type
-    annotations are present.
+    Raises InvalidModelError if validation reports errors. Operations
+    that require a valid model (execution, partitioning, code generation)
+    call this instead of validating again; it also guarantees expression
+    type annotations are present. The record is trusted as it stands:
+    mutating the IR after validation is unsupported.
     """
-    report = validate(model)
-    if not report.ok:
-        raise InvalidModelError(report)
+    if model.checked is None:
+        report = validate(model)
+        if not report.ok:
+            raise InvalidModelError(report)
+    return model.checked

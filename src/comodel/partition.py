@@ -65,9 +65,6 @@ class Partition:
     domain: dict[str, str]
     warnings: list[ir.Diagnostic] = field(default_factory=list)
 
-    def of_instance(self, machine: Machine, name: str) -> str:
-        return self.domain[machine.instance_class[name].name]
-
 
 @dataclass
 class BoundarySignal:
@@ -86,8 +83,7 @@ def derive_partition(model: ir.Model, marks: ir.MarkSet) -> Partition:
     stay non-intrusive. Bad paths, non-class granularity and non-boolean
     values raise MarkError.
     """
-    ir.ensure_valid(model)
-    domain = {c.name: SW for c in model.classes}
+    domain = dict.fromkeys(ir.ensure_valid(model).classes, SW)
     warnings: list[ir.Diagnostic] = []
     for m in marks.marks:
         if m.key != MARK_IS_HARDWARE:
@@ -121,28 +117,26 @@ def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
     """Boundary signals: every send route whose endpoints sit in
     different domains, grouped by (receiver class, signal) and sorted
     ascending by those names."""
-    ir.ensure_valid(model)
-    instances = {i.name: i for i in model.instances}
-    senders = {c.name: [i.name for i in model.instances if i.class_name == c.name]
-               for c in model.classes}
+    checked = ir.ensure_valid(model)
+    senders: dict[str, list[str]] = {}  # class -> its instances
+    for name, cls in checked.instance_class.items():
+        senders.setdefault(cls.name, []).append(name)
     groups: dict[tuple[str, str], set[tuple[str, str]]] = {}
 
-    def scan(cls: ir.ClassDef, stmts: list[ir.Stmt]) -> None:
+    def scan(cls_name: str, stmts: list[ir.Stmt]) -> None:
         for s in stmts:
             if isinstance(s, ir.Send):
-                recv_cls = instances[s.instance].class_name
-                if partition.domain[cls.name] != partition.domain[recv_cls]:
+                recv_cls = checked.instance_class[s.instance].name
+                if partition.domain[cls_name] != partition.domain[recv_cls]:
                     routes = groups.setdefault((recv_cls, s.signal), set())
-                    for sender in senders[cls.name]:
+                    for sender in senders.get(cls_name, ()):
                         routes.add((sender, s.instance))
             elif isinstance(s, ir.If):
-                scan(cls, s.then)
-                scan(cls, s.orelse)
+                scan(cls_name, s.then)
+                scan(cls_name, s.orelse)
 
-    for cls in model.classes:
-        for st in cls.machine.states:
-            for tr in st.transitions:
-                scan(cls, tr.actions)
+    for (cls_name, _, _), tr in checked.transitions.items():
+        scan(cls_name, tr.actions)
 
     result = []
     for (recv_cls, signal) in sorted(groups):
@@ -194,7 +188,7 @@ def cosim(
     if latency < 1:
         raise ValueError("latency must be >= 1")
     machine = Machine(model)
-    domain_of = {n: partition.of_instance(machine, n) for n in machine.instance_order}
+    domain_of = {n: partition.domain[c.name] for n, c in machine.instance_class.items()}
     trace, bus_steps = executor._dispatch(
         machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency, _cosim_event
     )

@@ -143,6 +143,22 @@ def test_cosim_non_confluent_informative(capsys):
     assert "(informative)" in out
 
 
+def test_gen_and_cosim_warn_on_unknown_mark_key(tmp_path, capsys):
+    # the unknown key changes nothing but the warning on stderr
+    marks = tmp_path / "foreign.marks"
+    marks.write_text("mark isHardware on Pong;\nmark colour = 3 on Ping;\n")
+    out_dir = str(tmp_path / "gen")
+    for extra in (["gen", "-o", out_dir], ["cosim", "--scenario", PP_SCN]):
+        argv = [extra[0], PP] + extra[1:]
+        assert main(argv + ["--marks", PP_MARKS]) == 0
+        plain = capsys.readouterr()
+        assert "W_UNKNOWN_MARK" not in plain.err
+        assert main(argv + ["--marks", str(marks)]) == 0
+        foreign = capsys.readouterr()
+        assert foreign.out == plain.out
+        assert "W_UNKNOWN_MARK Ping: ignoring unknown mark key colour" in foreign.err
+
+
 def test_gen_writes_four_files(tmp_path, capsys):
     out_dir = tmp_path / "gen"
     assert main(["gen", PP, "--marks", PP_MARKS, "-o", str(out_dir)]) == 0

@@ -34,6 +34,15 @@ instance pong: Pong;
 """
 
 
+# 65535 * 65535 overflows int, to which both u16 operands promote in C
+NARROW_MUL = """
+class Mul { attr a: u16 = 65535; attr b: u16 = 65535; attr c: u16; attr w: u32;
+  signal Go(); statemachine { initial I;
+  state I { on Go -> I { c = a * b; w = w * w; } } } }
+instance mul: Mul;
+"""
+
+
 def pingpong_hw(model):
     return Partition(domain={"Ping": SW, "Pong": HW})
 
@@ -229,6 +238,12 @@ def test_check_interfaces_detects_extra_macro(pingpong):
     assert any("unexpected SIG_GHOST_BOO" in p for p in report.problems)
 
 
+def test_c_narrow_product_widens_before_multiplying():
+    out = emit(parse_model(NARROW_MUL), Partition(domain={"Mul": SW}), name="mul")
+    assert "self->c = (uint16_t)((uint32_t)self->a * self->b);" in out.c_source
+    assert "self->w = (uint32_t)(self->w * self->w);" in out.c_source
+
+
 # --- coverage across partitions ---
 
 
@@ -255,10 +270,11 @@ def test_every_class_in_exactly_one_target(name):
         ("widths", {"Gadget": SW, "Sink": HW}),
         ("widths", {"Gadget": HW, "Sink": SW}),
         ("chain", {"Bouncer": SW, "Mirror": HW}),
+        ("narrow_mul", {"Mul": SW}),
     ],
 )
 def test_generated_c_compiles(tmp_path, name, domain_map):
-    model = load_model(name)
+    model = parse_model(NARROW_MUL) if name == "narrow_mul" else load_model(name)
     out = emit(model, Partition(domain=dict(domain_map)), name=name)
     (tmp_path / f"{name}_sw.c").write_text(out.c_source)
     (tmp_path / f"{name}_sw.h").write_text(out.c_header)

@@ -1,0 +1,135 @@
+"""A model is validated once; every later layer trusts its Checked record."""
+
+import pytest
+from conftest import (
+    CORPUS_MARKS,
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    GOLDEN,
+    load_marks,
+    load_model,
+    load_scenario,
+    marks_path,
+    model_path,
+    scenario_path,
+)
+
+from comodel import frontend, ir
+from comodel.cli import main
+from comodel.codegen import emit
+from comodel.executor import run, serialize_trace
+from comodel.partition import SW, Partition, boundary, cosim, derive_partition
+
+BROKEN = """
+class A { signal S(); statemachine { initial I; state I { on S -> I { } } } }
+instance a: A;
+instance g: Ghost;
+"""
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The models `ir.validate` is called on, counted through the module attribute."""
+    calls = []
+    real = ir.validate
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(ir, "validate", counting)
+    return calls
+
+
+# --- the safety check stays ---
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda m: run(m, ir.Scenario()),
+        lambda m: cosim(m, Partition(domain={"A": SW}), ir.Scenario()),
+        lambda m: derive_partition(m, ir.MarkSet()),
+        lambda m: boundary(m, Partition(domain={"A": SW})),
+        lambda m: emit(m, Partition(domain={"A": SW})),
+    ],
+    ids=["run", "cosim", "derive_partition", "boundary", "emit"],
+)
+def test_invalid_model_is_refused(operation):
+    model = frontend.parse_model(BROKEN)
+    with pytest.raises(ir.InvalidModelError):
+        operation(model)
+    assert model.checked is None
+
+
+def test_failed_revalidation_clears_the_record():
+    model = load_model("pingpong")
+    assert ir.validate(model).ok
+    assert model.checked is not None
+    model.instances[0].class_name = "Ghost"
+    assert not ir.validate(model).ok
+    assert model.checked is None
+
+
+def test_record_indexes_the_model(pingpong):
+    ir.validate(pingpong)
+    checked = pingpong.checked
+    assert list(checked.classes) == [c.name for c in pingpong.classes]
+    assert {n: c.name for n, c in checked.instance_class.items()} == {
+        i.name: i.class_name for i in pingpong.instances
+    }
+    pong = checked.classes["Pong"]
+    assert checked.signals[("Pong", "Hit")] is pong.signals[0]
+    assert checked.transitions[("Pong", "Waiting", "Hit")] is pong.machine.states[0].transitions[0]
+
+
+def test_record_is_not_part_of_the_model_value(pingpong):
+    # same annotated IR, one with the record and one without
+    fresh = load_model("pingpong")
+    ir.validate(pingpong)
+    ir.validate(fresh)
+    fresh.checked = None
+    assert pingpong == fresh
+    assert repr(pingpong) == repr(fresh)
+    assert frontend.print_model(pingpong) == frontend.print_model(fresh)
+
+
+# --- validate once ---
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+def test_library_job_validates_once(validations, name):
+    model = load_model(name)
+    assert ir.validate(model).ok
+    p = derive_partition(model, load_marks(CORPUS_MARKS[name]))
+    boundary(model, p)
+    scenario = load_scenario(next(s for m, s in CORPUS_PAIRS if m == name))
+    run(model, scenario)
+    cosim(model, p, scenario, latency=2)
+    emit(model, p, name)
+    assert validations == [model]
+
+
+def test_cli_gen_validates_once(validations, tmp_path):
+    argv = ["gen", str(model_path("pingpong")), "--marks", str(marks_path("pingpong_pong_hw"))]
+    assert main(argv + ["-o", str(tmp_path / "gen")]) == 0
+    assert len(validations) == 1
+
+
+def test_cli_cosim_validates_once(validations):
+    assert main([
+        "cosim", str(model_path("pingpong")), "--marks", str(marks_path("pingpong_pong_hw")),
+        "--scenario", str(scenario_path("pingpong_hit")),
+    ]) == 0
+    assert len(validations) == 1
+
+
+@pytest.mark.parametrize(
+    "model_name,scn_name", [("pingpong", "pingpong_hit"), ("pipeline", "pipeline_three")]
+)
+def test_never_validated_model_validates_once_in_run(validations, model_name, scn_name):
+    model = load_model(model_name)
+    assert model.checked is None
+    trace = run(model, load_scenario(scn_name))
+    assert validations == [model]
+    assert serialize_trace(trace) == (GOLDEN / f"{scn_name}.trace.jsonl").read_text()
