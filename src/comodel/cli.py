@@ -40,6 +40,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _InputError(f"{path}: byte offset {e.start}: not UTF-8 ({e.reason})") from e
 
 
 def _load_model(path: str) -> ir.Model:
@@ -227,7 +229,11 @@ def cmd_checkgen(args) -> int:
     for key in ("c_source", "c_header", "vhdl_source"):
         if not paths[key].is_file():
             raise _UsageError(f"missing generated file {paths[key]}")
-    manifest = codegen.manifest_from_json(_read(str(paths["manifest"])))
+    try:
+        manifest = codegen.manifest_from_json(_read(str(paths["manifest"])))
+    except codegen.CodegenError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_CHECK
     report = codegen.check_interfaces(
         _read(str(paths["c_header"])), _read(str(paths["vhdl_source"])), manifest
     )

@@ -136,23 +136,44 @@ def manifest_to_json(manifest: InterfaceManifest) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _manifest_field(obj: object, key: str, ty: type):
+    if not isinstance(obj, dict):
+        raise CodegenError("E_MANIFEST", f"expected an object, found {type(obj).__name__}")
+    if key not in obj:
+        raise CodegenError("E_MANIFEST", f"missing key {key!r}")
+    value = obj[key]
+    if type(value) is not ty:  # exact, so a bool is not an int
+        raise CodegenError(
+            "E_MANIFEST", f"{key!r} must be {ty.__name__}, found {type(value).__name__}"
+        )
+    return value
+
+
 def manifest_from_json(text: str) -> InterfaceManifest:
-    obj = json.loads(text)
+    """Inverse of `manifest_to_json`; a malformed manifest raises E_MANIFEST."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CodegenError("E_MANIFEST", f"malformed JSON: {e}") from e
     return InterfaceManifest(
-        model_hash=obj["model_hash"],
+        model_hash=_manifest_field(obj, "model_hash", str),
         signals=[
             ManifestSignal(
-                id=s["id"],
-                receiver_class=s["receiver_class"],
-                signal=s["signal"],
-                direction=s["direction"],
+                id=_manifest_field(s, "id", int),
+                receiver_class=_manifest_field(s, "receiver_class", str),
+                signal=_manifest_field(s, "signal", str),
+                direction=_manifest_field(s, "direction", str),
                 payload=[
-                    PayloadField(f["name"], f["width_bits"], f["bit_offset"])
-                    for f in s["payload"]
+                    PayloadField(
+                        _manifest_field(f, "name", str),
+                        _manifest_field(f, "width_bits", int),
+                        _manifest_field(f, "bit_offset", int),
+                    )
+                    for f in _manifest_field(s, "payload", list)
                 ],
-                payload_total_bits=s["payload_total_bits"],
+                payload_total_bits=_manifest_field(s, "payload_total_bits", int),
             )
-            for s in obj["signals"]
+            for s in _manifest_field(obj, "signals", list)
         ],
     )
 

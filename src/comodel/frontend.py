@@ -1,8 +1,11 @@
 """Parsers for the three textual inputs: model, marks and scenario files.
 
-All three DSLs share one lexer: `//` comments, ASCII identifiers
-`[A-Za-z_][A-Za-z0-9_]*`, decimal integers, and a small symbol set.
-Model-language keywords are reserved and never usable as identifiers.
+All three DSLs share one lexer, a single table of regular expressions
+(`_LEXICON`): whitespace, `//` comments, ASCII decimal integers
+`[0-9]+`, ASCII identifiers `[A-Za-z_][A-Za-z0-9_]*`, and a small symbol
+set, longest symbols first. A character no rule matches is a lexical
+error, raised before parsing starts. Model-language keywords are
+reserved and never usable as identifiers.
 
 Model grammar (statements end in `;`, blocks use `{ }`):
 
@@ -32,14 +35,21 @@ Scenario:  directive := "at" INT "send" IDENT "." IDENT "(" literals ")" ";"
                       | "confluent" ";" ;
 
 Parsing is a pure function of the input text; the first syntax error
-wins and is reported with an exact source location.
+wins and is reported with an exact source location. Tokens carry only a
+character offset; the line and column are computed from it only when an
+error is raised.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from . import ir
+
+_T = TypeVar("_T")
 
 KEYWORDS = frozenset(
     [
@@ -64,32 +74,6 @@ KEYWORDS = frozenset(
 )
 
 TYPE_NAMES = ("bool", "u8", "u16", "u32")
-
-_SYMBOLS = (
-    "->",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "{",
-    "}",
-    "(",
-    ")",
-    ";",
-    ":",
-    ",",
-    ".",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "!",
-    "$",
-)
 
 
 @dataclass
@@ -117,128 +101,130 @@ class ParseError(Exception):
         self.code = code
 
 
-@dataclass
-class Token:
-    kind: str  # "ident", "int", "sym", "eof"
-    value: str
-    loc: SourceLoc
+_LEXICON = (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*"),
+    ("int", r"[0-9]+"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    # two-character symbols first, so that `->` is not read as `-` `>`
+    ("sym", r"->|==|!=|<=|>=|&&|\|\||[-{}();:,.=<>+*!$]"),
+    ("bad", r"."),
+)
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{rule})" for kind, rule in _LEXICON), re.DOTALL)
 
 
-def _tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _locate(text: str, filename: str, offset: int) -> SourceLoc:
+    """The line and column of a character offset, built only for errors."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceLoc(filename, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _lex_error(
+    text: str, filename: str, tokens: list[tuple[str, str, int]], offset: int
+) -> ParseError:
+    """The error for the character at `offset`, which no lexer rule matches.
+
+    A word that holds a non-ASCII letter or digit is reported whole, at its
+    start, also when it starts with ASCII characters; any other character
+    is reported alone.
+    """
+    c = text[offset]
+    start = offset
+    if c.isalnum() and tokens:
+        kind, value, at = tokens[-1]
+        if kind == "ident" and at + len(value) == offset:
+            start = at
+    if not (text[start].isalpha() or text[start] == "_"):
+        return ParseError(_locate(text, filename, offset), "a token", repr(c))
+    end = offset
+    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+        end += 1
+    return ParseError(_locate(text, filename, start), "ASCII identifier", repr(text[start:end]))
+
+
+def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
+    """`(kind, value, offset)` tuples, ending with an `("eof", "", offset)`."""
+    tokens: list[tuple[str, str, int]] = []
+    eof = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            if m.end() == eof:
+                eof = m.start()  # a final comment does not advance the end-of-input column
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        loc = SourceLoc(filename, line, col)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not word.isascii():
-                raise ParseError(loc, "ASCII identifier", repr(word))
-            tokens.append(Token("ident", word, loc))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, loc))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(loc, "a token", repr(c))
-    tokens.append(Token("eof", "", SourceLoc(filename, line, col)))
+        if kind == "bad":
+            raise _lex_error(text, filename, tokens, m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", eof))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
     def fail(self, expected: str) -> ParseError:
-        tok = self.cur
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        return ParseError(tok.loc, expected, found)
+        kind, value, offset = self.tokens[self.pos]
+        found = "end of input" if kind == "eof" else repr(value)
+        return ParseError(_locate(self.text, self.filename, offset), expected, found)
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def advance(self) -> str:
+        value = self.tokens[self.pos][1]
         self.pos += 1
-        return tok
+        return value
 
-    def at_sym(self, value: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.value == value
+    def at(self, value: str) -> bool:
+        # symbol, word and integer values never coincide, so the value decides
+        return self.tokens[self.pos][1] == value
 
-    def at_word(self, value: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.value == value
-
-    def expect_sym(self, value: str) -> Token:
-        if not self.at_sym(value):
+    def expect(self, value: str) -> None:
+        if self.tokens[self.pos][1] != value:
             raise self.fail(f"'{value}'")
-        return self.advance()
-
-    def expect_word(self, value: str) -> Token:
-        if not self.at_word(value):
-            raise self.fail(f"'{value}'")
-        return self.advance()
+        self.pos += 1
 
     def expect_ident(self, what: str = "identifier") -> str:
-        if self.cur.kind != "ident" or self.cur.value in KEYWORDS:
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "ident" or value in KEYWORDS:
             raise self.fail(what)
-        return self.advance().value
+        self.pos += 1
+        return value
 
     def expect_int(self, what: str = "integer") -> int:
-        if self.cur.kind != "int":
+        if self.tokens[self.pos][0] != "int":
             raise self.fail(what)
-        return int(self.advance().value)
+        return int(self.advance())
 
     def expect_literal(self) -> bool | int:
-        if self.cur.kind == "int":
-            return int(self.advance().value)
-        if self.at_word("true"):
-            self.advance()
-            return True
-        if self.at_word("false"):
-            self.advance()
-            return False
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "int":
+            self.pos += 1
+            return int(value)
+        if value == "true" or value == "false":
+            self.pos += 1
+            return value == "true"
         raise self.fail("literal")
 
     def expect_type(self) -> str:
-        if self.cur.kind == "ident" and self.cur.value in TYPE_NAMES:
-            return self.advance().value
+        if self.tokens[self.pos][1] in TYPE_NAMES:
+            return self.advance()
         raise self.fail("type (bool, u8, u16 or u32)")
 
-    def expect_eof(self) -> None:
-        if self.cur.kind != "eof":
-            raise self.fail("end of input")
+    def paren_list(self, item: Callable[[], _T]) -> list[_T]:
+        """`"(" (item ("," item)*)? ")"`"""
+        self.expect("(")
+        items: list[_T] = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.advance()
+                items.append(item())
+        self.expect(")")
+        return items
 
 
 # ---------------------------------------------------------------------------
@@ -249,150 +235,134 @@ class _Parser:
 class _ModelParser(_Parser):
     def parse(self) -> ir.Model:
         model = ir.Model()
-        while self.cur.kind != "eof":
-            if self.at_word("class"):
+        while self.tokens[self.pos][0] != "eof":
+            if self.at("class"):
                 model.classes.append(self.class_def())
-            elif self.at_word("instance"):
+            elif self.at("instance"):
                 model.instances.append(self.instance_decl())
             else:
                 raise self.fail("'class' or 'instance'")
         return model
 
     def class_def(self) -> ir.ClassDef:
-        self.expect_word("class")
+        self.expect("class")
         name = self.expect_ident("class name")
         cls = ir.ClassDef(name)
-        self.expect_sym("{")
+        self.expect("{")
         machines = 0
-        while not self.at_sym("}"):
-            if self.at_word("attr"):
+        while not self.at("}"):
+            if self.at("attr"):
                 cls.attributes.append(self.attr_def())
-            elif self.at_word("signal"):
+            elif self.at("signal"):
                 cls.signals.append(self.signal_def())
-            elif self.at_word("statemachine"):
+            elif self.at("statemachine"):
                 if machines:
                     raise self.fail("at most one statemachine per class")
                 machines += 1
                 cls.machine = self.sm_def()
             else:
                 raise self.fail("'attr', 'signal', 'statemachine' or '}'")
-        self.expect_sym("}")
+        self.expect("}")
         return cls
 
     def instance_decl(self) -> ir.InstanceDecl:
-        self.expect_word("instance")
+        self.expect("instance")
         name = self.expect_ident("instance name")
-        self.expect_sym(":")
+        self.expect(":")
         class_name = self.expect_ident("class name")
-        self.expect_sym(";")
+        self.expect(";")
         return ir.InstanceDecl(name, class_name)
 
     def attr_def(self) -> ir.AttributeDef:
-        self.expect_word("attr")
+        self.expect("attr")
         name = self.expect_ident("attribute name")
-        self.expect_sym(":")
+        self.expect(":")
         ty = self.expect_type()
         default: bool | int = False if ty == "bool" else 0
-        if self.at_sym("="):
+        if self.at("="):
             self.advance()
             default = self.expect_literal()
-        self.expect_sym(";")
+        self.expect(";")
         return ir.AttributeDef(name, ty, default)
 
     def signal_def(self) -> ir.SignalDef:
-        self.expect_word("signal")
+        self.expect("signal")
         name = self.expect_ident("signal name")
-        sig = ir.SignalDef(name)
-        self.expect_sym("(")
-        if not self.at_sym(")"):
-            while True:
-                pname = self.expect_ident("parameter name")
-                self.expect_sym(":")
-                pty = self.expect_type()
-                sig.params.append(ir.SignalParam(pname, pty))
-                if self.at_sym(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_sym(")")
-        self.expect_sym(";")
-        return sig
+        params = self.paren_list(self.param)
+        self.expect(";")
+        return ir.SignalDef(name, params)
+
+    def param(self) -> ir.SignalParam:
+        name = self.expect_ident("parameter name")
+        self.expect(":")
+        return ir.SignalParam(name, self.expect_type())
 
     def sm_def(self) -> ir.StateMachineDef:
-        self.expect_word("statemachine")
-        self.expect_sym("{")
-        self.expect_word("initial")
+        self.expect("statemachine")
+        self.expect("{")
+        self.expect("initial")
         initial = self.expect_ident("initial state name")
-        self.expect_sym(";")
+        self.expect(";")
         machine = ir.StateMachineDef(initial)
-        while self.at_word("state"):
+        while self.at("state"):
             machine.states.append(self.state_def())
-        self.expect_sym("}")
+        self.expect("}")
         return machine
 
     def state_def(self) -> ir.StateDef:
-        self.expect_word("state")
+        self.expect("state")
         name = self.expect_ident("state name")
         state = ir.StateDef(name)
-        self.expect_sym("{")
-        while self.at_word("on"):
+        self.expect("{")
+        while self.at("on"):
             state.transitions.append(self.transition())
-        self.expect_sym("}")
+        self.expect("}")
         return state
 
     def transition(self) -> ir.TransitionDef:
-        self.expect_word("on")
+        self.expect("on")
         signal = self.expect_ident("signal name")
-        self.expect_sym("->")
+        self.expect("->")
         target = self.expect_ident("target state name")
         tr = ir.TransitionDef(signal, target)
-        self.expect_sym("{")
-        while not self.at_sym("}"):
+        self.expect("{")
+        while not self.at("}"):
             tr.actions.append(self.stmt())
-        self.expect_sym("}")
+        self.expect("}")
         return tr
 
     def stmt(self) -> ir.Stmt:
-        if self.at_word("send"):
+        if self.at("send"):
             self.advance()
             instance = self.expect_ident("instance name")
-            self.expect_sym(".")
+            self.expect(".")
             signal = self.expect_ident("signal name")
-            args: list[ir.Expr] = []
-            self.expect_sym("(")
-            if not self.at_sym(")"):
-                while True:
-                    args.append(self.expr())
-                    if self.at_sym(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_sym(")")
-            self.expect_sym(";")
+            args = self.paren_list(self.expr)
+            self.expect(";")
             return ir.Send(instance, signal, args)
-        if self.at_word("if"):
+        if self.at("if"):
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             cond = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
             then = self.block()
             orelse: list[ir.Stmt] = []
-            if self.at_word("else"):
+            if self.at("else"):
                 self.advance()
                 orelse = self.block()
             return ir.If(cond, then, orelse)
         attr = self.expect_ident("statement")
-        self.expect_sym("=")
+        self.expect("=")
         value = self.expr()
-        self.expect_sym(";")
+        self.expect(";")
         return ir.Assign(attr, value)
 
     def block(self) -> list[ir.Stmt]:
-        self.expect_sym("{")
+        self.expect("{")
         stmts: list[ir.Stmt] = []
-        while not self.at_sym("}"):
+        while not self.at("}"):
             stmts.append(self.stmt())
-        self.expect_sym("}")
+        self.expect("}")
         return stmts
 
     # expression precedence climbing, lowest first
@@ -401,8 +371,8 @@ class _ModelParser(_Parser):
 
     def _binary_level(self, ops: tuple[str, ...], next_level) -> ir.Expr:
         left = next_level()
-        while self.cur.kind == "sym" and self.cur.value in ops:
-            op = self.advance().value
+        while self.tokens[self.pos][1] in ops:
+            op = self.advance()
             right = next_level()
             left = ir.Binary(op, left, right)
         return left
@@ -426,38 +396,33 @@ class _ModelParser(_Parser):
         return self._binary_level(("*",), self.unary_expr)
 
     def unary_expr(self) -> ir.Expr:
-        if self.at_sym("!") or self.at_sym("-"):
-            op = self.advance().value
+        if self.at("!") or self.at("-"):
+            op = self.advance()
             return ir.Unary(op, self.unary_expr())
         return self.primary()
 
     def primary(self) -> ir.Expr:
-        if self.cur.kind == "int":
-            return ir.IntLit(int(self.advance().value))
-        if self.at_word("true"):
-            self.advance()
-            return ir.BoolLit(True)
-        if self.at_word("false"):
-            self.advance()
-            return ir.BoolLit(False)
-        if self.at_sym("$"):
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "int" or value == "true" or value == "false":
+            literal = self.expect_literal()
+            return ir.BoolLit(literal) if isinstance(literal, bool) else ir.IntLit(literal)
+        if self.at("$"):
             self.advance()
             return ir.ParamRef(self.expect_ident("parameter name"))
-        if self.at_sym("("):
+        if self.at("("):
             self.advance()
             e = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
             return e
-        if self.cur.kind == "ident" and self.cur.value not in KEYWORDS:
-            return ir.AttrRef(self.advance().value)
+        if kind == "ident" and value not in KEYWORDS:
+            self.pos += 1
+            return ir.AttrRef(value)
         raise self.fail("expression")
 
 
 def parse_model(text: str, filename: str = "<model>") -> ir.Model:
     parser = _ModelParser(text, filename)
-    model = parser.parse()
-    parser.expect_eof()
-    return model
+    return parser.parse()
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +434,23 @@ def parse_marks(text: str, filename: str = "<marks>") -> ir.MarkSet:
     p = _Parser(text, filename)
     marks = ir.MarkSet()
     seen: set[tuple[str, str]] = set()
-    while p.cur.kind != "eof":
-        loc = p.cur.loc
-        p.expect_word("mark")
+    while p.tokens[p.pos][0] != "eof":
+        offset = p.tokens[p.pos][2]
+        p.expect("mark")
         key = p.expect_ident("mark key")
         value: bool | int = True
-        if p.at_sym("="):
+        if p.at("="):
             p.advance()
             value = p.expect_literal()
-        p.expect_word("on")
+        p.expect("on")
         parts = [p.expect_ident("element path")]
-        while p.at_sym("."):
+        while p.at("."):
             p.advance()
             parts.append(p.expect_ident("path segment"))
-        p.expect_sym(";")
+        p.expect(";")
         path = ".".join(parts)
         if (key, path) in seen:
+            loc = _locate(text, filename, offset)
             raise ParseError(loc, "distinct (key, path) pair", f"duplicate mark {key} on {path}", code="E_DUP_MARK")
         seen.add((key, path))
         marks.marks.append(ir.Mark(key, value, path))
@@ -499,38 +465,29 @@ def parse_marks(text: str, filename: str = "<marks>") -> ir.MarkSet:
 def parse_scenario(text: str, filename: str = "<scenario>") -> ir.Scenario:
     p = _Parser(text, filename)
     scenario = ir.Scenario()
-    while p.cur.kind != "eof":
-        if p.at_word("at"):
+    while p.tokens[p.pos][0] != "eof":
+        if p.at("at"):
             p.advance()
             at = p.expect_int("nonnegative step number")
-            p.expect_word("send")
+            p.expect("send")
             instance = p.expect_ident("instance name")
-            p.expect_sym(".")
+            p.expect(".")
             signal = p.expect_ident("signal name")
-            args: list[bool | int] = []
-            p.expect_sym("(")
-            if not p.at_sym(")"):
-                while True:
-                    args.append(p.expect_literal())
-                    if p.at_sym(","):
-                        p.advance()
-                        continue
-                    break
-            p.expect_sym(")")
-            p.expect_sym(";")
+            args = p.paren_list(p.expect_literal)
+            p.expect(";")
             scenario.injections.append(ir.Injection(at, instance, signal, args))
-        elif p.at_word("expect"):
+        elif p.at("expect"):
             p.advance()
             instance = p.expect_ident("instance name")
-            p.expect_sym(".")
+            p.expect(".")
             attr = p.expect_ident("attribute name")
-            p.expect_sym("==")
+            p.expect("==")
             value = p.expect_literal()
-            p.expect_sym(";")
+            p.expect(";")
             scenario.expectations.append(ir.Expectation(instance, attr, value))
-        elif p.at_word("confluent"):
+        elif p.at("confluent"):
             p.advance()
-            p.expect_sym(";")
+            p.expect(";")
             scenario.confluent = True
         else:
             raise p.fail("'at', 'expect' or 'confluent'")

@@ -1,6 +1,7 @@
 """Exit codes and output contract of the command-line driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import CORPUS, marks_path, model_path, scenario_path
@@ -224,3 +225,65 @@ def test_checkgen_missing_generated_file_exits_4(tmp_path):
     assert main(["gen", PP, "--marks", PP_MARKS, "-o", str(out_dir)]) == 0
     (out_dir / "pingpong_hw.vhd").unlink()
     assert main(["checkgen", str(out_dir)]) == 4
+
+
+@pytest.mark.parametrize(
+    "command,role",
+    [
+        ("validate", "model"),
+        ("run", "scenario"),
+        ("partition", "marks"),
+        ("cosim", "model"),
+        ("gen", "marks"),
+    ],
+)
+def test_undecodable_input_is_input_error(tmp_path, capsys, command, role):
+    sources = {"model": PP, "marks": PP_MARKS, "scenario": PP_SCN}
+    bad = tmp_path / f"bad.{role}"
+    bad.write_bytes(Path(sources[role]).read_bytes()[:12] + b"\xff")
+    sources[role] = str(bad)
+    argv = {
+        "validate": ["validate", sources["model"]],
+        "run": ["run", sources["model"], "--scenario", sources["scenario"]],
+        "partition": ["partition", sources["model"], "--marks", sources["marks"]],
+        "cosim": ["cosim", sources["model"], "--marks", sources["marks"],
+                  "--scenario", sources["scenario"]],
+        "gen": ["gen", sources["model"], "--marks", sources["marks"],
+                "-o", str(tmp_path / "gen")],
+    }[command]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{bad}: byte offset 12: not UTF-8 (invalid start byte)\n"
+
+
+def test_checkgen_undecodable_generated_file_exits_1(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    assert main(["gen", PP, "--marks", PP_MARKS, "-o", str(out_dir)]) == 0
+    header = out_dir / "pingpong_sw.h"
+    header.write_bytes(b"\xfe" + header.read_bytes())
+    capsys.readouterr()
+    assert main(["checkgen", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"{header}: byte offset 0: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda t: t[: len(t) // 2], "E_MANIFEST: malformed JSON: "),
+        (lambda t: t.replace('"direction"', '"directon"'), "E_MANIFEST: missing key 'direction'"),
+        (lambda t: t.replace('"id": 0', '"id": "0"'), "E_MANIFEST: 'id' must be int, found str"),
+        (lambda t: t.replace('"id": 0', '"id": x'), "E_MANIFEST: malformed JSON: "),
+    ],
+    ids=["truncated", "missing_key", "string_for_int", "bare_word"],
+)
+def test_checkgen_malformed_manifest_exits_3(tmp_path, capsys, tamper, message):
+    out_dir = tmp_path / "gen"
+    assert main(["gen", PP, "--marks", PP_MARKS, "-o", str(out_dir)]) == 0
+    manifest = out_dir / "pingpong_interface.json"
+    manifest.write_text(tamper(manifest.read_text()))
+    capsys.readouterr()
+    assert main(["checkgen", str(out_dir)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(message) and out.err.count("\n") == 1

@@ -148,13 +148,12 @@ def test_scenario_args_and_confluent():
 # --- error location fidelity ---
 
 
-def _corrupt(text: str, tok: frontend.Token) -> str:
-    lines = text.split("\n")
-    row = tok.loc.line - 1
-    col = tok.loc.column - 1
-    line = lines[row]
-    lines[row] = line[:col] + "?" + line[col + len(tok.value):]
-    return "\n".join(lines)
+def _corrupt(text: str, value: str, offset: int) -> str:
+    return text[:offset] + "?" + text[offset + len(value):]
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 @pytest.mark.parametrize(
@@ -168,10 +167,63 @@ def _corrupt(text: str, tok: frontend.Token) -> str:
 def test_single_token_corruption_located(fname, parser):
     text = (CORPUS / fname).read_text()
     tokens = frontend._tokenize(text, fname)[:-1]  # drop eof
-    for tok in tokens:
-        corrupted = _corrupt(text, tok)
+    for _, value, offset in tokens:
+        corrupted = _corrupt(text, value, offset)
         with pytest.raises(ParseError) as exc:
             parser(corrupted)
         loc = exc.value.loc
         # never past the corrupted token
-        assert (loc.line, loc.column) <= (tok.loc.line, tok.loc.column)
+        assert (loc.line, loc.column) <= _line_col(text, offset)
+
+
+# --- lexical errors: a character no token rule matches ---
+
+
+@pytest.mark.parametrize(
+    "parser,text,message",
+    [
+        (parse_model, "é", "<model>:1:1: expected ASCII identifier, found 'é'"),
+        (parse_model, "abé", "<model>:1:1: expected ASCII identifier, found 'abé'"),
+        (parse_model, "x abé1_y z", "<model>:1:3: expected ASCII identifier, found 'abé1_y'"),
+        (parse_model, "1é", "<model>:1:2: expected ASCII identifier, found 'é'"),
+        (parse_model, "a\u0301", "<model>:1:2: expected a token, found '\u0301'"),
+        (parse_model, "#", "<model>:1:1: expected a token, found '#'"),
+        (parse_model, "\x00", "<model>:1:1: expected a token, found '\\x00'"),
+        (parse_model, "½", "<model>:1:1: expected a token, found '½'"),
+        (parse_model, "class A {\n\t#", "<model>:2:2: expected a token, found '#'"),
+        (parse_model, "class A {\r\n  #", "<model>:2:3: expected a token, found '#'"),
+        (
+            parse_model,
+            "class A {\t\r\n\t}\r\n x",
+            "<model>:3:2: expected 'class' or 'instance', found 'x'",
+        ),
+        (
+            parse_model,
+            "class A { // c",
+            "<model>:1:11: expected 'attr', 'signal', 'statemachine' or '}', found end of input",
+        ),
+        (
+            parse_model,
+            "class A { // c\n",
+            "<model>:2:1: expected 'attr', 'signal', 'statemachine' or '}', found end of input",
+        ),
+        # integer literals are ASCII digits: a lexical error wins over the
+        # syntax error that follows it, and no digit is read as a number
+        (parse_model, "attr x: u8 = ²;", "<model>:1:14: expected a token, found '²'"),
+        (
+            parse_model,
+            "class A { attr x: u8 = ²; }",
+            "<model>:1:24: expected a token, found '²'",
+        ),
+        (parse_model, "٣", "<model>:1:1: expected a token, found '٣'"),
+        (parse_model, "ab²", "<model>:1:1: expected ASCII identifier, found 'ab²'"),
+        (parse_scenario, "at 0 send a.B(²);", "<scenario>:1:15: expected a token, found '²'"),
+        (parse_scenario, "at ٣ send a.B();", "<scenario>:1:4: expected a token, found '٣'"),
+        (parse_marks, "mark k = 1٣ on A;", "<marks>:1:11: expected a token, found '٣'"),
+    ],
+)
+def test_lexical_error_texts(parser, text, message):
+    with pytest.raises(ParseError) as exc:
+        parser(text)
+    assert str(exc.value) == message
+    assert exc.value.code is None
