@@ -36,8 +36,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
+    # newline="" keeps a lone \r as written, so a location reported here
+    # is the one `frontend` reports for the same text
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:

@@ -6,8 +6,8 @@ Every in-flight signal is a `SignalEnvelope` carrying a globally unique,
 strictly increasing sequence number allocated at send time. Each
 instance owns a FIFO queue. One dispatch step is atomic: dequeue one
 envelope, execute the matching transition's actions in order (sends
-allocate fresh sequence numbers immediately), then enter the target
-state. No other instance's data changes during a step.
+allocate fresh sequence numbers in statement order), then enter the
+target state. No other instance's data changes during a step.
 
 Scenario injections with `at N` are enqueued, in file order, before
 dispatch step N; injections that fall beyond quiescence are enqueued
@@ -30,6 +30,16 @@ The scheduler only picks *which* nonempty queue dispatches next:
 Arithmetic wraps modulo 2^width of the expression's resolved type, so
 software and hardware translations of the same action are bit-equal.
 
+Each transition is compiled into one closure the first time it fires.
+Its expressions become nested closures, each with its operator and the
+width mask of its resolved type bound when it is built; a parameter is
+read from the envelope's args by position. The compiled transitions are
+cached on the model's `ir.Checked` record, so `run`, `cosim` and
+repeated runs of one validated model share them, and a new validation
+starts from an empty cache. The golden traces, and a test that checks
+the closures against a tree-walking reference evaluator, are the oracle
+for that compiler.
+
 Traces serialize to JSON Lines (one object per event, then one summary
 object); that rendering is byte-deterministic and is the golden-file
 contract used by the equivalence and repartitioning checks. Boolean
@@ -40,9 +50,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import FunctionType
 
 from . import ir
 
@@ -81,7 +93,7 @@ class ExecConfig:
             raise ValueError("max_steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalEnvelope:
     seq: int
     sender: str  # instance name, or $env for scenario injections
@@ -114,7 +126,7 @@ class SystemState:
         return not any(self.pending.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     envelope: SignalEnvelope
@@ -169,7 +181,9 @@ class Machine:
     again and one that never was is validated here. `instance_class`
     maps each instance to its class and `transitions` maps (class,
     state, signal) to the transition; `instance_order` lists the
-    instances in document order.
+    instances in document order. `compiled` maps the same keys to the
+    transitions compiled so far; it lives on the `ir.Checked` record, so
+    every run and cosim of one validated model shares it.
     """
 
     def __init__(self, model: ir.Model):
@@ -178,6 +192,7 @@ class Machine:
         self.instance_class = self.checked.instance_class
         self.instance_order = list(self.instance_class)
         self.transitions = self.checked.transitions
+        self.compiled = self.checked.compiled
 
     def initial_state(self) -> SystemState:
         states = {}
@@ -198,51 +213,154 @@ def init(model: ir.Model) -> SystemState:
 
 
 # ---------------------------------------------------------------------------
-# Expression / action evaluation
+# Transitions compiled into closures
 # ---------------------------------------------------------------------------
 
+# Every expression node evaluates to `op(x, y) & mask`, with `op` and the
+# mask of its resolved type bound when its closure is built: `-y` is
+# `0 - y` and `!y` is `1 - y`. Bool-typed values are always 0 or 1, so
+# `!`, `&&` and `||` are arithmetic or bitwise on them, and a comparison's
+# bool masked by 1 becomes the int 0/1. Evaluation never fails or has
+# effects, so `&&` and `||` need not short-circuit.
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "&&": operator.and_, "||": operator.or_,
+}
 
-def _eval(e: ir.Expr, attrs: dict[str, int], params: dict[str, int]) -> int:
-    if isinstance(e, ir.IntLit):
-        return e.value
-    if isinstance(e, ir.BoolLit):
-        return int(e.value)
+# Operand kinds. A leaf (literal, attribute, parameter) is read inline by
+# its parent's closure; any other operand is a closure the parent calls.
+_LIT, _ATTR, _PARAM, _FN = range(4)
+
+# Node templates by operand kinds. A node's closure is its template with
+# the parameters after `a`, the instance's attribute dict, and `p`, the
+# envelope's args, bound by `_bind`.
+_NODE = {
+    (_LIT, _LIT): lambda a, p, op, m, x, y: op(x, y) & m,
+    (_LIT, _ATTR): lambda a, p, op, m, x, y: op(x, a[y]) & m,
+    (_LIT, _PARAM): lambda a, p, op, m, x, y: op(x, p[y]) & m,
+    (_LIT, _FN): lambda a, p, op, m, x, y: op(x, y(a, p)) & m,
+    (_ATTR, _LIT): lambda a, p, op, m, x, y: op(a[x], y) & m,
+    (_ATTR, _ATTR): lambda a, p, op, m, x, y: op(a[x], a[y]) & m,
+    (_ATTR, _PARAM): lambda a, p, op, m, x, y: op(a[x], p[y]) & m,
+    (_ATTR, _FN): lambda a, p, op, m, x, y: op(a[x], y(a, p)) & m,
+    (_PARAM, _LIT): lambda a, p, op, m, x, y: op(p[x], y) & m,
+    (_PARAM, _ATTR): lambda a, p, op, m, x, y: op(p[x], a[y]) & m,
+    (_PARAM, _PARAM): lambda a, p, op, m, x, y: op(p[x], p[y]) & m,
+    (_PARAM, _FN): lambda a, p, op, m, x, y: op(p[x], y(a, p)) & m,
+    (_FN, _LIT): lambda a, p, op, m, x, y: op(x(a, p), y) & m,
+    (_FN, _ATTR): lambda a, p, op, m, x, y: op(x(a, p), a[y]) & m,
+    (_FN, _PARAM): lambda a, p, op, m, x, y: op(x(a, p), p[y]) & m,
+    (_FN, _FN): lambda a, p, op, m, x, y: op(x(a, p), y(a, p)) & m,
+}
+_LEAF = {
+    _LIT: lambda a, p, x: x,
+    _ATTR: lambda a, p, x: a[x],
+    _PARAM: lambda a, p, x: p[x],
+}
+
+
+def _bind(template, *values):
+    """A copy of `template` whose trailing parameters default to `values`.
+
+    Defaults are smaller than closure cells and faster to read, and the
+    node closures are the bulk of a compiled model.
+    """
+    return FunctionType(template.__code__, template.__globals__, template.__name__, values)
+
+
+def _operand(e: ir.Expr, params: dict[str, int]) -> tuple[int, object]:
+    """`(kind, x)`: a leaf's value, attribute name or parameter index, or
+    the closure of any other node. `params` maps a parameter to its index."""
+    if isinstance(e, (ir.IntLit, ir.BoolLit)):
+        return _LIT, int(e.value)
     if isinstance(e, ir.AttrRef):
-        return attrs[e.name]
+        return _ATTR, e.name
     if isinstance(e, ir.ParamRef):
-        return params[e.name]
+        return _PARAM, params[e.name]
+    mask = ir.mask_of(e.ty)
     if isinstance(e, ir.Unary):
-        v = _eval(e.operand, attrs, params)
-        if e.op == "!":
-            return int(not v)
-        return (-v) & ir.mask_of(e.ty)  # wrapping negate
+        rk, y = _operand(e.operand, params)
+        return _FN, _bind(_NODE[_LIT, rk], operator.sub, mask, int(e.op == "!"), y)
     if isinstance(e, ir.Binary):
-        op = e.op
-        if op == "&&":
-            return int(bool(_eval(e.left, attrs, params)) and bool(_eval(e.right, attrs, params)))
-        if op == "||":
-            return int(bool(_eval(e.left, attrs, params)) or bool(_eval(e.right, attrs, params)))
-        l = _eval(e.left, attrs, params)
-        r = _eval(e.right, attrs, params)
-        if op == "+":
-            return (l + r) & ir.mask_of(e.ty)
-        if op == "-":
-            return (l - r) & ir.mask_of(e.ty)
-        if op == "*":
-            return (l * r) & ir.mask_of(e.ty)
-        if op == "==":
-            return int(l == r)
-        if op == "!=":
-            return int(l != r)
-        if op == "<":
-            return int(l < r)
-        if op == "<=":
-            return int(l <= r)
-        if op == ">":
-            return int(l > r)
-        if op == ">=":
-            return int(l >= r)
+        lk, x = _operand(e.left, params)
+        rk, y = _operand(e.right, params)
+        return _FN, _bind(_NODE[lk, rk], _OPS[e.op], mask, x, y)
     raise TypeError(f"unexpected expression node {e!r}")
+
+
+def _compile_expr(e: ir.Expr, params: dict[str, int]):
+    """The closure `f(attrs, args) -> int` of a type-annotated expression."""
+    kind, x = _operand(e, params)
+    return x if kind == _FN else _bind(_LEAF[kind], x)
+
+
+def _noop(a, p, writes, sends):
+    return None
+
+
+def _compile_block(stmts: list[ir.Stmt], params: dict[str, int], result=None):
+    """The closure `f(attrs, args, writes, sends)` that runs `stmts` in
+    order and returns `result`.
+
+    An assignment stores its value and appends `(attr, value)` to
+    `writes`; a send appends `(receiver, signal, args)` to `sends`.
+    """
+    body = tuple(_compile_stmt(s, params) for s in stmts)
+    if not body and result is None:
+        return _noop
+    if len(body) == 1 and result is None:
+        return body[0]
+
+    def block(a, p, writes, sends):
+        for stmt in body:
+            stmt(a, p, writes, sends)
+        return result
+
+    return block
+
+
+def _compile_stmt(s: ir.Stmt, params: dict[str, int]):
+    if isinstance(s, ir.Assign):
+        name, value = s.attr, _compile_expr(s.value, params)
+
+        def assign(a, p, writes, sends):
+            v = a[name] = value(a, p)
+            writes.append((name, v))
+
+        return assign
+    if isinstance(s, ir.Send):
+        receiver, signal = s.instance, s.signal
+        args = [_compile_expr(x, params) for x in s.args]
+        if len(args) == 1:
+            arg = args[0]
+
+            def send(a, p, writes, sends):
+                sends.append((receiver, signal, (arg(a, p),)))
+        else:
+
+            def send(a, p, writes, sends):
+                sends.append((receiver, signal, tuple([f(a, p) for f in args])))
+
+        return send
+    if isinstance(s, ir.If):
+        cond = _compile_expr(s.cond, params)
+        then = _compile_block(s.then, params)
+        orelse = _compile_block(s.orelse, params)
+
+        def branch(a, p, writes, sends):
+            (then if cond(a, p) else orelse)(a, p, writes, sends)
+
+        return branch
+    raise TypeError(f"unexpected statement {s!r}")
+
+
+def _compile_transition(tr: ir.TransitionDef, sig: ir.SignalDef):
+    """The closure `f(attrs, args, writes, sends) -> target state` of a
+    transition triggered by `sig`, whose args it reads by position."""
+    params = {p.name: i for i, p in enumerate(sig.params)}
+    return _compile_block(tr.actions, params, tr.target)
 
 
 def execute_rtc_step(
@@ -255,44 +373,38 @@ def execute_rtc_step(
 ) -> TraceEvent | None:
     """Run one atomic dispatch step for `envelope`.
 
-    `deliver(env)` routes each envelope the actions send (queue or bus).
-    Returns the trace event, or None when the signal is unhandled in
-    strict mode (the caller turns that into a runtime-error outcome).
-    Only the receiving instance's attributes are touched.
+    `deliver(env)` routes each envelope the actions send (queue or bus),
+    in statement order. Returns the trace event, or None when the signal
+    is unhandled in strict mode (the caller turns that into a
+    runtime-error outcome). Only the receiving instance's attributes are
+    touched. The transition is compiled the first time it fires.
     """
     inst = envelope.receiver
-    cls = machine.instance_class[inst]
     cur = state.states[inst]
-    tr = machine.transitions.get((cls.name, cur, envelope.signal))
-    if tr is None:
-        if mode == STRICT:
-            return None
-        return TraceEvent(step_index, envelope, cur, cur, [], [], dropped=True)
+    key = (machine.instance_class[inst].name, cur, envelope.signal)
+    transition = machine.compiled.get(key)
+    if transition is None:
+        tr = machine.transitions.get(key)
+        if tr is None:
+            if mode == STRICT:
+                return None
+            return TraceEvent(step_index, envelope, cur, cur, [], [], dropped=True)
+        sig = machine.checked.signals[key[0], key[2]]
+        transition = machine.compiled[key] = _compile_transition(tr, sig)
 
-    sig = machine.checked.signals[(cls.name, envelope.signal)]
-    params = {p.name: v for p, v in zip(sig.params, envelope.args)}
-    attrs = state.attrs[inst]
     writes: list[tuple[str, int]] = []
+    sends: list[tuple[str, str, tuple[int, ...]]] = []
+    target = transition(state.attrs[inst], envelope.args, writes, sends)
+    # no action reads a queue, so delivering after the body is the same
+    # as delivering at each send
     sent: list[int] = []
-
-    def run_block(stmts: list[ir.Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, ir.Assign):
-                v = _eval(s.value, attrs, params)
-                attrs[s.attr] = v
-                writes.append((s.attr, v))
-            elif isinstance(s, ir.Send):
-                args = tuple(_eval(a, attrs, params) for a in s.args)
-                env2 = SignalEnvelope(state.next_seq, inst, s.instance, s.signal, args)
-                state.next_seq += 1
-                deliver(env2)
-                sent.append(env2.seq)
-            elif isinstance(s, ir.If):
-                run_block(s.then if _eval(s.cond, attrs, params) else s.orelse)
-
-    run_block(tr.actions)
-    state.states[inst] = tr.target
-    return TraceEvent(step_index, envelope, cur, tr.target, writes, sent)
+    for receiver, signal, args in sends:
+        seq = state.next_seq
+        deliver(SignalEnvelope(seq, inst, receiver, signal, args))
+        sent.append(seq)
+        state.next_seq = seq + 1
+    state.states[inst] = target
+    return TraceEvent(step_index, envelope, cur, target, writes, sent)
 
 
 # ---------------------------------------------------------------------------

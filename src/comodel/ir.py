@@ -19,7 +19,8 @@ code generators) reads that one index through `ensure_valid`, which
 validates only a model that carries none. A model is therefore validated
 once and then trusted: IR values are treated as immutable once
 validation has run, mutating them afterwards is unsupported (the record
-would go stale), and they can be shared freely across threads.
+and the transitions the executor compiled from it would go stale), and
+they can be shared freely across threads.
 
 Marks, scenarios and the diagnostic report types also live here so the
 parser, the partitioner and the executor share one vocabulary.
@@ -299,12 +300,18 @@ class Checked:
     Each maps a name to the IR node that defines it: `classes` by class
     name, `instance_class` by instance name (document order), `signals`
     by (class, signal) and `transitions` by (class, state, signal).
+    `compiled` is the executor's cache of transitions compiled into
+    closures, under the same keys; it starts empty and is filled as
+    transitions first fire.
     """
 
     classes: dict[str, ClassDef]
     instance_class: dict[str, ClassDef]
     signals: dict[tuple[str, str], SignalDef]
     transitions: dict[tuple[str, str, str], TransitionDef]
+    compiled: dict[tuple[str, str, str], object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class InvalidModelError(Exception):
@@ -719,7 +726,8 @@ def ensure_valid(model: Model) -> Checked:
     that require a valid model (execution, partitioning, code generation)
     call this instead of validating again; it also guarantees expression
     type annotations are present. The record is trusted as it stands:
-    mutating the IR after validation is unsupported.
+    mutating the IR after validation is unsupported, and that covers the
+    transitions compiled from it too.
     """
     if model.checked is None:
         report = validate(model)

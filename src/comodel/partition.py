@@ -157,7 +157,7 @@ def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CosimEvent(TraceEvent):
     domain: str = SW
     bus_enqueue_step: int | None = None
@@ -201,7 +201,10 @@ def _cosim_event(
     event: TraceEvent, domain: str, bus_steps: dict[int, tuple[int, int]]
 ) -> CosimEvent:
     enq, dly = bus_steps.get(event.envelope.seq, (None, None))
-    return CosimEvent(**vars(event), domain=domain, bus_enqueue_step=enq, bus_deliver_step=dly)
+    return CosimEvent(
+        event.step, event.envelope, event.from_state, event.to_state, event.writes,
+        event.sent, event.dropped, domain, enq, dly,
+    )
 
 
 def serialize_partitioned_trace(trace: PartitionedTrace) -> str:

@@ -287,3 +287,15 @@ def test_checkgen_malformed_manifest_exits_3(tmp_path, capsys, tamper, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(message) and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [(b"class A {\r#", "1:11"), (b"class A {\r\n  #", "2:3")],
+    ids=["lone_cr", "crlf"],
+)
+def test_location_counts_carriage_returns_as_the_library_does(tmp_path, capsys, data, where):
+    bad = tmp_path / "cr.model"
+    bad.write_bytes(data)
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"{bad}:{where}: expected a token, found '#'\n"

@@ -1,6 +1,7 @@
 """Partition derivation, boundary computation, co-simulation, equivalence."""
 
 import copy
+import dataclasses
 
 import pytest
 from conftest import CORPUS_MODELS, CORPUS_PAIRS, load_marks, load_model, load_scenario
@@ -9,6 +10,7 @@ from comodel import ir
 from comodel.executor import (
     LENIENT,
     ExecConfig,
+    TraceEvent,
     check_causality,
     check_pair_fifo,
     event_dict,
@@ -183,6 +185,33 @@ def test_degenerate_partitions_reproduce_reference(model_name, scn_name, domain,
     ]
     assert summary_dict(partitioned) == summary_dict(reference)
     assert partitioned.bus_crossings == 0
+
+
+@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + [("unhandled", None)])
+def test_cosim_event_carries_every_trace_event_field(model_name, scn_name):
+    # a lenient drop covers `dropped`; with one domain the event streams match
+    if model_name == "unhandled":
+        model = parse_model(
+            "class A { signal S(); statemachine { initial I; state I {"
+            " on S -> I { send b.S(); } } } }"
+            "class B { signal S(); statemachine { initial I; state I { } } }"
+            "instance a: A; instance b: B;"
+        )
+        scenario = parse_scenario("at 0 send a.S();")
+    else:
+        model, scenario = load_model(model_name), load_scenario(scn_name)
+    config = ExecConfig(mode=LENIENT)
+    reference = run(model, scenario, config)
+    partitioned = cosim(model, Partition(domain={c.name: SW for c in model.classes}),
+                        scenario, config)
+    names = [f.name for f in dataclasses.fields(TraceEvent)]
+    assert names and len(partitioned.events) == len(reference.events)
+    for got, want in zip(partitioned.events, reference.events):
+        assert type(got) is CosimEvent and type(want) is TraceEvent
+        assert not hasattr(got, "__dict__") and not hasattr(want, "__dict__")  # slotted
+        assert [getattr(got, n) for n in names] == [getattr(want, n) for n in names]
+    if model_name == "unhandled":
+        assert [e.dropped for e in partitioned.events] == [False, True]
 
 
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS)
