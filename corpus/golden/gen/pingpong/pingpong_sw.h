@@ -1,0 +1,25 @@
+/* Generated software interface header. Do not edit. */
+#ifndef PINGPONG_SW_H
+#define PINGPONG_SW_H
+
+#include <stdint.h>
+
+/* model hash 48c822885dc19821 */
+
+/* Boundary signal ids and payload widths */
+#define SIG_PONG_HIT 0
+#define SIG_PONG_HIT_BITS 0
+
+/* Software instance ids (dispatch and bus addressing) */
+#define SWI_PING 0u
+#define SW_INSTANCE_COUNT 1u
+
+/* Provided by the platform: outbound boundary transport. */
+void pingpong_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
+
+void pingpong_reset(void);
+int pingpong_step(void);
+void pingpong_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
+void pingpong_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+
+#endif /* PINGPONG_SW_H */

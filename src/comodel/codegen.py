@@ -9,12 +9,15 @@ it, so the two halves agree by construction; `check_interfaces`
 re-extracts the constants from the emitted texts and verifies them
 against the manifest, which also catches externally tampered files.
 
-The C half carries, per software class, a state enum, an instance
+One emitter skeleton serves both targets: it validates the model, checks
+the manifest's names, lays out payloads and walks each transition's
+actions, and the `isHardware` mark picks the mapping rule that prints a
+class. The C rule gives each software class a state enum, an instance
 struct with exact-width unsigned attributes, a dispatch function
-mirroring the transition table, and per-instance FIFO queues; plus bus
+mirroring the transition table, and per-instance FIFO queues, plus bus
 glue (`bus_send` out, `bus_deliver` in) and an injection entry point.
-The VHDL half carries, per hardware class, an entity with clock/reset
-and event input ports and a synchronous process implementing the same
+The VHDL rule gives each hardware class an entity with clock/reset and
+event input ports and a synchronous process implementing the same
 transition table over unsigned registers. All arithmetic wraps at the
 declared widths in both targets, matching the interpreter bit for bit.
 
@@ -71,14 +74,23 @@ def mangle(receiver_class: str, signal: str) -> str:
     return f"SIG_{receiver_class.upper()}_{signal.upper()}"
 
 
-def _check_name_clashes(manifest: InterfaceManifest) -> None:
-    names: set[str] = set()
+def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
+    """The boundary constants, in manifest order: each signal's id, then
+    its payload width (`<name>_BITS`). Both targets print exactly these."""
+    constants = []
     for s in manifest.signals:
         base = mangle(s.receiver_class, s.signal)
-        for name in (base, base + "_BITS"):
-            if name in names:
-                raise CodegenError("E_NAME_CLASH", f"mangled name {name} is not unique")
-            names.add(name)
+        constants.append((base, s.id))
+        constants.append((base + "_BITS", s.payload_total_bits))
+    return constants
+
+
+def _check_name_clashes(manifest: InterfaceManifest) -> None:
+    names: set[str] = set()
+    for name, _ in _constants(manifest):
+        if name in names:
+            raise CodegenError("E_NAME_CLASH", f"mangled name {name} is not unique")
+        names.add(name)
 
 
 def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
@@ -195,10 +207,6 @@ class _Writer:
         return "\n".join(self.lines) + "\n"
 
 
-def _payload_bytes(bits: int) -> int:
-    return max(1, (bits + 7) // 8)
-
-
 def _payload_layouts(checked: ir.Checked) -> dict[tuple[str, str], list[PayloadField]]:
     """The packed payload of every (class, signal): its parameters in
     declaration order, bit offsets ascending from 0."""
@@ -217,28 +225,74 @@ def _payload_bits(layout: list[PayloadField]) -> int:
     return sum(f.width_bits for f in layout)
 
 
+# A transition's parameters: name -> (position in the args, packed field).
+_Params = dict[str, tuple[int, PayloadField]]
+
+
+class _Emitter:
+    """The emitter skeleton (see the module docstring). A target gives its
+    `DOMAIN`, its `assign`, `if_`, `ELSE` and `END_IF` syntax, its `expr`
+    printer, and its `send(w, s, receiver class, params)`."""
+
+    def __init__(
+        self,
+        model: ir.Model,
+        partition: part.Partition,
+        manifest: InterfaceManifest,
+        name: str,
+    ):
+        self.checked = ir.ensure_valid(model)
+        _check_name_clashes(manifest)
+        self.layouts = _payload_layouts(self.checked)
+        self.partition = partition
+        self.manifest = manifest
+        self.name = name
+        mine = {cls: d == self.DOMAIN for cls, d in partition.domain.items()}
+        self.classes = [c for c in self.checked.classes.values() if mine[c.name]]
+        self.instances = [(n, c) for n, c in self.checked.instance_class.items() if mine[c.name]]
+
+    def _params(self, cls: ir.ClassDef, tr: ir.TransitionDef) -> _Params:
+        return {f.name: (i, f) for i, f in enumerate(self.layouts[(cls.name, tr.signal)])}
+
+    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], params: _Params) -> None:
+        for s in stmts:
+            if isinstance(s, ir.Assign):
+                w.w(self.assign(s.attr, self.expr(s.value, params)))
+            elif isinstance(s, ir.Send):
+                self.send(w, s, self.checked.instance_class[s.instance].name, params)
+            elif isinstance(s, ir.If):
+                w.w(self.if_(self.expr(s.cond, params)))
+                w.indent += 1
+                self._stmts(w, s.then, params)
+                w.indent -= 1
+                if s.orelse:
+                    w.w(self.ELSE)
+                    w.indent += 1
+                    self._stmts(w, s.orelse, params)
+                    w.indent -= 1
+                w.w(self.END_IF)
+
+
 # ---------------------------------------------------------------------------
 # C emitter
 # ---------------------------------------------------------------------------
 
 
-def _c_expr(e: ir.Expr, param_index: dict[str, int]) -> str:
-    if isinstance(e, ir.IntLit):
-        return f"{e.value}u"
-    if isinstance(e, ir.BoolLit):
-        return "1u" if e.value else "0u"
+def _c_expr(e: ir.Expr, params: _Params) -> str:
+    if isinstance(e, (ir.IntLit, ir.BoolLit)):
+        return f"{int(e.value)}u"
     if isinstance(e, ir.AttrRef):
         return f"self->{e.name}"
     if isinstance(e, ir.ParamRef):
-        return f"({C_TYPES[e.ty]})args[{param_index[e.name]}]"
+        return f"({C_TYPES[e.ty]})args[{params[e.name][0]}]"
     if isinstance(e, ir.Unary):
-        inner = _c_expr(e.operand, param_index)
+        inner = _c_expr(e.operand, params)
         if e.op == "!":
             return f"(uint8_t)(!{inner})"
         return f"({C_TYPES[e.ty]})(0u - {inner})"
     if isinstance(e, ir.Binary):
-        l = _c_expr(e.left, param_index)
-        r = _c_expr(e.right, param_index)
+        l = _c_expr(e.left, params)
+        r = _c_expr(e.right, params)
         if e.op == "*" and ir.WIDTHS[e.ty] < 32:
             # narrow operands promote to int, whose product can overflow
             return f"({C_TYPES[e.ty]})((uint32_t){l} * {r})"
@@ -248,27 +302,17 @@ def _c_expr(e: ir.Expr, param_index: dict[str, int]) -> str:
     raise TypeError(f"unexpected expression node {e!r}")
 
 
-class _CEmitter:
-    def __init__(
-        self,
-        checked: ir.Checked,
-        partition: part.Partition,
-        manifest: InterfaceManifest,
-        name: str,
-    ):
-        self.instance_class = checked.instance_class
-        self.layouts = _payload_layouts(checked)
-        self.partition = partition
-        self.manifest = manifest
-        self.name = name
-        self.sw_classes = [
-            c for c in checked.classes.values() if partition.domain[c.name] == part.SW
-        ]
-        self.sw_instances = [
-            (n, c) for n, c in self.instance_class.items() if partition.domain[c.name] == part.SW
-        ]
-        self.max_args = max([1] + [len(layout) for layout in self.layouts.values()])
-        self.inbound = [s for s in manifest.signals if s.direction == part.HW_TO_SW]
+class _CEmitter(_Emitter):
+    DOMAIN = part.SW
+    ELSE = "} else {"
+    END_IF = "}"
+    expr = staticmethod(_c_expr)
+
+    def assign(self, attr: str, value: str) -> str:
+        return f"self->{attr} = {value};"
+
+    def if_(self, cond: str) -> str:
+        return f"if ({cond}) {{"
 
     def header(self) -> str:
         w = _Writer()
@@ -282,14 +326,13 @@ class _CEmitter:
         w.w(f"/* model hash {self.manifest.model_hash} */")
         w.w()
         w.w("/* Boundary signal ids and payload widths */")
-        for s in self.manifest.signals:
-            w.w(f"#define {mangle(s.receiver_class, s.signal)} {s.id}")
-            w.w(f"#define {mangle(s.receiver_class, s.signal)}_BITS {s.payload_total_bits}")
+        for name, value in _constants(self.manifest):
+            w.w(f"#define {name} {value}")
         w.w()
         w.w("/* Software instance ids (dispatch and bus addressing) */")
-        for k, (inst, _) in enumerate(self.sw_instances):
+        for k, (inst, _) in enumerate(self.instances):
             w.w(f"#define SWI_{inst.upper()} {k}u")
-        w.w(f"#define SW_INSTANCE_COUNT {len(self.sw_instances)}u")
+        w.w(f"#define SW_INSTANCE_COUNT {len(self.instances)}u")
         w.w()
         w.w("/* Provided by the platform: outbound boundary transport. */")
         w.w(
@@ -318,14 +361,17 @@ class _CEmitter:
         w.w(f'#include "{self.name}_sw.h"')
         w.w()
         w.w("#define QUEUE_CAP 64u")
-        w.w(f"#define MAX_ARGS {self.max_args}u")
+        w.w(f"#define MAX_ARGS {max([1] + [len(lay) for lay in self.layouts.values()])}u")
         w.w()
         self._queue_machinery(w)
-        for cls in self.sw_classes:
+        for cls in self.classes:
             self._class_decl(w, cls)
         self._instance_storage(w)
-        self._bit_helpers(w)
-        for cls in self.sw_classes:
+        if any(s.direction == part.SW_TO_HW and s.payload for s in self.manifest.signals):
+            self._put_bits(w)
+        if any(s.direction == part.HW_TO_SW and s.payload for s in self.manifest.signals):
+            self._get_bits(w)
+        for cls in self.classes:
             self._dispatch_fn(w, cls)
         self._entry_points(w)
         return w.text()
@@ -342,7 +388,7 @@ class _CEmitter:
         w.w("    uint32_t count;")
         w.w("} event_queue_t;")
         w.w()
-        n = max(1, len(self.sw_instances))
+        n = max(1, len(self.instances))
         w.w(f"static event_queue_t queues[{n}];")
         w.w()
         w.w("static void queue_push(uint32_t inst_id, uint32_t ev,")
@@ -366,19 +412,9 @@ class _CEmitter:
         up = cls.name.upper()
         w.w(f"/* ---- class {cls.name} ---- */")
         w.w()
-        w.w("typedef enum {")
-        for i, st in enumerate(cls.machine.states):
-            comma = "," if i + 1 < len(cls.machine.states) else ""
-            w.w(f"    {up}_ST_{st.name.upper()} = {i}{comma}")
-        w.w(f"}} {cls.name}_state_t;")
-        w.w()
+        self._enum(w, f"{cls.name}_state_t", f"{up}_ST_", cls.machine.states)
         if cls.signals:
-            w.w("typedef enum {")
-            for i, s in enumerate(cls.signals):
-                comma = "," if i + 1 < len(cls.signals) else ""
-                w.w(f"    {up}_EV_{s.name.upper()} = {i}{comma}")
-            w.w(f"}} {cls.name}_event_t;")
-            w.w()
+            self._enum(w, f"{cls.name}_event_t", f"{up}_EV_", cls.signals)
         w.w("typedef struct {")
         w.w(f"    {cls.name}_state_t state;")
         for a in cls.attributes:
@@ -386,23 +422,20 @@ class _CEmitter:
         w.w(f"}} {cls.name}_t;")
         w.w()
 
-    def _instance_storage(self, w: _Writer) -> None:
-        for inst, cls in self.sw_instances:
-            w.w(f"static {cls.name}_t inst_{inst};")
-        if self.sw_instances:
-            w.w()
+    def _enum(self, w: _Writer, type_name: str, prefix: str, members: list) -> None:
+        """A C enum of the members' upper-cased names, numbered from 0."""
+        w.w("typedef enum {")
+        for i, m in enumerate(members):
+            comma = "," if i + 1 < len(members) else ""
+            w.w(f"    {prefix}{m.name.upper()} = {i}{comma}")
+        w.w(f"}} {type_name};")
+        w.w()
 
-    def _bit_helpers(self, w: _Writer) -> None:
-        need_put = any(
-            s.direction == part.SW_TO_HW and s.payload for s in self.manifest.signals
-        )
-        need_get = any(s.payload for s in self.inbound)
-        if not need_put and not need_get:
-            return
-        if need_put:
-            self._put_bits(w)
-        if need_get:
-            self._get_bits(w)
+    def _instance_storage(self, w: _Writer) -> None:
+        for inst, cls in self.instances:
+            w.w(f"static {cls.name}_t inst_{inst};")
+        if self.instances:
+            w.w()
 
     def _put_bits(self, w: _Writer) -> None:
         w.w("static void put_bits(uint8_t *buf, uint32_t offset, uint32_t width,")
@@ -432,8 +465,7 @@ class _CEmitter:
         w.w("}")
         w.w()
 
-    def _send_stmt(self, w: _Writer, s: ir.Send, param_index: dict[str, int]) -> None:
-        recv = self.instance_class[s.instance].name
+    def send(self, w: _Writer, s: ir.Send, recv: str, params: _Params) -> None:
         if self.partition.domain[recv] == part.SW:
             ev = f"{recv.upper()}_EV_{s.signal.upper()}"
             if s.args:
@@ -441,7 +473,7 @@ class _CEmitter:
                 w.indent += 1
                 w.w("uint32_t sargs[MAX_ARGS];")
                 for i, a in enumerate(s.args):
-                    w.w(f"sargs[{i}] = (uint32_t){_c_expr(a, param_index)};")
+                    w.w(f"sargs[{i}] = (uint32_t){_c_expr(a, params)};")
                 w.w(
                     f"queue_push(SWI_{s.instance.upper()}, {ev}, sargs,"
                     f" {len(s.args)}u);"
@@ -455,33 +487,15 @@ class _CEmitter:
             layout = self.layouts[(recv, s.signal)]
             w.w(f"{{ /* send {s.instance}.{s.signal}: cross-boundary */")
             w.indent += 1
-            w.w(f"uint8_t payload[{_payload_bytes(_payload_bits(layout))}] = {{0}};")
+            w.w(f"uint8_t payload[{max(1, (_payload_bits(layout) + 7) // 8)}] = {{0}};")
             for f, a in zip(layout, s.args):
                 w.w(
                     f"put_bits(payload, {f.bit_offset}u, {f.width_bits}u,"
-                    f" (uint32_t){_c_expr(a, param_index)});"
+                    f" (uint32_t){_c_expr(a, params)});"
                 )
             w.w(f"{self.name}_bus_send({macro}, payload, {macro}_BITS);")
             w.indent -= 1
             w.w("}")
-
-    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], param_index: dict[str, int]) -> None:
-        for s in stmts:
-            if isinstance(s, ir.Assign):
-                w.w(f"self->{s.attr} = {_c_expr(s.value, param_index)};")
-            elif isinstance(s, ir.Send):
-                self._send_stmt(w, s, param_index)
-            elif isinstance(s, ir.If):
-                w.w(f"if ({_c_expr(s.cond, param_index)}) {{")
-                w.indent += 1
-                self._stmts(w, s.then, param_index)
-                w.indent -= 1
-                if s.orelse:
-                    w.w("} else {")
-                    w.indent += 1
-                    self._stmts(w, s.orelse, param_index)
-                    w.indent -= 1
-                w.w("}")
 
     def _dispatch_fn(self, w: _Writer, cls: ir.ClassDef) -> None:
         up = cls.name.upper()
@@ -489,49 +503,44 @@ class _CEmitter:
         w.w("        const uint32_t *args) {")
         w.indent += 1
         w.w("(void)args;")
-        has_any = any(st.transitions for st in cls.machine.states)
-        if not has_any:
+        if not any(st.transitions for st in cls.machine.states):
             w.w("(void)self;")
             w.w("(void)ev;")
-            w.indent -= 1
-            w.w("}")
-            w.w()
-            return
-        w.w("switch (self->state) {")
-        for st in cls.machine.states:
-            w.w(f"case {up}_ST_{st.name.upper()}:")
-            w.indent += 1
-            if st.transitions:
-                w.w("switch (ev) {")
-                for tr in st.transitions:
-                    layout = self.layouts[(cls.name, tr.signal)]
-                    param_index = {f.name: i for i, f in enumerate(layout)}
-                    w.w(f"case {up}_EV_{tr.signal.upper()}: {{")
-                    w.indent += 1
-                    self._stmts(w, tr.actions, param_index)
-                    w.w(f"self->state = {up}_ST_{tr.target.upper()};")
-                    w.w("break;")
-                    w.indent -= 1
+        else:
+            w.w("switch (self->state) {")
+            for st in cls.machine.states:
+                w.w(f"case {up}_ST_{st.name.upper()}:")
+                w.indent += 1
+                if st.transitions:
+                    w.w("switch (ev) {")
+                    for tr in st.transitions:
+                        w.w(f"case {up}_EV_{tr.signal.upper()}: {{")
+                        w.indent += 1
+                        self._stmts(w, tr.actions, self._params(cls, tr))
+                        w.w(f"self->state = {up}_ST_{tr.target.upper()};")
+                        w.w("break;")
+                        w.indent -= 1
+                        w.w("}")
+                    w.w("default:")
+                    w.w("    break; /* unhandled in this state: dropped */")
                     w.w("}")
-                w.w("default:")
-                w.w("    break; /* unhandled in this state: dropped */")
-                w.w("}")
-            w.w("break;")
-            w.indent -= 1
-        w.w("}")
+                w.w("break;")
+                w.indent -= 1
+            w.w("}")
         w.indent -= 1
         w.w("}")
         w.w()
 
     def _entry_points(self, w: _Writer) -> None:
+        inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
         w.w(f"void {self.name}_reset(void) {{")
         w.indent += 1
         w.w("uint32_t k;")
-        for inst, cls in self.sw_instances:
+        for inst, cls in self.instances:
             w.w(f"inst_{inst}.state = {cls.name.upper()}_ST_{cls.machine.initial.upper()};")
             for a in cls.attributes:
                 w.w(f"inst_{inst}.{a.name} = {int(a.default)}u;")
-        w.w(f"for (k = 0; k < {max(1, len(self.sw_instances))}u; k++) {{")
+        w.w(f"for (k = 0; k < {max(1, len(self.instances))}u; k++) {{")
         w.w("    queues[k].head = 0;")
         w.w("    queues[k].count = 0;")
         w.w("}")
@@ -542,9 +551,9 @@ class _CEmitter:
         w.w("static void sw_dispatch(uint32_t inst_id, uint32_t ev,")
         w.w("                        const uint32_t *args) {")
         w.indent += 1
-        if self.sw_instances:
+        if self.instances:
             w.w("switch (inst_id) {")
-            for inst, cls in self.sw_instances:
+            for inst, cls in self.instances:
                 w.w(f"case SWI_{inst.upper()}:")
                 w.w(f"    {cls.name}_dispatch(&inst_{inst}, ev, args);")
                 w.w("    break;")
@@ -590,7 +599,7 @@ class _CEmitter:
         w.w(f"void {self.name}_bus_deliver(uint32_t inst_id, uint32_t sig_id,")
         w.w("        const uint8_t *payload) {")
         w.indent += 1
-        if not self.inbound:
+        if not inbound:
             w.w("(void)inst_id;")
             w.w("(void)sig_id;")
             w.w("(void)payload;")
@@ -602,7 +611,7 @@ class _CEmitter:
             w.w("    args[k] = 0;")
             w.w("}")
             w.w("switch (sig_id) {")
-            for s in self.inbound:
+            for s in inbound:
                 w.w(f"case {mangle(s.receiver_class, s.signal)}: {{")
                 w.indent += 1
                 for i, f in enumerate(s.payload):
@@ -626,9 +635,7 @@ def emit_c(
     name: str = "model",
 ) -> tuple[str, str]:
     """Emit the software half; returns (c_source, c_header)."""
-    checked = ir.ensure_valid(model)
-    _check_name_clashes(manifest)
-    emitter = _CEmitter(checked, partition, manifest, name)
+    emitter = _CEmitter(model, partition, manifest, name)
     return emitter.source(), emitter.header()
 
 
@@ -637,27 +644,25 @@ def emit_c(
 # ---------------------------------------------------------------------------
 
 
-def _v_expr(e: ir.Expr, layout: dict[str, PayloadField]) -> str:
-    if isinstance(e, ir.IntLit):
+def _v_expr(e: ir.Expr, params: _Params) -> str:
+    if isinstance(e, (ir.IntLit, ir.BoolLit)):
         if e.value > 2**31 - 1:
             # beyond the guaranteed VHDL integer range: hex bit string
             return f'unsigned\'(x"{e.value:08X}")'
-        return f"to_unsigned({e.value}, {ir.WIDTHS[e.ty]})"
-    if isinstance(e, ir.BoolLit):
-        return f"to_unsigned({int(e.value)}, 1)"
+        return f"to_unsigned({int(e.value)}, {ir.WIDTHS[e.ty]})"
     if isinstance(e, ir.AttrRef):
         return f"v_{e.name}"
     if isinstance(e, ir.ParamRef):
-        f = layout[e.name]
+        f = params[e.name][1]
         return f"unsigned(ev_args({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}))"
     if isinstance(e, ir.Unary):
-        inner = _v_expr(e.operand, layout)
+        inner = _v_expr(e.operand, params)
         if e.op == "!":
             return f"(not {inner})"
         return f"(to_unsigned(0, {ir.WIDTHS[e.ty]}) - {inner})"
     if isinstance(e, ir.Binary):
-        l = _v_expr(e.left, layout)
-        r = _v_expr(e.right, layout)
+        l = _v_expr(e.left, params)
+        r = _v_expr(e.right, params)
         if e.op == "*":
             return f"resize({l} * {r}, {ir.WIDTHS[e.ty]})"
         if e.op in ("+", "-"):
@@ -671,24 +676,22 @@ def _v_expr(e: ir.Expr, layout: dict[str, PayloadField]) -> str:
     raise TypeError(f"unexpected expression node {e!r}")
 
 
-class _VhdlEmitter:
-    def __init__(
-        self,
-        checked: ir.Checked,
-        partition: part.Partition,
-        manifest: InterfaceManifest,
-        name: str,
-    ):
-        self.checked = checked
-        self.layouts = _payload_layouts(checked)
-        self.partition = partition
-        self.manifest = manifest
-        self.name = name
-        self.hw_classes = [
-            c for c in checked.classes.values() if partition.domain[c.name] == part.HW
-        ]
+class _VhdlEmitter(_Emitter):
+    DOMAIN = part.HW
+    ELSE = "else"
+    END_IF = "end if;"
+    expr = staticmethod(_v_expr)
+
+    def assign(self, attr: str, value: str) -> str:
+        return f"v_{attr} := {value};"
+
+    def if_(self, cond: str) -> str:
+        return f"if to_bool({cond}) then"
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.snd_bits = max(
-            [1] + [s.payload_total_bits for s in manifest.signals]
+            [1] + [s.payload_total_bits for s in self.manifest.signals]
         )
         self.loc_bits = max([1] + [_payload_bits(layout) for layout in self.layouts.values()])
 
@@ -698,7 +701,7 @@ class _VhdlEmitter:
         w.w(f"-- model hash {self.manifest.model_hash}")
         w.w()
         self._package(w)
-        for cls in self.hw_classes:
+        for cls in self.classes:
             self._entity(w, cls)
         return w.text()
 
@@ -710,10 +713,8 @@ class _VhdlEmitter:
         w.w(f"package {self.name}_iface is")
         w.indent += 1
         w.w("-- Boundary signal ids and payload widths")
-        for s in self.manifest.signals:
-            base = mangle(s.receiver_class, s.signal)
-            w.w(f"constant {base} : natural := {s.id};")
-            w.w(f"constant {base}_BITS : natural := {s.payload_total_bits};")
+        for name, value in _constants(self.manifest):
+            w.w(f"constant {name} : natural := {value};")
         w.w("-- Instance ids (model population, document order)")
         for k, inst in enumerate(self.checked.instance_class):
             w.w(f"constant INST_{inst.upper()} : natural := {k};")
@@ -838,10 +839,9 @@ class _VhdlEmitter:
                 w.w("case ev_id is")
                 w.indent += 1
                 for tr in st.transitions:
-                    layout = {f.name: f for f in self.layouts[(cls.name, tr.signal)]}
                     w.w(f"when EV_{cls.name.upper()}_{tr.signal.upper()} =>")
                     w.indent += 1
-                    self._stmts(w, tr.actions, layout)
+                    self._stmts(w, tr.actions, self._params(cls, tr))
                     w.w(f"state <= ST_{tr.target.upper()};")
                     w.indent -= 1
                 w.w("when others =>")
@@ -854,26 +854,7 @@ class _VhdlEmitter:
         w.indent -= 1
         w.w("end case;")
 
-    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], layout: dict[str, PayloadField]) -> None:
-        for s in stmts:
-            if isinstance(s, ir.Assign):
-                w.w(f"v_{s.attr} := {_v_expr(s.value, layout)};")
-            elif isinstance(s, ir.Send):
-                self._send(w, s, layout)
-            elif isinstance(s, ir.If):
-                w.w(f"if to_bool({_v_expr(s.cond, layout)}) then")
-                w.indent += 1
-                self._stmts(w, s.then, layout)
-                w.indent -= 1
-                if s.orelse:
-                    w.w("else")
-                    w.indent += 1
-                    self._stmts(w, s.orelse, layout)
-                    w.indent -= 1
-                w.w("end if;")
-
-    def _send(self, w: _Writer, s: ir.Send, layout: dict[str, PayloadField]) -> None:
-        recv = self.checked.instance_class[s.instance].name
+    def send(self, w: _Writer, s: ir.Send, recv: str, params: _Params) -> None:
         # an intra-hardware send uses the local event interconnect
         local = self.partition.domain[recv] == part.HW
         var = "v_loc" if local else "v_snd"
@@ -882,7 +863,7 @@ class _VhdlEmitter:
         for f, a in zip(self.layouts[(recv, s.signal)], s.args):
             w.w(
                 f"{var}({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}) :="
-                f" std_logic_vector({_v_expr(a, layout)});"
+                f" std_logic_vector({_v_expr(a, params)});"
             )
         if local:
             w.w("loc_valid <= '1';")
@@ -902,9 +883,7 @@ def emit_vhdl(
     name: str = "model",
 ) -> str:
     """Emit the hardware half as one VHDL text."""
-    checked = ir.ensure_valid(model)
-    _check_name_clashes(manifest)
-    return _VhdlEmitter(checked, partition, manifest, name).emit()
+    return _VhdlEmitter(model, partition, manifest, name).emit()
 
 
 # ---------------------------------------------------------------------------
@@ -965,11 +944,7 @@ def check_interfaces(
     The scan is tolerant and line-oriented, so it works on files that
     were edited or corrupted after generation.
     """
-    expected: dict[str, int] = {}
-    for s in manifest.signals:
-        base = mangle(s.receiver_class, s.signal)
-        expected[base] = s.id
-        expected[base + "_BITS"] = s.payload_total_bits
+    expected = dict(_constants(manifest))
 
     problems: list[str] = []
     for side, found in (

@@ -370,14 +370,16 @@ def execute_rtc_step(
     deliver,
     step_index: int,
     mode: str,
+    event: type[TraceEvent] = TraceEvent,
 ) -> TraceEvent | None:
     """Run one atomic dispatch step for `envelope`.
 
     `deliver(env)` routes each envelope the actions send (queue or bus),
-    in statement order. Returns the trace event, or None when the signal
-    is unhandled in strict mode (the caller turns that into a
-    runtime-error outcome). Only the receiving instance's attributes are
-    touched. The transition is compiled the first time it fires.
+    in statement order. Returns the trace event, built as an `event` (a
+    `TraceEvent` subclass for cosim), or None when the signal is
+    unhandled in strict mode (the caller turns that into a runtime-error
+    outcome). Only the receiving instance's attributes are touched. The
+    transition is compiled the first time it fires.
     """
     inst = envelope.receiver
     cur = state.states[inst]
@@ -388,7 +390,7 @@ def execute_rtc_step(
         if tr is None:
             if mode == STRICT:
                 return None
-            return TraceEvent(step_index, envelope, cur, cur, [], [], dropped=True)
+            return event(step_index, envelope, cur, cur, [], [], True)
         sig = machine.checked.signals[key[0], key[2]]
         transition = machine.compiled[key] = _compile_transition(tr, sig)
 
@@ -404,7 +406,7 @@ def execute_rtc_step(
         sent.append(seq)
         state.next_seq = seq + 1
     state.states[inst] = target
-    return TraceEvent(step_index, envelope, cur, target, writes, sent)
+    return event(step_index, envelope, cur, target, writes, sent)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +434,9 @@ def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
                 f" got {len(inj.args)}"
             )
         for a, p in zip(inj.args, sig.params):
-            if isinstance(a, bool):
-                if p.type != "bool":
+            if not ir.literal_fits(a, p.type):
+                if isinstance(a, bool):
                     fail(f"boolean argument for {p.type} parameter {p.name}")
-            elif not 0 <= a <= ir.mask_of(p.type):
                 fail(f"argument {a} does not fit parameter {p.name}: {p.type}")
     for exp in scenario.expectations:
         cls = checked.instance_class.get(exp.instance)
@@ -515,19 +516,20 @@ def _dispatch(
     domain_of: dict[str, str] | None = None,
     domains: tuple[str | None, ...] = (None,),
     latency: int = 0,
-    hook=None,
+    event: type[TraceEvent] = TraceEvent,
 ) -> tuple[Trace, dict[int, tuple[int, int]]]:
     """The one dispatch loop, shared by `run` and `partition.cosim`.
 
     `domains` names the islands in round order, and `domain_of` maps
-    every instance to one of them. With `domain_of` None, one island
-    holds every instance and every send goes straight to its queue (the
-    `run` case). Otherwise a send to another island rides the bus and
-    becomes deliverable `latency` rounds later. A round runs at most one
-    step per island, then a bus tick. `hook(event, domain, bus_steps)`,
-    if given, turns each event into the one the trace records, as its
-    step runs. Returns the trace and the bus `seq -> (enqueue, deliver)`
-    rounds.
+    every instance to one of them. With `domain_of` None, every instance
+    sits on the one island `domains[0]` (the `run` case). A send to
+    another island rides the bus and becomes deliverable `latency`
+    rounds later. A round runs at most one step per island, then a bus
+    tick. Each step builds its trace record as an `event`. On an island
+    with a domain, that is a `partition.CosimEvent`, and the loop sets
+    its `domain` and, for an envelope that rode the bus, its
+    `bus_enqueue_step` and `bus_deliver_step`. Returns the trace and the
+    bus `seq -> (enqueue, deliver)` rounds.
     """
     check_scenario_refs(machine.model, scenario)
     state = machine.initial_state()
@@ -543,30 +545,29 @@ def _dispatch(
     round_no = 0
 
     if domain_of is None:
-        island = Island(state, machine.instance_order, rng)
-        enqueue = island.push
-        islands = [(domains[0], island, island.push)]
-    else:
-        by_domain = {
-            d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
-            for d in domains
-        }
+        domain_of = dict.fromkeys(machine.instance_order, domains[0])
+    by_domain = {
+        d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
+        for d in domains
+    }
 
-        def enqueue(env: SignalEnvelope) -> None:
-            by_domain[domain_of[env.receiver]].push(env)
+    def enqueue(env: SignalEnvelope) -> None:
+        by_domain[domain_of[env.receiver]].push(env)
 
-        def make_deliver(sender_domain: str):
-            local = by_domain[sender_domain]
+    def make_deliver(sender_domain: str | None):
+        local = by_domain[sender_domain]
+        if len(local.names) == len(domain_of):  # every receiver is local
+            return local.push
 
-            def deliver(env: SignalEnvelope) -> None:
-                if domain_of[env.receiver] == sender_domain:
-                    local.push(env)
-                else:
-                    bus.append((round_no + latency, env))
-                    bus_steps[env.seq] = (round_no, round_no + latency)
-            return deliver
+        def deliver(env: SignalEnvelope) -> None:
+            if domain_of[env.receiver] == sender_domain:
+                local.push(env)
+            else:
+                bus.append((round_no + latency, env))
+                bus_steps[env.seq] = (round_no, round_no + latency)
+        return deliver
 
-        islands = [(d, by_domain[d], make_deliver(d)) for d in domains]
+    islands = [(d, by_domain[d], make_deliver(d)) for d in domains]
 
     def inject_next() -> None:
         for inj in groups[pending_ats.pop(0)]:
@@ -590,17 +591,21 @@ def _dispatch(
                 outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
                 break
             env = island.pop()
-            event = execute_rtc_step(
-                machine, state, env, deliver, state.dispatch_count, config.mode
+            ev = execute_rtc_step(
+                machine, state, env, deliver, state.dispatch_count, config.mode, event
             )
-            if event is None:
+            if ev is None:
                 outcome = Outcome(
                     RUNTIME_ERROR,
                     f"E_UNHANDLED {env.receiver}.{env.signal} in state"
                     f" {state.states[env.receiver]} at step {state.dispatch_count}",
                 )
                 break
-            events.append(event if hook is None else hook(event, domain, bus_steps))
+            if domain is not None:
+                ev.domain = domain
+                if env.seq in bus_steps:
+                    ev.bus_enqueue_step, ev.bus_deliver_step = bus_steps[env.seq]
+            events.append(ev)
             state.dispatch_count += 1
         else:
             if state.dispatch_count == steps_before and not bus:  # every queue is empty

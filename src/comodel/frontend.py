@@ -51,6 +51,8 @@ from . import ir
 
 _T = TypeVar("_T")
 
+TYPE_NAMES = tuple(ir.WIDTHS)
+
 KEYWORDS = frozenset(
     [
         "class",
@@ -66,14 +68,9 @@ KEYWORDS = frozenset(
         "else",
         "true",
         "false",
-        "bool",
-        "u8",
-        "u16",
-        "u32",
+        *TYPE_NAMES,
     ]
 )
-
-TYPE_NAMES = ("bool", "u8", "u16", "u32")
 
 
 @dataclass

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 # Scalar types are unsigned with a fixed bit width; bool is the 1-bit case.
 WIDTHS: dict[str, int] = {"bool": 1, "u8": 8, "u16": 16, "u32": 32}
-SCALAR_TYPES = tuple(WIDTHS)
 
 
 def mask_of(ty: str) -> int:
@@ -360,9 +359,9 @@ def resolve(model: Model, path: str):
 # ---------------------------------------------------------------------------
 
 
-def _literal_kind_ok(value: bool | int, ty: str) -> bool:
-    # bool literals fit only bool; int literals fit any type they are in
-    # range for (bool being the 1-bit unsigned case).
+def literal_fits(value: bool | int, ty: str) -> bool:
+    """True when a literal fits `ty`: a bool literal fits only bool, and an
+    int literal fits any type it is in range for (bool being the 1-bit case)."""
     if isinstance(value, bool):
         return ty == "bool"
     return 0 <= value <= mask_of(ty)
@@ -439,7 +438,7 @@ class _Validator:
                 self.error("E_DUP_ATTR", f"{cls.name}.{a.name}", "duplicate attribute name")
                 continue
             attrs[a.name] = a
-            if not _literal_kind_ok(a.default, a.type):
+            if not literal_fits(a.default, a.type):
                 self.error(
                     "E_BAD_DEFAULT",
                     f"{cls.name}.{a.name}",

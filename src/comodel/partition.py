@@ -159,6 +159,8 @@ def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
 
 @dataclass(slots=True)
 class CosimEvent(TraceEvent):
+    """A trace event plus its island and bus rounds, set by the dispatch loop."""
+
     domain: str = SW
     bus_enqueue_step: int | None = None
     bus_deliver_step: int | None = None
@@ -190,20 +192,10 @@ def cosim(
     machine = Machine(model)
     domain_of = {n: partition.domain[c.name] for n, c in machine.instance_class.items()}
     trace, bus_steps = executor._dispatch(
-        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency, _cosim_event
+        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency, CosimEvent
     )
     return PartitionedTrace(
         trace.events, trace.final, trace.outcome, trace.expectations, len(bus_steps)
-    )
-
-
-def _cosim_event(
-    event: TraceEvent, domain: str, bus_steps: dict[int, tuple[int, int]]
-) -> CosimEvent:
-    enq, dly = bus_steps.get(event.envelope.seq, (None, None))
-    return CosimEvent(
-        event.step, event.envelope, event.from_state, event.to_state, event.writes,
-        event.sent, event.dropped, domain, enq, dly,
     )
 
 

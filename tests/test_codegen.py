@@ -1,11 +1,12 @@
 """Manifest derivation, C/VHDL emission, interface cross-checking."""
 
+import json
 import re
 import shutil
 import subprocess
 
 import pytest
-from conftest import CORPUS_MODELS, load_model
+from conftest import CORPUS_MARKS, CORPUS_MODELS, GOLDEN, load_marks, load_model
 
 from comodel.codegen import (
     CodegenError,
@@ -19,7 +20,7 @@ from comodel.codegen import (
     mangle,
 )
 from comodel.frontend import parse_model
-from comodel.partition import HW, SW, Partition, all_partitions
+from comodel.partition import HW, SW, Partition, all_partitions, derive_partition
 
 ALARM = """
 class Driver { signal Go(); statemachine { initial I;
@@ -119,6 +120,24 @@ def test_name_clash_detected():
     p = Partition(domain={"A_B": HW, "A": HW, "D": SW})
     with pytest.raises(CodegenError) as exc:
         build_manifest(model, p)
+    assert exc.value.code == "E_NAME_CLASH"
+
+
+@pytest.mark.parametrize("emitter", [emit_c, emit_vhdl])
+@pytest.mark.parametrize("receiver,signal", [("pong", "hit"), ("Pong", "Hit_BITS")])
+def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver, signal):
+    # a manifest read from disk never went through build_manifest's check:
+    # Pong.Hit mangles to SIG_PONG_HIT and SIG_PONG_HIT_BITS, and the added
+    # signal repeats one of those names
+    p = pingpong_hw(pingpong)
+    obj = json.loads(manifest_to_json(build_manifest(pingpong, p)))
+    obj["signals"].append(
+        {"id": 1, "receiver_class": receiver, "signal": signal, "direction": "sw_to_hw",
+         "payload": [], "payload_total_bits": 0}
+    )
+    manifest = manifest_from_json(json.dumps(obj))
+    with pytest.raises(CodegenError) as exc:
+        emitter(pingpong, p, manifest, name="pingpong")
     assert exc.value.code == "E_NAME_CLASH"
 
 
@@ -242,6 +261,25 @@ def test_c_narrow_product_widens_before_multiplying():
     out = emit(parse_model(NARROW_MUL), Partition(domain={"Mul": SW}), name="mul")
     assert "self->c = (uint16_t)((uint32_t)self->a * self->b);" in out.c_source
     assert "self->w = (uint32_t)(self->w * self->w);" in out.c_source
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+def test_emit_matches_golden_files(name):
+    """The four files `comodel gen` writes for each corpus model under its
+    committed marks, byte for byte. After an intended change to the
+    emitted text, regenerate them from the repository root with
+
+        for m in chain pingpong pipeline race widths; do
+          comodel gen corpus/$m.model --marks corpus/${m}_*.marks -o corpus/golden/gen/$m
+        done
+    """
+    model = load_model(name)
+    out = emit(model, derive_partition(model, load_marks(CORPUS_MARKS[name])), name=name)
+    gen = GOLDEN / "gen" / name
+    assert out.c_source == (gen / f"{name}_sw.c").read_text()
+    assert out.c_header == (gen / f"{name}_sw.h").read_text()
+    assert out.vhdl_source == (gen / f"{name}_hw.vhd").read_text()
+    assert manifest_to_json(out.manifest) == (gen / f"{name}_interface.json").read_text()
 
 
 # --- coverage across partitions ---

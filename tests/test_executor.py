@@ -185,6 +185,26 @@ def test_scenario_arg_width_checked():
         run(model, parse_scenario("at 0 send gadget.Load(true, 999, 0, 0);"))
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ("true, 999, 0, 0", "argument 999 does not fit parameter a: u8"),
+        ("true, true, 0, 0", "boolean argument for u8 parameter a"),
+        ("2, 0, 0, 0", "argument 2 does not fit parameter f: bool"),
+        ("1, 255, 65535, 4294967295", None),
+    ],
+)
+def test_scenario_arg_messages(args, message):
+    # one literal-fit rule for scenario args and attribute defaults
+    scenario = parse_scenario(f"at 0 send gadget.Load({args});")
+    if message is None:
+        assert run(load_model("widths"), scenario).outcome.kind == "quiescent"
+        return
+    with pytest.raises(ScenarioError) as exc:
+        run(load_model("widths"), scenario)
+    assert str(exc.value) == f"E_SCENARIO_REF: {message}"
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExecConfig(max_steps=0)
