@@ -47,12 +47,17 @@ def _read(path: str) -> str:
         raise _InputError(f"{path}: byte offset {e.start}: not UTF-8 ({e.reason})") from e
 
 
-def _load_model(path: str) -> ir.Model:
+def _parse(parse, path: str):
+    """Parse the file at `path`; its first syntax error is an input error."""
     text = _read(path)
     try:
-        model = frontend.parse_model(text, path)
+        return parse(text, path)
     except frontend.ParseError as e:
         raise _InputError(str(e)) from e
+
+
+def _load_model(path: str) -> ir.Model:
+    model = _parse(frontend.parse_model, path)
     report = ir.validate(model)
     if not report.ok:
         raise _InputError(report.render())
@@ -60,12 +65,7 @@ def _load_model(path: str) -> ir.Model:
 
 
 def _load_marks(path: str | None) -> ir.MarkSet:
-    if path is None:
-        return ir.MarkSet()
-    try:
-        return frontend.parse_marks(_read(path), path)
-    except frontend.ParseError as e:
-        raise _InputError(str(e)) from e
+    return ir.MarkSet() if path is None else _parse(frontend.parse_marks, path)
 
 
 def _load_partition(model: ir.Model, marks_path: str | None) -> part.Partition:
@@ -79,10 +79,7 @@ def _load_partition(model: ir.Model, marks_path: str | None) -> part.Partition:
 
 
 def _load_scenario(path: str) -> ir.Scenario:
-    try:
-        return frontend.parse_scenario(_read(path), path)
-    except frontend.ParseError as e:
-        raise _InputError(str(e)) from e
+    return _parse(frontend.parse_scenario, path)
 
 
 def _exec_config(args) -> executor.ExecConfig:
@@ -108,16 +105,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.model)
-    try:
-        model = frontend.parse_model(text, args.model)
-    except frontend.ParseError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT
-    report = ir.validate(model)
-    for d in report.diagnostics:
-        print(d.render(), file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_INPUT
+    _load_model(args.model)
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:

@@ -85,9 +85,9 @@ def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
     return constants
 
 
-def _check_name_clashes(manifest: InterfaceManifest) -> None:
+def _check_name_clashes(constants: list[tuple[str, int]]) -> None:
     names: set[str] = set()
-    for name, _ in _constants(manifest):
+    for name, _ in constants:
         if name in names:
             raise CodegenError("E_NAME_CLASH", f"mangled name {name} is not unique")
         names.add(name)
@@ -122,7 +122,7 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
     manifest = InterfaceManifest(
         model_hash=model_content_hash(model, partition), signals=signals
     )
-    _check_name_clashes(manifest)
+    _check_name_clashes(_constants(manifest))
     return manifest
 
 
@@ -242,7 +242,8 @@ class _Emitter:
         name: str,
     ):
         self.checked = ir.ensure_valid(model)
-        _check_name_clashes(manifest)
+        self.constants = _constants(manifest)
+        _check_name_clashes(self.constants)
         self.layouts = _payload_layouts(self.checked)
         self.partition = partition
         self.manifest = manifest
@@ -296,7 +297,7 @@ def _c_expr(e: ir.Expr, params: _Params) -> str:
         if e.op == "*" and ir.WIDTHS[e.ty] < 32:
             # narrow operands promote to int, whose product can overflow
             return f"({C_TYPES[e.ty]})((uint32_t){l} * {r})"
-        if e.op in ("+", "-", "*"):
+        if ir.BINARY_OPS[e.op].kind == ir.ARITHMETIC:
             return f"({C_TYPES[e.ty]})({l} {e.op} {r})"
         return f"(uint8_t)({l} {e.op} {r})"
     raise TypeError(f"unexpected expression node {e!r}")
@@ -326,7 +327,7 @@ class _CEmitter(_Emitter):
         w.w(f"/* model hash {self.manifest.model_hash} */")
         w.w()
         w.w("/* Boundary signal ids and payload widths */")
-        for name, value in _constants(self.manifest):
+        for name, value in self.constants:
             w.w(f"#define {name} {value}")
         w.w()
         w.w("/* Software instance ids (dispatch and bus addressing) */")
@@ -644,6 +645,10 @@ def emit_c(
 # ---------------------------------------------------------------------------
 
 
+# the binary operators that VHDL spells otherwise
+_VHDL_OPS = {"&&": "and", "||": "or", "==": "=", "!=": "/="}
+
+
 def _v_expr(e: ir.Expr, params: _Params) -> str:
     if isinstance(e, (ir.IntLit, ir.BoolLit)):
         if e.value > 2**31 - 1:
@@ -665,14 +670,8 @@ def _v_expr(e: ir.Expr, params: _Params) -> str:
         r = _v_expr(e.right, params)
         if e.op == "*":
             return f"resize({l} * {r}, {ir.WIDTHS[e.ty]})"
-        if e.op in ("+", "-"):
-            return f"({l} {e.op} {r})"
-        if e.op == "&&":
-            return f"({l} and {r})"
-        if e.op == "||":
-            return f"({l} or {r})"
-        vhdl_op = {"==": "=", "!=": "/=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}[e.op]
-        return f"to_u1({l} {vhdl_op} {r})"
+        infix = f"{l} {_VHDL_OPS.get(e.op, e.op)} {r}"
+        return f"to_u1({infix})" if ir.BINARY_OPS[e.op].kind == ir.COMPARISON else f"({infix})"
     raise TypeError(f"unexpected expression node {e!r}")
 
 
@@ -713,7 +712,7 @@ class _VhdlEmitter(_Emitter):
         w.w(f"package {self.name}_iface is")
         w.indent += 1
         w.w("-- Boundary signal ids and payload widths")
-        for name, value in _constants(self.manifest):
+        for name, value in self.constants:
             w.w(f"constant {name} : natural := {value};")
         w.w("-- Instance ids (model population, document order)")
         for k, inst in enumerate(self.checked.instance_class):

@@ -25,9 +25,12 @@ Model grammar (statements end in `;`, blocks use `{ }`):
                    | "if" "(" expr ")" "{" stmt* "}" ("else" "{" stmt* "}")? ;
     instance_decl := "instance" IDENT ":" IDENT ";" ;
 
-Expression precedence, low to high: `||`, `&&`, equality, relational,
-additive, `*`, unary (`!`, `-`), primary. Signal parameters are written
-`$name` to keep them apart from attributes.
+Binary operators bind by the precedences in `ir.BINARY_OPS`, each level
+left-associative, and unary `!` and `-` bind tighter. An expression nests
+at most `MAX_EXPR_DEPTH` operators deep (a chain of k binary operators is
+k deep) and, counted apart so that printed models parse again, at most
+`MAX_EXPR_DEPTH` parentheses deep. Signal parameters are written `$name`
+to keep them apart from attributes.
 
 Marks:     mark_stmt := "mark" IDENT ("=" literal)? "on" path ";" ;
 Scenario:  directive := "at" INT "send" IDENT "." IDENT "(" literals ")" ";"
@@ -52,6 +55,10 @@ from . import ir
 _T = TypeVar("_T")
 
 TYPE_NAMES = tuple(ir.WIDTHS)
+
+# Deeper expressions are a ParseError: every later layer walks an
+# expression recursively, and this depth fits all of them on the stack.
+MAX_EXPR_DEPTH = 128
 
 KEYWORDS = frozenset(
     [
@@ -362,43 +369,38 @@ class _ModelParser(_Parser):
         self.expect("}")
         return stmts
 
-    # expression precedence climbing, lowest first
-    def expr(self) -> ir.Expr:
-        return self.or_expr()
+    # parentheses open, and the operator depth of the last expression parsed
+    parens = height = 0
 
-    def _binary_level(self, ops: tuple[str, ...], next_level) -> ir.Expr:
-        left = next_level()
-        while self.tokens[self.pos][1] in ops:
-            op = self.advance()
-            right = next_level()
-            left = ir.Binary(op, left, right)
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise self.fail(f"expression nested at most {MAX_EXPR_DEPTH} deep")
+
+    def expr(self, depth: int = 0, min_prec: int = 1) -> ir.Expr:
+        """Precedence climbing over `ir.BINARY_OPS`; `depth` counts the
+        operators open around the expression."""
+        left = self.unary_expr(depth)
+        height = self.height
+        while (op := ir.BINARY_OPS.get(self.tokens[self.pos][1])) and op.prec >= min_prec:
+            self.check_depth(depth + height + 1)
+            symbol = self.advance()
+            right = self.expr(depth + 1, op.prec + 1)
+            height = max(height, self.height) + 1
+            left = ir.Binary(symbol, left, right)
+        self.height = height
         return left
 
-    def or_expr(self) -> ir.Expr:
-        return self._binary_level(("||",), self.and_expr)
-
-    def and_expr(self) -> ir.Expr:
-        return self._binary_level(("&&",), self.eq_expr)
-
-    def eq_expr(self) -> ir.Expr:
-        return self._binary_level(("==", "!="), self.rel_expr)
-
-    def rel_expr(self) -> ir.Expr:
-        return self._binary_level(("<", "<=", ">", ">="), self.add_expr)
-
-    def add_expr(self) -> ir.Expr:
-        return self._binary_level(("+", "-"), self.mul_expr)
-
-    def mul_expr(self) -> ir.Expr:
-        return self._binary_level(("*",), self.unary_expr)
-
-    def unary_expr(self) -> ir.Expr:
+    def unary_expr(self, depth: int) -> ir.Expr:
         if self.at("!") or self.at("-"):
+            self.check_depth(depth + 1)
             op = self.advance()
-            return ir.Unary(op, self.unary_expr())
-        return self.primary()
+            operand = self.unary_expr(depth + 1)
+            self.height += 1
+            return ir.Unary(op, operand)
+        return self.primary(depth)
 
-    def primary(self) -> ir.Expr:
+    def primary(self, depth: int) -> ir.Expr:
+        self.height = 0
         kind, value, _ = self.tokens[self.pos]
         if kind == "int" or value == "true" or value == "false":
             literal = self.expect_literal()
@@ -407,8 +409,11 @@ class _ModelParser(_Parser):
             self.advance()
             return ir.ParamRef(self.expect_ident("parameter name"))
         if self.at("("):
+            self.check_depth(self.parens + 1)
             self.advance()
-            e = self.expr()
+            self.parens += 1
+            e = self.expr(depth)
+            self.parens -= 1
             self.expect(")")
             return e
         if kind == "ident" and value not in KEYWORDS:

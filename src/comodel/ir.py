@@ -29,9 +29,34 @@ parser, the partitioner and the executor share one vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Scalar types are unsigned with a fixed bit width; bool is the 1-bit case.
 WIDTHS: dict[str, int] = {"bool": 1, "u8": 8, "u16": 16, "u32": 32}
+
+
+# Binary operator classes: logic takes and yields bool, a comparison takes
+# two operands of one type and yields bool, arithmetic wraps at its type.
+LOGIC, COMPARISON, ARITHMETIC = "logic", "comparison", "arithmetic"
+
+
+class BinaryOp(NamedTuple):
+    prec: int  # binding power: a higher one binds tighter
+    kind: str  # LOGIC, COMPARISON or ARITHMETIC
+
+
+# The one definition of the binary operators, loosest first: the parser
+# climbs these precedences (each level left-associative), the validator
+# types by the class, and every mapping rule evaluates or prints each key.
+BINARY_OPS: dict[str, BinaryOp] = {
+    "||": BinaryOp(1, LOGIC),
+    "&&": BinaryOp(2, LOGIC),
+    "==": BinaryOp(3, COMPARISON), "!=": BinaryOp(3, COMPARISON),
+    "<": BinaryOp(4, COMPARISON), "<=": BinaryOp(4, COMPARISON),
+    ">": BinaryOp(4, COMPARISON), ">=": BinaryOp(4, COMPARISON),
+    "+": BinaryOp(5, ARITHMETIC), "-": BinaryOp(5, ARITHMETIC),
+    "*": BinaryOp(6, ARITHMETIC),
+}
 
 
 def mask_of(ty: str) -> int:
@@ -83,7 +108,7 @@ class Unary:
 
 @dataclass
 class Binary:
-    op: str  # "||" "&&" "==" "!=" "<" "<=" ">" ">=" "+" "-" "*"
+    op: str  # a key of BINARY_OPS
     left: "Expr"
     right: "Expr"
     ty: str | None = field(default=None, compare=False)
@@ -378,7 +403,7 @@ def _is_polymorphic(e: Expr) -> bool:
         return True
     if isinstance(e, Unary) and e.op == "-":
         return _is_polymorphic(e.operand)
-    if isinstance(e, Binary) and e.op in ("+", "-", "*"):
+    if isinstance(e, Binary) and e.op in BINARY_OPS and BINARY_OPS[e.op].kind == ARITHMETIC:
         return _is_polymorphic(e.left) and _is_polymorphic(e.right)
     return False
 
@@ -605,36 +630,20 @@ class _Validator:
                 return None
             e.ty = "bool"
             return "bool"
-        if isinstance(e, AttrRef):
-            a = attrs.get(e.name)
-            if a is None:
-                self.error(
-                    "E_UNKNOWN_ATTR", f"{cls.name}.{e.name}", f"unknown attribute {e.name}"
-                )
+        if isinstance(e, (AttrRef, ParamRef)):
+            if isinstance(e, AttrRef):
+                code, what, decl = "E_UNKNOWN_ATTR", f"attribute {e.name}", attrs.get(e.name)
+            else:
+                code, what, decl = "E_UNKNOWN_PARAM", f"parameter ${e.name}", params.get(e.name)
+            path = f"{cls.name}.{e.name}"
+            if decl is None:
+                self.error(code, path, f"unknown {what}")
                 return None
-            e.ty = a.type
-            if expected is not None and a.type != expected:
-                mismatch(
-                    f"attribute {e.name} has type {a.type}, expected {expected}",
-                    f"{cls.name}.{e.name}",
-                )
+            e.ty = decl.type
+            if expected is not None and decl.type != expected:
+                mismatch(f"{what} has type {decl.type}, expected {expected}", path)
                 return None
-            return a.type
-        if isinstance(e, ParamRef):
-            p = params.get(e.name)
-            if p is None:
-                self.error(
-                    "E_UNKNOWN_PARAM", f"{cls.name}.{e.name}", f"unknown parameter ${e.name}"
-                )
-                return None
-            e.ty = p.type
-            if expected is not None and p.type != expected:
-                mismatch(
-                    f"parameter ${e.name} has type {p.type}, expected {expected}",
-                    f"{cls.name}.{e.name}",
-                )
-                return None
-            return p.type
+            return decl.type
         if isinstance(e, Unary):
             if e.op == "!":
                 self.check_expr(cls, attrs, params, e.operand, "bool")
@@ -659,20 +668,9 @@ class _Validator:
         expected: str | None,
     ) -> str | None:
         check = lambda x, exp: self.check_expr(cls, attrs, params, x, exp)
-
-        def bool_result() -> str | None:
-            e.ty = "bool"
-            if expected not in (None, "bool"):
-                self.error(
-                    "E_TYPE_MISMATCH", cls.name, f"{e.op} yields bool, expected {expected}"
-                )
-                return None
-            return "bool"
-
-        if e.op in ("&&", "||"):
-            check(e.left, "bool")
-            check(e.right, "bool")
-            return bool_result()
+        op = BINARY_OPS.get(e.op)
+        if op is None:
+            raise ValueError(f"unexpected binary operator {e.op}")
 
         # Arithmetic and comparisons require one shared operand type;
         # a concrete side pins the type for a literal-only side.
@@ -693,14 +691,20 @@ class _Validator:
             rt = check(e.right, "u32")
             return "u32" if lt == rt == "u32" else None
 
-        if e.op in ("+", "-", "*"):
+        if op.kind == ARITHMETIC:
             t = operand_types(expected)
             e.ty = t if t is not None else (expected or "u32")
             return t
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
+        if op.kind == LOGIC:
+            check(e.left, "bool")
+            check(e.right, "bool")
+        else:
             operand_types(None)
-            return bool_result()
-        raise ValueError(f"unexpected binary operator {e.op}")
+        e.ty = "bool"
+        if expected not in (None, "bool"):
+            self.error("E_TYPE_MISMATCH", cls.name, f"{e.op} yields bool, expected {expected}")
+            return None
+        return "bool"
 
 
 def validate(model: Model) -> ValidationReport:

@@ -7,6 +7,7 @@ import pytest
 from conftest import CORPUS, marks_path, model_path, scenario_path
 
 from comodel.cli import main
+from comodel.frontend import MAX_EXPR_DEPTH
 
 PP = str(model_path("pingpong"))
 PP_SCN = str(scenario_path("pingpong_hit"))
@@ -28,6 +29,24 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["ERROR E_DUP_CLASS A: duplicate class name"]
+
+
+def test_validate_reports_every_diagnostic_in_order(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text(
+        "class A {\n  attr x: u8;\n  signal go(p: u16);\n"
+        "  statemachine { initial S; state S { on go -> S {"
+        " x = y; x = $q; if (x) { x = $p; } } } }\n}\ninstance a: A;\n"
+    )
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "ERROR E_UNKNOWN_ATTR A.y: unknown attribute y\n"
+        "ERROR E_UNKNOWN_PARAM A.q: unknown parameter $q\n"
+        "ERROR E_TYPE_MISMATCH A.x: attribute x has type u8, expected bool\n"
+        "ERROR E_TYPE_MISMATCH A.p: parameter $p has type u16, expected u8\n"
+    )
 
 
 def test_validate_parse_error_is_input_error(tmp_path, capsys):
@@ -299,3 +318,42 @@ def test_location_counts_carriage_returns_as_the_library_does(tmp_path, capsys, 
     bad.write_bytes(data)
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err == f"{bad}:{where}: expected a token, found '#'\n"
+
+
+_NESTED = {
+    "parens": (lambda n: "(" * n + "x" + ")" * n, "("),
+    "unary": (lambda n: "-" * n + "x", "-"),
+    "chain": (lambda n: " + ".join(["x"] * (n + 1)), "+"),  # n operators
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "gen"])
+@pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1, 10_000])
+@pytest.mark.parametrize("shape", list(_NESTED))
+def test_expression_depth_is_bounded(tmp_path, capsys, shape, depth, command):
+    build, symbol = _NESTED[shape]
+    expr = build(depth)
+    text = (
+        "class A { attr x: u8; signal go(); statemachine { initial S;"
+        f" state S {{ on go -> S {{ x = {expr}; }} }} }} }} instance a: A;"
+    )
+    model = tmp_path / "deep.model"
+    model.write_text(text)
+    scn = tmp_path / "deep.scn"
+    scn.write_text("at 0 send a.go();\n")
+    extra = {"validate": [], "run": ["--scenario", str(scn)], "gen": ["-o", str(tmp_path / "out")]}
+    rc = main([command, str(model), *extra[command]])
+    err = capsys.readouterr().err
+    if depth <= MAX_EXPR_DEPTH:
+        assert (rc, err) == (0, "")
+        return
+    # reported at the construct that goes one level too deep
+    at = -1
+    for _ in range(MAX_EXPR_DEPTH + 1):
+        at = expr.index(symbol, at + 1)
+    column = text.index(expr) + at + 1
+    assert rc == 1
+    assert err == (
+        f"{model}:1:{column}: expected expression nested at most {MAX_EXPR_DEPTH} deep,"
+        f" found '{symbol}'\n"
+    )

@@ -227,3 +227,56 @@ def test_lexical_error_texts(parser, text, message):
         parser(text)
     assert str(exc.value) == message
     assert exc.value.code is None
+
+
+# --- expression depth ---
+
+D = frontend.MAX_EXPR_DEPTH
+
+
+def _nest(n: int, wrap) -> str:
+    e = "x"
+    for _ in range(n):
+        e = wrap(e)
+    return e
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        _nest(D, lambda e: f"({e})"),
+        _nest(D, lambda e: f"-{e}"),
+        " + ".join(["x"] * (D + 1)),
+        _nest(D, lambda e: f"x + ({e})"),
+        _nest(D, lambda e: f"-({e})"),
+        "(" * D + " * ".join(["x"] * (D + 1)) + ")" * D,
+    ],
+    ids=["parens", "unary", "chain", "right_nested", "negated_parens", "parenthesized_chain"],
+)
+def test_deepest_expressions_reprint_and_reparse(expr):
+    # the printer parenthesizes every inner operator, so parentheses are
+    # bounded apart from operators and the printed form stays in bounds
+    model = parse_model(
+        "class A { attr x: u8; signal go(); statemachine { initial S;"
+        f" state S {{ on go -> S {{ x = {expr}; }} }} }} }}"
+    )
+    assert ir.validate(model).ok
+    assert parse_model(print_model(model)) == model
+
+
+@pytest.mark.parametrize(
+    "expr,found",
+    [
+        (_nest(D + 1, lambda e: f"x + ({e})"), "'+'"),
+        # a negation and a product per level: the 65th negation is 129 deep
+        (_nest(D // 2 + 1, lambda e: f"-(x * {e})"), "'-'"),
+        # x + -x is 2 deep, so the D-th `+` of this chain is D + 1 deep
+        ("x" + " + -x" * D, "'+'"),
+    ],
+    ids=["right_nested", "mixed", "chain_of_negations"],
+)
+def test_one_operator_too_deep_is_a_parse_error(expr, found):
+    with pytest.raises(ParseError) as exc:
+        parse_model(f"class A {{ statemachine {{ initial S; state S {{ on go -> S {{ x = {expr}; }} }}")
+    assert exc.value.expected == f"expression nested at most {D} deep"
+    assert exc.value.found == found
