@@ -43,7 +43,13 @@ for that compiler.
 Traces serialize to JSON Lines (one object per event, then one summary
 object); that rendering is byte-deterministic and is the golden-file
 contract used by the equivalence and repartitioning checks. Boolean
-values appear as 0/1 in traces.
+values appear as 0/1 in traces. One renderer writes run and cosim traces
+alike: it formats each event line from one template rather than through
+`json.dumps`. That is exact only because every number the executor
+stores in an envelope or an event (seq, step, args, write values, sent
+seqs, bus steps) is a Python `int`, never a `bool`: literals, defaults
+and scenario arguments go through `int()`, and every operator node of a
+compiled expression masks its result with an `int`.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from types import FunctionType
 
 from . import ir
@@ -674,20 +681,22 @@ def check_pair_fifo(trace: Trace) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# The keys of an event line, in rendering order; `event_dict` and the
+# line template of `_render_trace` are both built from this tuple.
+EVENT_KEYS = ("step", "seq", "sender", "receiver", "signal", "args", "from", "to", "writes",
+              "sent", "dropped")
+# what a cosim line adds before its closing brace, set by the dispatch loop
+COSIM_KEYS = ("domain", "bus_enqueue_step", "bus_deliver_step")
+
+
 def event_dict(ev: TraceEvent) -> dict:
-    return {
-        "step": ev.step,
-        "seq": ev.envelope.seq,
-        "sender": ev.envelope.sender,
-        "receiver": ev.envelope.receiver,
-        "signal": ev.envelope.signal,
-        "args": list(ev.envelope.args),
-        "from": ev.from_state,
-        "to": ev.to_state,
-        "writes": [[name, value] for name, value in ev.writes],
-        "sent": list(ev.sent),
-        "dropped": ev.dropped,
-    }
+    """The structural view of one event line: `json.dumps` of it is the line."""
+    env = ev.envelope
+    return dict(zip(EVENT_KEYS, (
+        ev.step, env.seq, env.sender, env.receiver, env.signal, list(env.args),
+        ev.from_state, ev.to_state, [[name, value] for name, value in ev.writes],
+        list(ev.sent), ev.dropped,
+    )))
 
 
 def summary_dict(trace: Trace) -> dict:
@@ -704,6 +713,50 @@ def summary_dict(trace: Trace) -> dict:
     }
 
 
+class _Quoted(dict):
+    """Each name's JSON string literal, encoded the first time it is read."""
+
+    def __missing__(self, name: str) -> str:
+        quoted = self[name] = encode_basestring_ascii(name)
+        return quoted
+
+
+def _render_trace(trace: Trace, cosim: bool) -> str:
+    """The JSON Lines text of a run trace, or of a cosim trace when
+    `cosim`, whose lines end in the `COSIM_KEYS`.
+
+    Every event line is one `%` of a template built from the keys, and
+    reads exactly as `json.dumps` of `event_dict` (plus the cosim keys)
+    would write it. Names are quoted by json's own ASCII encoder, once
+    per name per call. Numbers, and the int lists `args` and `sent`,
+    render through `%s`, which for an `int` is json's own rendering; the
+    module docstring says why every such value is an `int`. The summary
+    is one `json.dumps`.
+    """
+    keys = EVENT_KEYS + COSIM_KEYS if cosim else EVENT_KEYS
+    line = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
+    quoted = _Quoted()
+    lines = []
+    for ev in trace.events:
+        env = ev.envelope
+        values = (
+            ev.step, env.seq, quoted[env.sender], quoted[env.receiver], quoted[env.signal],
+            list(env.args), quoted[ev.from_state], quoted[ev.to_state],
+            "[" + ", ".join([f"[{quoted[name]}, {value}]" for name, value in ev.writes]) + "]",
+            ev.sent, "true" if ev.dropped else "false",
+        )
+        if cosim:
+            enqueued, delivered = ev.bus_enqueue_step, ev.bus_deliver_step
+            values += (
+                quoted[ev.domain],
+                "null" if enqueued is None else enqueued,
+                "null" if delivered is None else delivered,
+            )
+        lines.append(line % values)
+    lines.append(json.dumps(summary_dict(trace)))
+    return "\n".join(lines) + "\n"
+
+
 def serialize_trace(trace: Trace) -> str:
     """JSON Lines rendering: one object per event, then a summary object.
 
@@ -711,6 +764,4 @@ def serialize_trace(trace: Trace) -> str:
     argument positions are 0/1. Identical traces serialize to identical
     bytes.
     """
-    lines = [json.dumps(event_dict(ev)) for ev in trace.events]
-    lines.append(json.dumps(summary_dict(trace)))
-    return "\n".join(lines) + "\n"
+    return _render_trace(trace, cosim=False)

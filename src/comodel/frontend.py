@@ -29,8 +29,9 @@ Binary operators bind by the precedences in `ir.BINARY_OPS`, each level
 left-associative, and unary `!` and `-` bind tighter. An expression nests
 at most `MAX_EXPR_DEPTH` operators deep (a chain of k binary operators is
 k deep) and, counted apart so that printed models parse again, at most
-`MAX_EXPR_DEPTH` parentheses deep. Signal parameters are written `$name`
-to keep them apart from attributes.
+`MAX_EXPR_DEPTH` parentheses deep. A statement sits inside at most
+`MAX_STMT_DEPTH` nested `if` statements. Signal parameters are written
+`$name` to keep them apart from attributes.
 
 Marks:     mark_stmt := "mark" IDENT ("=" literal)? "on" path ";" ;
 Scenario:  directive := "at" INT "send" IDENT "." IDENT "(" literals ")" ";"
@@ -56,9 +57,11 @@ _T = TypeVar("_T")
 
 TYPE_NAMES = tuple(ir.WIDTHS)
 
-# Deeper expressions are a ParseError: every later layer walks an
-# expression recursively, and this depth fits all of them on the stack.
+# Deeper expressions and statements are a ParseError: every later layer
+# walks both recursively, and a deepest expression inside the deepest
+# block fits all of them on the stack, the parser using the most.
 MAX_EXPR_DEPTH = 128
+MAX_STMT_DEPTH = 64
 
 KEYWORDS = frozenset(
     [
@@ -345,15 +348,19 @@ class _ModelParser(_Parser):
             self.expect(";")
             return ir.Send(instance, signal, args)
         if self.at("if"):
+            if self.ifs == MAX_STMT_DEPTH:
+                raise self.fail(f"statement nested at most {MAX_STMT_DEPTH} deep")
             self.advance()
             self.expect("(")
             cond = self.expr()
             self.expect(")")
+            self.ifs += 1
             then = self.block()
             orelse: list[ir.Stmt] = []
             if self.at("else"):
                 self.advance()
                 orelse = self.block()
+            self.ifs -= 1
             return ir.If(cond, then, orelse)
         attr = self.expect_ident("statement")
         self.expect("=")
@@ -369,8 +376,9 @@ class _ModelParser(_Parser):
         self.expect("}")
         return stmts
 
-    # parentheses open, and the operator depth of the last expression parsed
-    parens = height = 0
+    # `if` statements and parentheses open, and the operator depth of the
+    # last expression parsed
+    ifs = parens = height = 0
 
     def check_depth(self, depth: int) -> None:
         if depth > MAX_EXPR_DEPTH:

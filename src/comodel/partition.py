@@ -34,7 +34,6 @@ so it can wait behind a younger envelope already queued there.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from . import executor, ir
@@ -200,17 +199,9 @@ def cosim(
 
 
 def serialize_partitioned_trace(trace: PartitionedTrace) -> str:
-    """Executor JSON Lines format plus per-event domain and bus steps
-    (null for intra-domain envelopes)."""
-    lines = []
-    for ev in trace.events:
-        d = executor.event_dict(ev)
-        d["domain"] = ev.domain
-        d["bus_enqueue_step"] = ev.bus_enqueue_step
-        d["bus_deliver_step"] = ev.bus_deliver_step
-        lines.append(json.dumps(d))
-    lines.append(json.dumps(executor.summary_dict(trace)))
-    return "\n".join(lines) + "\n"
+    """Executor JSON Lines format; each event line ends in its domain and
+    bus steps (`executor.COSIM_KEYS`, null for intra-domain envelopes)."""
+    return executor._render_trace(trace, cosim=True)
 
 
 # ---------------------------------------------------------------------------

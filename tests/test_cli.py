@@ -7,7 +7,7 @@ import pytest
 from conftest import CORPUS, marks_path, model_path, scenario_path
 
 from comodel.cli import main
-from comodel.frontend import MAX_EXPR_DEPTH
+from comodel.frontend import MAX_EXPR_DEPTH, MAX_STMT_DEPTH
 
 PP = str(model_path("pingpong"))
 PP_SCN = str(scenario_path("pingpong_hit"))
@@ -356,4 +356,43 @@ def test_expression_depth_is_bounded(tmp_path, capsys, shape, depth, command):
     assert err == (
         f"{model}:1:{column}: expected expression nested at most {MAX_EXPR_DEPTH} deep,"
         f" found '{symbol}'\n"
+    )
+
+
+def _nested_ifs(depth: int, body: str) -> str:
+    for _ in range(depth):
+        body = f"if (x == 0) {{ {body} }} else {{ x = 1; }}"
+    return body
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "gen"])
+@pytest.mark.parametrize("depth", [MAX_STMT_DEPTH, MAX_STMT_DEPTH + 1, 10_000])
+def test_statement_depth_is_bounded(tmp_path, capsys, depth, command):
+    # the deepest expression inside the deepest block
+    expr = "x"
+    for _ in range(MAX_EXPR_DEPTH):
+        expr = f"x + ({expr})"
+    body = _nested_ifs(depth, f"x = {expr};")
+    text = (
+        "class A { attr x: u8; signal go(); statemachine { initial S;"
+        f" state S {{ on go -> S {{ {body} }} }} }} }} instance a: A;"
+    )
+    model = tmp_path / "deep.model"
+    model.write_text(text)
+    scn = tmp_path / "deep.scn"
+    scn.write_text("at 0 send a.go();\n")
+    extra = {"validate": [], "run": ["--scenario", str(scn)], "gen": ["-o", str(tmp_path / "out")]}
+    rc = main([command, str(model), *extra[command]])
+    err = capsys.readouterr().err
+    if depth <= MAX_STMT_DEPTH:
+        assert (rc, err) == (0, "")
+        return
+    # reported at the `if` that opens one level too many
+    at = -1
+    for _ in range(MAX_STMT_DEPTH + 1):
+        at = text.index("if (", at + 1)
+    assert rc == 1
+    assert err == (
+        f"{model}:1:{at + 1}: expected statement nested at most {MAX_STMT_DEPTH} deep,"
+        " found 'if'\n"
     )

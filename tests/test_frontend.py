@@ -264,6 +264,18 @@ def test_deepest_expressions_reprint_and_reparse(expr):
     assert parse_model(print_model(model)) == model
 
 
+def test_deepest_statements_reprint_and_reparse():
+    body = f"x = {_nest(D, lambda e: f'x + ({e})')};"
+    for _ in range(frontend.MAX_STMT_DEPTH):
+        body = f"if (x == 0) {{ {body} }} else {{ x = 1; }}"
+    model = parse_model(
+        "class A { attr x: u8; signal go(); statemachine { initial S;"
+        f" state S {{ on go -> S {{ {body} }} }} }} }}"
+    )
+    assert ir.validate(model).ok
+    assert parse_model(print_model(model)) == model
+
+
 @pytest.mark.parametrize(
     "expr,found",
     [
