@@ -120,15 +120,6 @@ class SystemState:
     next_seq: int = 0
     dispatch_count: int = 0
 
-    def clone(self) -> "SystemState":
-        return SystemState(
-            states=dict(self.states),
-            attrs={k: dict(v) for k, v in self.attrs.items()},
-            pending={k: deque(v) for k, v in self.pending.items()},
-            next_seq=self.next_seq,
-            dispatch_count=self.dispatch_count,
-        )
-
     def quiescent(self) -> bool:
         return not any(self.pending.values())
 
@@ -181,7 +172,7 @@ class Trace:
 
 
 class Machine:
-    """A valid model and its dispatch tables, shared by run() and cosim().
+    """A valid model's dispatch tables, shared by run() and cosim().
 
     The tables are the model's `ir.Checked` record, read through
     `ir.ensure_valid`, so a model that was validated is not validated
@@ -194,7 +185,6 @@ class Machine:
     """
 
     def __init__(self, model: ir.Model):
-        self.model = model
         self.checked = ir.ensure_valid(model)
         self.instance_class = self.checked.instance_class
         self.instance_order = list(self.instance_class)
@@ -421,13 +411,17 @@ def execute_rtc_step(
 # ---------------------------------------------------------------------------
 
 
-def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
-    """Raise ScenarioError unless every scenario reference resolves."""
-    checked = ir.ensure_valid(model)
+def _injections(
+    checked: ir.Checked, scenario: ir.Scenario
+) -> dict[int, list[tuple[str, str, tuple[int, ...]]]]:
+    """Group the injections by `at`, each group in file order as `(instance,
+    signal, int args)`. Raises ScenarioError at the first scenario
+    reference that does not resolve."""
 
     def fail(msg: str) -> None:
         raise ScenarioError(f"E_SCENARIO_REF: {msg}")
 
+    groups: dict[int, list[tuple[str, str, tuple[int, ...]]]] = {}
     for inj in scenario.injections:
         cls = checked.instance_class.get(inj.instance)
         if cls is None:
@@ -445,12 +439,15 @@ def check_scenario_refs(model: ir.Model, scenario: ir.Scenario) -> None:
                 if isinstance(a, bool):
                     fail(f"boolean argument for {p.type} parameter {p.name}")
                 fail(f"argument {a} does not fit parameter {p.name}: {p.type}")
+        args = tuple(int(a) for a in inj.args)
+        groups.setdefault(inj.at, []).append((inj.instance, inj.signal, args))
     for exp in scenario.expectations:
         cls = checked.instance_class.get(exp.instance)
         if cls is None:
             fail(f"expectation references unknown instance {exp.instance}")
         if not any(a.name == exp.attr for a in cls.attributes):
             fail(f"instance {exp.instance} has no attribute {exp.attr}")
+    return groups
 
 
 def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[ExpectationResult]:
@@ -538,12 +535,9 @@ def _dispatch(
     `bus_enqueue_step` and `bus_deliver_step`. Returns the trace and the
     bus `seq -> (enqueue, deliver)` rounds.
     """
-    check_scenario_refs(machine.model, scenario)
+    groups = _injections(machine.checked, scenario)
     state = machine.initial_state()
     rng = random.Random(config.seed) if config.scheduler == RANDOM else None
-    groups: dict[int, list[ir.Injection]] = {}  # at-step -> injections in file order
-    for inj in scenario.injections:
-        groups.setdefault(inj.at, []).append(inj)
     pending_ats = sorted(groups)
     # (deliver round, envelope); latency is constant, so deliver rounds
     # never decrease along the deque and the due entries sit at its left
@@ -577,9 +571,8 @@ def _dispatch(
     islands = [(d, by_domain[d], make_deliver(d)) for d in domains]
 
     def inject_next() -> None:
-        for inj in groups[pending_ats.pop(0)]:
-            args = tuple(int(a) for a in inj.args)
-            enqueue(SignalEnvelope(state.next_seq, ENV_SENDER, inj.instance, inj.signal, args))
+        for instance, signal, args in groups[pending_ats.pop(0)]:
+            enqueue(SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args))
             state.next_seq += 1
 
     events: list[TraceEvent] = []

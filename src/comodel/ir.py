@@ -324,6 +324,8 @@ class Checked:
     Each maps a name to the IR node that defines it: `classes` by class
     name, `instance_class` by instance name (document order), `signals`
     by (class, signal) and `transitions` by (class, state, signal).
+    `sends` holds one (sender class, receiver class, signal) triple per
+    send statement of every transition, in document order.
     `compiled` is the executor's cache of transitions compiled into
     closures, under the same keys; it starts empty and is filled as
     transitions first fire.
@@ -333,6 +335,7 @@ class Checked:
     instance_class: dict[str, ClassDef]
     signals: dict[tuple[str, str], SignalDef]
     transitions: dict[tuple[str, str, str], TransitionDef]
+    sends: tuple[tuple[str, str, str], ...]
     compiled: dict[tuple[str, str, str], object] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -419,6 +422,7 @@ class _Validator:
         self.instances: dict[str, InstanceDecl] = {}
         self.signals: dict[tuple[str, str], SignalDef] = {}
         self.transitions: dict[tuple[str, str, str], TransitionDef] = {}
+        self.sends: list[tuple[str, str, str]] = []
         for c in model.classes:
             self.classes.setdefault(c.name, c)
         for i in model.instances:
@@ -454,7 +458,8 @@ class _Validator:
 
     def checked(self) -> Checked:
         instance_class = {n: self.classes[i.class_name] for n, i in self.instances.items()}
-        return Checked(self.classes, instance_class, self.signals, self.transitions)
+        sends = tuple(self.sends)
+        return Checked(self.classes, instance_class, self.signals, self.transitions, sends)
 
     def check_class(self, cls: ClassDef) -> None:
         attrs: dict[str, AttributeDef] = {}
@@ -589,6 +594,7 @@ class _Validator:
                 return
             for a, p in zip(stmt.args, sig.params):
                 self.check_expr(cls, attrs, params, a, p.type)
+            self.sends.append((cls.name, recv_cls.name, stmt.signal))
         elif isinstance(stmt, If):
             self.check_expr(cls, attrs, params, stmt.cond, "bool")
             for s in stmt.then:

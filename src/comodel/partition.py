@@ -5,9 +5,10 @@ entirely from marks: classes default to SW and flip to HW under a
 boolean `isHardware` mark on the class path. Marks never touch the model
 file, so repartitioning is only ever a marks-file edit.
 
-The boundary is the set of signals with at least one send route whose
-endpoints lie in different domains; the generated interface consists of
-exactly these.
+The boundary is the set of signals that some class sends to an instance
+of a class in the other domain. The rule is on classes, not instances:
+a send in a class with no instances still counts. The generated
+interface consists of exactly these signals.
 
 `cosim` runs the dispatch loop of `executor.run` with two islands, SW
 and HW, where `run` has one; the partition only decides which island an
@@ -70,7 +71,6 @@ class BoundarySignal:
     receiver_class: str
     signal: str
     direction: str  # sw_to_hw | hw_to_sw
-    routes: list[tuple[str, str]]  # (sender instance, receiver instance)
 
 
 def derive_partition(model: ir.Model, marks: ir.MarkSet) -> Partition:
@@ -95,10 +95,9 @@ def derive_partition(model: ir.Model, marks: ir.MarkSet) -> Partition:
                 )
             )
             continue
-        target = ir.resolve(model, m.path)
-        if target is None:
-            raise MarkError("E_MARK_PATH", m.path, "mark path does not resolve")
-        if not isinstance(target, ir.ClassDef):
+        if m.path not in domain:  # its keys are exactly the class names
+            if ir.resolve(model, m.path) is None:
+                raise MarkError("E_MARK_PATH", m.path, "mark path does not resolve")
             raise MarkError(
                 "E_MARK_GRANULARITY",
                 m.path,
@@ -108,47 +107,28 @@ def derive_partition(model: ir.Model, marks: ir.MarkSet) -> Partition:
             raise MarkError(
                 "E_MARK_TYPE", m.path, f"{MARK_IS_HARDWARE} takes a boolean value"
             )
-        domain[target.name] = HW if m.value else SW
+        domain[m.path] = HW if m.value else SW
     return Partition(domain=domain, warnings=warnings)
 
 
 def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
-    """Boundary signals: every send route whose endpoints sit in
-    different domains, grouped by (receiver class, signal) and sorted
-    ascending by those names."""
-    checked = ir.ensure_valid(model)
-    senders: dict[str, list[str]] = {}  # class -> its instances
-    for name, cls in checked.instance_class.items():
-        senders.setdefault(cls.name, []).append(name)
-    groups: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    """Boundary signals, sorted ascending by (receiver class, signal).
 
-    def scan(cls_name: str, stmts: list[ir.Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, ir.Send):
-                recv_cls = checked.instance_class[s.instance].name
-                if partition.domain[cls_name] != partition.domain[recv_cls]:
-                    routes = groups.setdefault((recv_cls, s.signal), set())
-                    for sender in senders.get(cls_name, ()):
-                        routes.add((sender, s.instance))
-            elif isinstance(s, ir.If):
-                scan(cls_name, s.then)
-                scan(cls_name, s.orelse)
-
-    for (cls_name, _, _), tr in checked.transitions.items():
-        scan(cls_name, tr.actions)
-
-    result = []
-    for (recv_cls, signal) in sorted(groups):
-        direction = SW_TO_HW if partition.domain[recv_cls] == HW else HW_TO_SW
-        result.append(
-            BoundarySignal(
-                receiver_class=recv_cls,
-                signal=signal,
-                direction=direction,
-                routes=sorted(groups[(recv_cls, signal)]),
-            )
-        )
-    return result
+    A signal is on the boundary when some class sends it to an instance
+    of a class in the other domain. The rule is on classes, read from
+    the validated model's `sends`: a sender class with no instances
+    still puts its signal on the boundary.
+    """
+    domain = partition.domain
+    crossing = {
+        (receiver, signal)
+        for sender, receiver, signal in ir.ensure_valid(model).sends
+        if domain[sender] != domain[receiver]
+    }
+    return [
+        BoundarySignal(receiver, signal, SW_TO_HW if domain[receiver] == HW else HW_TO_SW)
+        for receiver, signal in sorted(crossing)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ PP = str(model_path("pingpong"))
 PP_SCN = str(scenario_path("pingpong_hit"))
 PP_MARKS = str(marks_path("pingpong_pong_hw"))
 
+# b has no transition on S, so a strict run ends in a runtime error
+UNHANDLED = (
+    "class A { signal S(); statemachine { initial I;"
+    " state I { on S -> I { send b.S(); } } } }"
+    "class B { signal S(); statemachine { initial I; state I { } } }"
+    "instance a: A; instance b: B;"
+)
+
 
 def test_validate_ok(capsys):
     assert main(["validate", PP]) == 0
@@ -93,12 +101,7 @@ def test_run_failed_expectation_exits_2(tmp_path, capsys):
 
 def test_run_unhandled_strict_exits_2(tmp_path, capsys):
     model = tmp_path / "m.model"
-    model.write_text(
-        "class A { signal S(); statemachine { initial I;"
-        " state I { on S -> I { send b.S(); } } } }"
-        "class B { signal S(); statemachine { initial I; state I { } } }"
-        "instance a: A; instance b: B;"
-    )
+    model.write_text(UNHANDLED)
     scn = tmp_path / "s.scn"
     scn.write_text("at 0 send a.S();\n")
     assert main(["run", str(model), "--scenario", str(scn)]) == 2
@@ -163,6 +166,22 @@ def test_cosim_non_confluent_informative(capsys):
     assert "(informative)" in out
 
 
+def test_cosim_scenario_ref_error_exits_2(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("at 0 send ghost.Hit();\n")
+    assert main(["cosim", PP, "--marks", PP_MARKS, "--scenario", str(scn)]) == 2
+    assert "E_SCENARIO_REF" in capsys.readouterr().err
+
+
+def test_cosim_reference_runtime_error_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text(UNHANDLED)
+    scn = tmp_path / "s.scn"
+    scn.write_text("at 0 send a.S();\n")
+    assert main(["cosim", str(model), "--scenario", str(scn)]) == 2
+    assert "reference run: runtime-error(" in capsys.readouterr().err
+
+
 def test_gen_and_cosim_warn_on_unknown_mark_key(tmp_path, capsys):
     # the unknown key changes nothing but the warning on stderr
     marks = tmp_path / "foreign.marks"
@@ -203,6 +222,24 @@ def test_gen_repartition_needs_no_model_edit(tmp_path):
     ]
     vhdl = (tmp_path / "g" / "pingpong_hw.vhd").read_text()
     assert "entity Ping is" in vhdl
+
+
+def test_gen_name_clash_exits_1(tmp_path, capsys):
+    # A_B.C and A.B_C both mangle to SIG_A_B_C
+    model = tmp_path / "clash.model"
+    model.write_text(
+        "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
+        "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
+        "class D { signal Go(); statemachine { initial I;"
+        " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
+        "instance x: A_B; instance y: A; instance d: D;"
+    )
+    marks = tmp_path / "clash.marks"
+    marks.write_text("mark isHardware on A_B;\nmark isHardware on A;\n")
+    rc = main(["gen", str(model), "--marks", str(marks), "-o", str(tmp_path / "g")])
+    assert rc == 1
+    assert "E_NAME_CLASH" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_gen_unwritable_out_dir(tmp_path, capsys):

@@ -43,6 +43,25 @@ class Mul { attr a: u16 = 65535; attr b: u16 = 65535; attr c: u16; attr w: u32;
 instance mul: Mul;
 """
 
+# the emitter branches the corpus never reaches: `!` in C and VHDL, VHDL
+# `-`, a u32 literal beyond VHDL's integer range, and a class with no
+# transitions in each domain
+UNARY = """
+class Soft { attr f: bool; signal Go(); statemachine { initial I;
+  state I { on Go -> I { f = !f; } } } }
+class Hard { attr f: bool; attr n: u8 = 1; attr w: u32; signal Go(); statemachine { initial I;
+  state I { on Go -> I { f = !f; n = -n; w = 4294967295; } } } }
+class IdleS { statemachine { initial I; state I { } } }
+class IdleH { statemachine { initial I; state I { } } }
+instance soft: Soft;
+instance hard: Hard;
+instance idles: IdleS;
+instance idleh: IdleH;
+"""
+UNARY_DOMAINS = {"Soft": SW, "Hard": HW, "IdleS": SW, "IdleH": HW}
+
+INLINE_MODELS = {"narrow_mul": NARROW_MUL, "unary": UNARY}
+
 
 def pingpong_hw(model):
     return Partition(domain={"Ping": SW, "Pong": HW})
@@ -263,6 +282,21 @@ def test_c_narrow_product_widens_before_multiplying():
     assert "self->w = (uint32_t)(self->w * self->w);" in out.c_source
 
 
+def test_unary_forms_big_literal_and_idle_classes():
+    out = emit(parse_model(UNARY), Partition(domain=dict(UNARY_DOMAINS)), name="unary")
+    assert "self->f = (uint8_t)(!self->f);" in out.c_source
+    assert (
+        "static void IdleS_dispatch(IdleS_t *self, uint32_t ev,\n"
+        "        const uint32_t *args) {\n"
+        "    (void)args;\n    (void)self;\n    (void)ev;\n}\n"
+    ) in out.c_source
+    assert "v_f := (not v_f);" in out.vhdl_source
+    assert "v_n := (to_unsigned(0, 8) - v_n);" in out.vhdl_source
+    assert "v_w := unsigned'(x\"FFFFFFFF\");" in out.vhdl_source
+    idle = out.vhdl_source[out.vhdl_source.index("entity IdleH is"):]
+    assert "case state is\n" + " " * 24 + "when ST_I =>\n" + " " * 28 + "null;\n" in idle
+
+
 @pytest.mark.parametrize("name", CORPUS_MODELS)
 def test_emit_matches_golden_files(name):
     """The four files `comodel gen` writes for each corpus model under its
@@ -309,10 +343,11 @@ def test_every_class_in_exactly_one_target(name):
         ("widths", {"Gadget": HW, "Sink": SW}),
         ("chain", {"Bouncer": SW, "Mirror": HW}),
         ("narrow_mul", {"Mul": SW}),
+        ("unary", UNARY_DOMAINS),
     ],
 )
 def test_generated_c_compiles(tmp_path, name, domain_map):
-    model = parse_model(NARROW_MUL) if name == "narrow_mul" else load_model(name)
+    model = parse_model(INLINE_MODELS[name]) if name in INLINE_MODELS else load_model(name)
     out = emit(model, Partition(domain=dict(domain_map)), name=name)
     (tmp_path / f"{name}_sw.c").write_text(out.c_source)
     (tmp_path / f"{name}_sw.h").write_text(out.c_header)

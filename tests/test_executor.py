@@ -320,12 +320,3 @@ def test_serialize_key_order(pingpong, pingpong_scenario):
         "step", "seq", "sender", "receiver", "signal", "args",
         "from", "to", "writes", "sent", "dropped",
     ]
-
-
-def test_clone_is_independent(pingpong):
-    state = init(pingpong)
-    twin = state.clone()
-    twin.attrs["ping"]["hits"] = 99
-    twin.pending["ping"].append(SignalEnvelope(0, "$env", "ping", "Hit", ()))
-    assert state.attrs["ping"]["hits"] == 0
-    assert not state.pending["ping"]

@@ -4,7 +4,14 @@ import copy
 import dataclasses
 
 import pytest
-from conftest import CORPUS_MODELS, CORPUS_PAIRS, load_marks, load_model, load_scenario
+from conftest import (
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    load_marks,
+    load_model,
+    load_scenario,
+    model_path,
+)
 
 from comodel import ir
 from comodel.executor import (
@@ -91,6 +98,21 @@ def test_instance_path_is_not_class_granularity(pingpong):
     assert exc.value.code == "E_MARK_GRANULARITY"
 
 
+def test_valid_class_marks_resolve_no_path(monkeypatch):
+    # a class mark is looked up in the validated index; the path resolver
+    # only tells a bad path from a non-class one
+    calls = []
+    real = ir.resolve
+    monkeypatch.setattr(ir, "resolve", lambda model, path: calls.append(path) or real(model, path))
+    model = load_model("pipeline")
+    for p in all_partitions(model):
+        assert derive_partition(model, marks_for_partition(p)).domain == p.domain
+    assert calls == []
+    with pytest.raises(MarkError):
+        derive_partition(model, parse_marks("mark isHardware on Counter.Bump;"))
+    assert calls == ["Counter.Bump"]
+
+
 # --- boundary ---
 
 
@@ -100,7 +122,6 @@ def test_pingpong_boundary(pingpong):
     assert len(b) == 1
     bs = b[0]
     assert (bs.receiver_class, bs.signal, bs.direction) == ("Pong", "Hit", "sw_to_hw")
-    assert bs.routes == [("ping", "pong")]
 
 
 @pytest.mark.parametrize("domain", [SW, HW])
@@ -116,7 +137,10 @@ def test_boundary_direction_hw_to_sw():
     assert [(x.receiver_class, x.signal, x.direction) for x in b] == [
         ("Recorder", "Put", "hw_to_sw")
     ]
-    assert b[0].routes == [("b", "rec")]
+    # the rule is on classes: Beta's send crosses even with no Beta instance
+    no_b = parse_model(model_path("race").read_text().replace("instance b: Beta;", ""))
+    assert no_b.instance_by_name("b") is None
+    assert boundary(no_b, p) == b
 
 
 def test_boundary_sorted_and_grouped():

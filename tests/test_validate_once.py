@@ -81,6 +81,21 @@ def test_record_indexes_the_model(pingpong):
     pong = checked.classes["Pong"]
     assert checked.signals[("Pong", "Hit")] is pong.signals[0]
     assert checked.transitions[("Pong", "Waiting", "Hit")] is pong.machine.states[0].transitions[0]
+    assert checked.sends == (("Ping", "Pong", "Hit"),)
+
+
+def test_record_lists_every_send_in_document_order():
+    model = frontend.parse_model(
+        "class A { signal Go(f: bool); statemachine { initial I; state I { on Go -> I {"
+        " send b.X(); if ($f) { send b.Y(); } else { if (!$f) { send a.Go(true); } }"
+        " send b.X(); } } } }"
+        "class B { signal X(); signal Y(); statemachine { initial I; state I { } } }"
+        "instance a: A; instance b: B;"
+    )
+    assert ir.validate(model).ok
+    assert model.checked.sends == (
+        ("A", "B", "X"), ("A", "B", "Y"), ("A", "A", "Go"), ("A", "B", "X"),
+    )
 
 
 def test_record_is_not_part_of_the_model_value(pingpong):
