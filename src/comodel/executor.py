@@ -30,15 +30,29 @@ The scheduler only picks *which* nonempty queue dispatches next:
 Arithmetic wraps modulo 2^width of the expression's resolved type, so
 software and hardware translations of the same action are bit-equal.
 
-Each transition is compiled into one closure the first time it fires.
-Its expressions become nested closures, each with its operator and the
-width mask of its resolved type bound when it is built; a parameter is
-read from the envelope's args by position. The compiled transitions are
-cached on the model's `ir.Checked` record, so `run`, `cosim` and
-repeated runs of one validated model share them, and a new validation
-starts from an empty cache. The golden traces, and a test that checks
-the closures against a tree-walking reference evaluator, are the oracle
-for that compiler.
+Each transition is compiled into one Python function the first time it
+fires. It is printed as the source of `f(a, p, writes, sends, k0, k1,
+...)` in three-address form, one line `tN = (x OP y) & kM` per operator
+node, and a parameter is read from the envelope's args `p` by position.
+Every value the model supplies (a literal, a width mask, an attribute
+name, a receiver, a signal, the target state) is a parameter `kI` whose
+default is that value, so no model text enters the source. The source
+depends only on the transition's shape: its statements, operators and
+operand kinds, and the positions of the parameters it reads. One bounded
+cache maps source to code object, so transitions of one shape share one
+code object and differ only in their defaults; a new shape costs one
+`compile`. The functions get no builtins as globals and read no global
+name. The compiled transitions are cached on the model's `ir.Checked`
+record, so `run`, `cosim` and repeated runs of one validated model share
+them, and a new validation starts from an empty cache. The golden
+traces, and a test that checks the functions against a tree-walking
+reference evaluator, are the oracle for that compiler.
+
+A step's trace record keeps its attribute writes as a tuple of (attr,
+value) pairs and its sent seqs, which are always contiguous, as a
+`range`. The collector never tracks a `range`; it untracks each pair
+the first time it passes over it, and the tuple on a later pass, so a
+long trace costs it little.
 
 Traces serialize to JSON Lines (one object per event, then one summary
 object); that rendering is byte-deterministic and is the golden-file
@@ -54,14 +68,14 @@ compiled expression masks its result with an `int`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
-import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from types import FunctionType
+from types import CodeType, FunctionType
 
 from . import ir
 
@@ -130,8 +144,8 @@ class TraceEvent:
     envelope: SignalEnvelope
     from_state: str
     to_state: str
-    writes: list[tuple[str, int]]
-    sent: list[int]
+    writes: tuple[tuple[str, int], ...]
+    sent: range  # the seqs of the envelopes the step sent, always contiguous
     dropped: bool = False
 
 
@@ -210,154 +224,131 @@ def init(model: ir.Model) -> SystemState:
 
 
 # ---------------------------------------------------------------------------
-# Transitions compiled into closures
+# Transitions printed as Python functions
 # ---------------------------------------------------------------------------
 
-# Every expression node evaluates to `op(x, y) & mask`, with `op` and the
-# mask of its resolved type bound when its closure is built: `-y` is
-# `0 - y` and `!y` is `1 - y`. Bool-typed values are always 0 or 1, so
-# `!`, `&&` and `||` are arithmetic or bitwise on them, and a comparison's
-# bool masked by 1 becomes the int 0/1. Evaluation never fails or has
-# effects, so `&&` and `||` need not short-circuit.
+# The Python spelling of each binary operator. Every expression node
+# prints as one line `tN = (x OP y) & kM`, with `kM` the mask of its
+# resolved type: `-y` is `(-y) & kM` and `!y` is `(1 - y) & kM`. Bool-typed
+# values are always 0 or 1, so `!`, `&&` and `||` are arithmetic or
+# bitwise on them, and a comparison's bool masked by 1 becomes the int
+# 0/1. Evaluation never fails or has effects, so `&&` and `||` need not
+# short-circuit.
 _OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "&&": operator.and_, "||": operator.or_,
+    "+": "+", "-": "-", "*": "*",
+    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "&&": "&", "||": "|",
 }
 
-# Operand kinds. A leaf (literal, attribute, parameter) is read inline by
-# its parent's closure; any other operand is a closure the parent calls.
-_LIT, _ATTR, _PARAM, _FN = range(4)
-
-# Node templates by operand kinds. A node's closure is its template with
-# the parameters after `a`, the instance's attribute dict, and `p`, the
-# envelope's args, bound by `_bind`.
-_NODE = {
-    (_LIT, _LIT): lambda a, p, op, m, x, y: op(x, y) & m,
-    (_LIT, _ATTR): lambda a, p, op, m, x, y: op(x, a[y]) & m,
-    (_LIT, _PARAM): lambda a, p, op, m, x, y: op(x, p[y]) & m,
-    (_LIT, _FN): lambda a, p, op, m, x, y: op(x, y(a, p)) & m,
-    (_ATTR, _LIT): lambda a, p, op, m, x, y: op(a[x], y) & m,
-    (_ATTR, _ATTR): lambda a, p, op, m, x, y: op(a[x], a[y]) & m,
-    (_ATTR, _PARAM): lambda a, p, op, m, x, y: op(a[x], p[y]) & m,
-    (_ATTR, _FN): lambda a, p, op, m, x, y: op(a[x], y(a, p)) & m,
-    (_PARAM, _LIT): lambda a, p, op, m, x, y: op(p[x], y) & m,
-    (_PARAM, _ATTR): lambda a, p, op, m, x, y: op(p[x], a[y]) & m,
-    (_PARAM, _PARAM): lambda a, p, op, m, x, y: op(p[x], p[y]) & m,
-    (_PARAM, _FN): lambda a, p, op, m, x, y: op(p[x], y(a, p)) & m,
-    (_FN, _LIT): lambda a, p, op, m, x, y: op(x(a, p), y) & m,
-    (_FN, _ATTR): lambda a, p, op, m, x, y: op(x(a, p), a[y]) & m,
-    (_FN, _PARAM): lambda a, p, op, m, x, y: op(x(a, p), p[y]) & m,
-    (_FN, _FN): lambda a, p, op, m, x, y: op(x(a, p), y(a, p)) & m,
-}
-_LEAF = {
-    _LIT: lambda a, p, x: x,
-    _ATTR: lambda a, p, x: a[x],
-    _PARAM: lambda a, p, x: p[x],
-}
+# The globals of every generated function: it reads no global name, and
+# no builtin is within its reach.
+_GLOBALS: dict = {"__builtins__": {}}
 
 
-def _bind(template, *values):
-    """A copy of `template` whose trailing parameters default to `values`.
+class _Printer:
+    """Prints one function in three-address form, in source that depends
+    only on the shape (see the module docstring).
 
-    Defaults are smaller than closure cells and faster to read, and the
-    node closures are the bulk of a compiled model.
+    Each model value becomes the next parameter `kI` and its default. The
+    only other names are `a`, the instance's attribute dict, `p`, the
+    envelope's args, read as `p[i]` with `params` mapping a parameter to
+    its position, `writes`, `sends` and the temps `tN`. Statements nest
+    one space per `if`, and no expression nests, so the deepest model
+    (`frontend.MAX_STMT_DEPTH` and `MAX_EXPR_DEPTH`) stays within the
+    Python parser's indent and parenthesis limits.
     """
-    return FunctionType(template.__code__, template.__globals__, template.__name__, values)
+
+    def __init__(self, params: dict[str, int]):
+        self.params = params
+        self.lines: list[str] = []
+        self.consts: list[object] = []
+        self.temps = 0
+
+    def const(self, value: object) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def temp(self, pad: str, value: str) -> str:
+        t = f"t{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{pad}{t} = {value}")
+        return t
+
+    def expr(self, e: ir.Expr, pad: str) -> str:
+        """The text of `e`'s value: a leaf read, or the temp that holds it
+        after the lines printed for its nodes."""
+        if isinstance(e, (ir.IntLit, ir.BoolLit)):
+            return self.const(int(e.value))
+        if isinstance(e, ir.AttrRef):
+            return f"a[{self.const(e.name)}]"
+        if isinstance(e, ir.ParamRef):
+            return f"p[{self.params[e.name]}]"
+        if isinstance(e, ir.Unary):
+            y = self.expr(e.operand, pad)
+            value = f"-{y}" if e.op == "-" else f"1 - {y}"
+        elif isinstance(e, ir.Binary):
+            x = self.expr(e.left, pad)
+            value = f"{x} {_OPS[e.op]} {self.expr(e.right, pad)}"
+        else:
+            raise TypeError(f"unexpected expression node {e!r}")
+        return self.temp(pad, f"({value}) & {self.const(ir.mask_of(e.ty))}")
+
+    def block(self, stmts: list[ir.Stmt], pad: str) -> None:
+        """Print `stmts` in order. An assignment stores its value and
+        appends `(attr, value)` to `writes`; a send appends `(receiver,
+        signal, args)` to `sends`."""
+        for s in stmts:
+            if isinstance(s, ir.Assign):
+                v = self.expr(s.value, pad)
+                if not v.isidentifier():  # an attribute or parameter read
+                    v = self.temp(pad, v)
+                k = self.const(s.attr)
+                self.lines += [f"{pad}a[{k}] = {v}", f"{pad}writes.append(({k}, {v}))"]
+            elif isinstance(s, ir.Send):
+                args = "".join(f"{self.expr(x, pad)}, " for x in s.args)
+                receiver, signal = self.const(s.instance), self.const(s.signal)
+                self.lines.append(f"{pad}sends.append(({receiver}, {signal}, ({args})))")
+            elif isinstance(s, ir.If):
+                self.lines.append(f"{pad}if {self.expr(s.cond, pad)}:")
+                self.block(s.then, pad + " ")
+                if s.orelse:
+                    self.lines.append(f"{pad}else:")
+                    self.block(s.orelse, pad + " ")
+            else:
+                raise TypeError(f"unexpected statement {s!r}")
+        if not stmts:
+            self.lines.append(f"{pad}pass")
+
+    def function(self, args: str):
+        """The function `f(args)` of the lines printed, with every `kI`
+        bound to its value."""
+        ks = "".join(f", k{i}" for i in range(len(self.consts)))
+        source = "\n".join([f"def f({args}{ks}):", *self.lines])
+        return FunctionType(_code(source), _GLOBALS, "f", tuple(self.consts))
 
 
-def _operand(e: ir.Expr, params: dict[str, int]) -> tuple[int, object]:
-    """`(kind, x)`: a leaf's value, attribute name or parameter index, or
-    the closure of any other node. `params` maps a parameter to its index."""
-    if isinstance(e, (ir.IntLit, ir.BoolLit)):
-        return _LIT, int(e.value)
-    if isinstance(e, ir.AttrRef):
-        return _ATTR, e.name
-    if isinstance(e, ir.ParamRef):
-        return _PARAM, params[e.name]
-    mask = ir.mask_of(e.ty)
-    if isinstance(e, ir.Unary):
-        rk, y = _operand(e.operand, params)
-        return _FN, _bind(_NODE[_LIT, rk], operator.sub, mask, int(e.op == "!"), y)
-    if isinstance(e, ir.Binary):
-        lk, x = _operand(e.left, params)
-        rk, y = _operand(e.right, params)
-        return _FN, _bind(_NODE[lk, rk], _OPS[e.op], mask, x, y)
-    raise TypeError(f"unexpected expression node {e!r}")
+@functools.lru_cache(maxsize=512)
+def _code(source: str) -> CodeType:
+    """The code object of the one function `source` defines. Sources are
+    shapes, so transitions of one shape share one code object."""
+    module = compile(source, "<comodel transition>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 def _compile_expr(e: ir.Expr, params: dict[str, int]):
-    """The closure `f(attrs, args) -> int` of a type-annotated expression."""
-    kind, x = _operand(e, params)
-    return x if kind == _FN else _bind(_LEAF[kind], x)
-
-
-def _noop(a, p, writes, sends):
-    return None
-
-
-def _compile_block(stmts: list[ir.Stmt], params: dict[str, int], result=None):
-    """The closure `f(attrs, args, writes, sends)` that runs `stmts` in
-    order and returns `result`.
-
-    An assignment stores its value and appends `(attr, value)` to
-    `writes`; a send appends `(receiver, signal, args)` to `sends`.
-    """
-    body = tuple(_compile_stmt(s, params) for s in stmts)
-    if not body and result is None:
-        return _noop
-    if len(body) == 1 and result is None:
-        return body[0]
-
-    def block(a, p, writes, sends):
-        for stmt in body:
-            stmt(a, p, writes, sends)
-        return result
-
-    return block
-
-
-def _compile_stmt(s: ir.Stmt, params: dict[str, int]):
-    if isinstance(s, ir.Assign):
-        name, value = s.attr, _compile_expr(s.value, params)
-
-        def assign(a, p, writes, sends):
-            v = a[name] = value(a, p)
-            writes.append((name, v))
-
-        return assign
-    if isinstance(s, ir.Send):
-        receiver, signal = s.instance, s.signal
-        args = [_compile_expr(x, params) for x in s.args]
-        if len(args) == 1:
-            arg = args[0]
-
-            def send(a, p, writes, sends):
-                sends.append((receiver, signal, (arg(a, p),)))
-        else:
-
-            def send(a, p, writes, sends):
-                sends.append((receiver, signal, tuple([f(a, p) for f in args])))
-
-        return send
-    if isinstance(s, ir.If):
-        cond = _compile_expr(s.cond, params)
-        then = _compile_block(s.then, params)
-        orelse = _compile_block(s.orelse, params)
-
-        def branch(a, p, writes, sends):
-            (then if cond(a, p) else orelse)(a, p, writes, sends)
-
-        return branch
-    raise TypeError(f"unexpected statement {s!r}")
+    """The function `f(attrs, args) -> int` of a type-annotated expression."""
+    printer = _Printer(params)
+    printer.lines.append(f" return {printer.expr(e, ' ')}")
+    return printer.function("a, p")
 
 
 def _compile_transition(tr: ir.TransitionDef, sig: ir.SignalDef):
-    """The closure `f(attrs, args, writes, sends) -> target state` of a
+    """The function `f(attrs, args, writes, sends) -> target state` of a
     transition triggered by `sig`, whose args it reads by position."""
-    params = {p.name: i for i, p in enumerate(sig.params)}
-    return _compile_block(tr.actions, params, tr.target)
+    printer = _Printer({p.name: i for i, p in enumerate(sig.params)})
+    printer.block(tr.actions, " ")
+    printer.lines.append(f" return {printer.const(tr.target)}")
+    return printer.function("a, p, writes, sends")
 
 
 def execute_rtc_step(
@@ -376,7 +367,8 @@ def execute_rtc_step(
     `TraceEvent` subclass for cosim), or None when the signal is
     unhandled in strict mode (the caller turns that into a runtime-error
     outcome). Only the receiving instance's attributes are touched. The
-    transition is compiled the first time it fires.
+    transition is compiled the first time it fires. The event holds the
+    writes as a tuple and the sent seqs as a `range`.
     """
     inst = envelope.receiver
     cur = state.states[inst]
@@ -387,7 +379,7 @@ def execute_rtc_step(
         if tr is None:
             if mode == STRICT:
                 return None
-            return event(step_index, envelope, cur, cur, [], [], True)
+            return event(step_index, envelope, cur, cur, (), range(0), True)
         sig = machine.checked.signals[key[0], key[2]]
         transition = machine.compiled[key] = _compile_transition(tr, sig)
 
@@ -396,14 +388,13 @@ def execute_rtc_step(
     target = transition(state.attrs[inst], envelope.args, writes, sends)
     # no action reads a queue, so delivering after the body is the same
     # as delivering at each send
-    sent: list[int] = []
+    first = seq = state.next_seq
     for receiver, signal, args in sends:
-        seq = state.next_seq
         deliver(SignalEnvelope(seq, inst, receiver, signal, args))
-        sent.append(seq)
-        state.next_seq = seq + 1
+        seq += 1
+    state.next_seq = seq
     state.states[inst] = target
-    return event(step_index, envelope, cur, target, writes, sent)
+    return event(step_index, envelope, cur, target, tuple(writes), range(first, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +727,7 @@ def _render_trace(trace: Trace, cosim: bool) -> str:
             ev.step, env.seq, quoted[env.sender], quoted[env.receiver], quoted[env.signal],
             list(env.args), quoted[ev.from_state], quoted[ev.to_state],
             "[" + ", ".join([f"[{quoted[name]}, {value}]" for name, value in ev.writes]) + "]",
-            ev.sent, "true" if ev.dropped else "false",
+            list(ev.sent), "true" if ev.dropped else "false",
         )
         if cosim:
             enqueued, delivered = ev.bus_enqueue_step, ev.bus_deliver_step

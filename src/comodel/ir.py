@@ -327,8 +327,10 @@ class Checked:
     `sends` holds one (sender class, receiver class, signal) triple per
     send statement of every transition, in document order.
     `compiled` is the executor's cache of transitions compiled into
-    closures, under the same keys; it starts empty and is filled as
-    transitions first fire.
+    Python functions, under the same keys; it starts empty and is filled
+    as transitions first fire. Transitions of one shape share one code
+    object, held by the executor, and differ only in the defaults that
+    bind their model values.
     """
 
     classes: dict[str, ClassDef]

@@ -111,7 +111,7 @@ def test_unhandled_lenient_drops():
     assert trace.outcome.kind == "quiescent"
     dropped = trace.events[1]
     assert dropped.dropped
-    assert dropped.writes == [] and dropped.sent == []
+    assert dropped.writes == () and dropped.sent == range(0)
     assert dropped.from_state == dropped.to_state
     assert trace.final.attrs["pong"]["hits"] == 0
 
