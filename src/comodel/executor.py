@@ -48,21 +48,23 @@ them, and a new validation starts from an empty cache. The golden
 traces, and a test that checks the functions against a tree-walking
 reference evaluator, are the oracle for that compiler.
 
-A step's trace record keeps its attribute writes as a tuple of (attr,
-value) pairs and its sent seqs, which are always contiguous, as a
-`range`. The collector never tracks a `range`; it untracks each pair
-the first time it passes over it, and the tuple on a later pass, so a
-long trace costs it little.
+A step's trace record keeps only what the step did: its envelope, its
+states, its attribute writes as a tuple of (attr, value) pairs and its
+sent seqs, which are always contiguous, as a `range`. Its step number
+is its index in the trace, and what a cosim line adds is derived from
+the trace's maps when it renders. The collector never tracks a
+`range`; it untracks each pair the first time it passes over it, and
+the tuple on a later pass, so a long trace costs it little.
 
 Traces serialize to JSON Lines (one object per event, then one summary
 object); that rendering is byte-deterministic and is the golden-file
 contract used by the equivalence and repartitioning checks. Boolean
 values appear as 0/1 in traces. One renderer writes run and cosim traces
 alike: it formats each event line from one template rather than through
-`json.dumps`. That is exact only because every number the executor
-stores in an envelope or an event (seq, step, args, write values, sent
-seqs, bus steps) is a Python `int`, never a `bool`: literals, defaults
-and scenario arguments go through `int()`, and every operator node of a
+`json.dumps`. That is exact only because every number it writes (seq,
+step, args, write values, sent seqs, bus rounds) is a Python `int`,
+never a `bool`: steps and bus rounds are counts, literals, defaults and
+scenario arguments go through `int()`, and every operator node of a
 compiled expression masks its result with an `int`.
 """
 
@@ -140,7 +142,8 @@ class SystemState:
 
 @dataclass(slots=True)
 class TraceEvent:
-    step: int
+    """One dispatch step. Its step number is its index in `Trace.events`."""
+
     envelope: SignalEnvelope
     from_state: str
     to_state: str
@@ -215,12 +218,6 @@ class Machine:
             attrs[name] = {a.name: int(a.default) for a in cls.attributes}
             pending[name] = deque()
         return SystemState(states=states, attrs=attrs, pending=pending)
-
-
-def init(model: ir.Model) -> SystemState:
-    """Initial system state: every instance at its machine's initial
-    state with attributes at declared defaults and empty queues."""
-    return Machine(model).initial_state()
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +353,16 @@ def execute_rtc_step(
     state: SystemState,
     envelope: SignalEnvelope,
     deliver,
-    step_index: int,
     mode: str,
-    event: type[TraceEvent] = TraceEvent,
 ) -> TraceEvent | None:
     """Run one atomic dispatch step for `envelope`.
 
     `deliver(env)` routes each envelope the actions send (queue or bus),
-    in statement order. Returns the trace event, built as an `event` (a
-    `TraceEvent` subclass for cosim), or None when the signal is
-    unhandled in strict mode (the caller turns that into a runtime-error
-    outcome). Only the receiving instance's attributes are touched. The
-    transition is compiled the first time it fires. The event holds the
-    writes as a tuple and the sent seqs as a `range`.
+    in statement order. Returns the trace event, or None when the signal
+    is unhandled in strict mode (the caller turns that into a
+    runtime-error outcome). Only the receiving instance's attributes are
+    touched. The transition is compiled the first time it fires. The
+    event holds the writes as a tuple and the sent seqs as a `range`.
     """
     inst = envelope.receiver
     cur = state.states[inst]
@@ -379,7 +373,7 @@ def execute_rtc_step(
         if tr is None:
             if mode == STRICT:
                 return None
-            return event(step_index, envelope, cur, cur, (), range(0), True)
+            return TraceEvent(envelope, cur, cur, (), range(0), True)
         sig = machine.checked.signals[key[0], key[2]]
         transition = machine.compiled[key] = _compile_transition(tr, sig)
 
@@ -394,7 +388,7 @@ def execute_rtc_step(
         seq += 1
     state.next_seq = seq
     state.states[inst] = target
-    return event(step_index, envelope, cur, target, tuple(writes), range(first, seq))
+    return TraceEvent(envelope, cur, target, tuple(writes), range(first, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +505,7 @@ def _dispatch(
     domain_of: dict[str, str] | None = None,
     domains: tuple[str | None, ...] = (None,),
     latency: int = 0,
-    event: type[TraceEvent] = TraceEvent,
-) -> tuple[Trace, dict[int, tuple[int, int]]]:
+) -> tuple[Trace, dict[int, int]]:
     """The one dispatch loop, shared by `run` and `partition.cosim`.
 
     `domains` names the islands in round order, and `domain_of` maps
@@ -520,11 +513,10 @@ def _dispatch(
     sits on the one island `domains[0]` (the `run` case). A send to
     another island rides the bus and becomes deliverable `latency`
     rounds later. A round runs at most one step per island, then a bus
-    tick. Each step builds its trace record as an `event`. On an island
-    with a domain, that is a `partition.CosimEvent`, and the loop sets
-    its `domain` and, for an envelope that rode the bus, its
-    `bus_enqueue_step` and `bus_deliver_step`. Returns the trace and the
-    bus `seq -> (enqueue, deliver)` rounds.
+    tick. Every step builds the same `TraceEvent`, whatever its island.
+    Returns the trace and the bus map `seq -> enqueue round` of the
+    envelopes that rode the bus; each was deliverable `latency` rounds
+    after its enqueue round.
     """
     groups = _injections(machine.checked, scenario)
     state = machine.initial_state()
@@ -533,7 +525,7 @@ def _dispatch(
     # (deliver round, envelope); latency is constant, so deliver rounds
     # never decrease along the deque and the due entries sit at its left
     bus: deque[tuple[int, SignalEnvelope]] = deque()
-    bus_steps: dict[int, tuple[int, int]] = {}
+    bus_rounds: dict[int, int] = {}
     round_no = 0
 
     if domain_of is None:
@@ -556,10 +548,10 @@ def _dispatch(
                 local.push(env)
             else:
                 bus.append((round_no + latency, env))
-                bus_steps[env.seq] = (round_no, round_no + latency)
+                bus_rounds[env.seq] = round_no
         return deliver
 
-    islands = [(d, by_domain[d], make_deliver(d)) for d in domains]
+    islands = [(by_domain[d], make_deliver(d)) for d in domains]
 
     def inject_next() -> None:
         for instance, signal, args in groups[pending_ats.pop(0)]:
@@ -572,7 +564,7 @@ def _dispatch(
         while bus and bus[0][0] <= round_no:
             enqueue(bus.popleft()[1])
         steps_before = state.dispatch_count
-        for domain, island, deliver in islands:
+        for island, deliver in islands:
             # the injections `at N` are enqueued, in file order, before step N
             if pending_ats and pending_ats[0] == state.dispatch_count:
                 inject_next()
@@ -582,9 +574,7 @@ def _dispatch(
                 outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
                 break
             env = island.pop()
-            ev = execute_rtc_step(
-                machine, state, env, deliver, state.dispatch_count, config.mode, event
-            )
+            ev = execute_rtc_step(machine, state, env, deliver, config.mode)
             if ev is None:
                 outcome = Outcome(
                     RUNTIME_ERROR,
@@ -592,10 +582,6 @@ def _dispatch(
                     f" {state.states[env.receiver]} at step {state.dispatch_count}",
                 )
                 break
-            if domain is not None:
-                ev.domain = domain
-                if env.seq in bus_steps:
-                    ev.bus_enqueue_step, ev.bus_deliver_step = bus_steps[env.seq]
             events.append(ev)
             state.dispatch_count += 1
         else:
@@ -607,13 +593,8 @@ def _dispatch(
                 continue
             round_no += 1
 
-    expectations: list[ExpectationResult] = []
-    if outcome.kind == QUIESCENT:
-        expectations = check_expectations(state, scenario)
-        failed = sum(1 for e in expectations if not e.passed)
-        if failed:
-            outcome = Outcome(QUIESCENT, f"{failed} expectation(s) failed")
-    return Trace(events, state, outcome, expectations), bus_steps
+    expectations = check_expectations(state, scenario) if outcome.kind == QUIESCENT else []
+    return Trace(events, state, outcome, expectations), bus_rounds
 
 
 def run(model: ir.Model, scenario: ir.Scenario, config: ExecConfig | None = None) -> Trace:
@@ -636,14 +617,14 @@ def check_causality(trace: Trace) -> bool:
     """True iff every dispatched envelope was sent at a strictly earlier
     step (scenario injections are causal by construction)."""
     sent_at: dict[int, int] = {}
-    for ev in trace.events:
+    for step, ev in enumerate(trace.events):
         for seq in ev.sent:
-            sent_at[seq] = ev.step
-    for ev in trace.events:
+            sent_at[seq] = step
+    for step, ev in enumerate(trace.events):
         if ev.envelope.sender == ENV_SENDER:
             continue
         origin = sent_at.get(ev.envelope.seq)
-        if origin is None or origin >= ev.step:
+        if origin is None or origin >= step:
             return False
     return True
 
@@ -669,15 +650,17 @@ def check_pair_fifo(trace: Trace) -> bool:
 # line template of `_render_trace` are both built from this tuple.
 EVENT_KEYS = ("step", "seq", "sender", "receiver", "signal", "args", "from", "to", "writes",
               "sent", "dropped")
-# what a cosim line adds before its closing brace, set by the dispatch loop
+# what a cosim line adds before its closing brace, read from the maps of
+# `partition.PartitionedTrace`
 COSIM_KEYS = ("domain", "bus_enqueue_step", "bus_deliver_step")
 
 
-def event_dict(ev: TraceEvent) -> dict:
-    """The structural view of one event line: `json.dumps` of it is the line."""
+def event_dict(ev: TraceEvent, step: int) -> dict:
+    """The structural view of the line of `ev`, the trace's event number
+    `step`: `json.dumps` of it is the line."""
     env = ev.envelope
     return dict(zip(EVENT_KEYS, (
-        ev.step, env.seq, env.sender, env.receiver, env.signal, list(env.args),
+        step, env.seq, env.sender, env.receiver, env.signal, list(env.args),
         ev.from_state, ev.to_state, [[name, value] for name, value in ev.writes],
         list(ev.sent), ev.dropped,
     )))
@@ -705,10 +688,18 @@ class _Quoted(dict):
         return quoted
 
 
-def _render_trace(trace: Trace, cosim: bool) -> str:
+def _render_trace(
+    trace: Trace,
+    domain_of: dict[str, str] | None = None,
+    bus: dict[int, int] | None = None,
+    latency: int = 0,
+) -> str:
     """The JSON Lines text of a run trace, or of a cosim trace when
-    `cosim`, whose lines end in the `COSIM_KEYS`.
+    `domain_of` is given, whose lines end in the `COSIM_KEYS`.
 
+    An event's step is its index. A cosim line's domain is its
+    receiver's in `domain_of`; an envelope that rode the bus has its
+    enqueue round in `bus`, and its deliver round is `latency` later.
     Every event line is one `%` of a template built from the keys, and
     reads exactly as `json.dumps` of `event_dict` (plus the cosim keys)
     would write it. Names are quoted by json's own ASCII encoder, once
@@ -717,24 +708,22 @@ def _render_trace(trace: Trace, cosim: bool) -> str:
     module docstring says why every such value is an `int`. The summary
     is one `json.dumps`.
     """
-    keys = EVENT_KEYS + COSIM_KEYS if cosim else EVENT_KEYS
+    keys = EVENT_KEYS if domain_of is None else EVENT_KEYS + COSIM_KEYS
     line = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
     quoted = _Quoted()
     lines = []
-    for ev in trace.events:
+    for step, ev in enumerate(trace.events):
         env = ev.envelope
         values = (
-            ev.step, env.seq, quoted[env.sender], quoted[env.receiver], quoted[env.signal],
+            step, env.seq, quoted[env.sender], quoted[env.receiver], quoted[env.signal],
             list(env.args), quoted[ev.from_state], quoted[ev.to_state],
             "[" + ", ".join([f"[{quoted[name]}, {value}]" for name, value in ev.writes]) + "]",
             list(ev.sent), "true" if ev.dropped else "false",
         )
-        if cosim:
-            enqueued, delivered = ev.bus_enqueue_step, ev.bus_deliver_step
-            values += (
-                quoted[ev.domain],
-                "null" if enqueued is None else enqueued,
-                "null" if delivered is None else delivered,
+        if domain_of is not None:
+            enqueued = bus.get(env.seq)
+            values += (quoted[domain_of[env.receiver]],) + (
+                ("null", "null") if enqueued is None else (enqueued, enqueued + latency)
             )
         lines.append(line % values)
     lines.append(json.dumps(summary_dict(trace)))
@@ -748,4 +737,4 @@ def serialize_trace(trace: Trace) -> str:
     argument positions are 0/1. Identical traces serialize to identical
     bytes.
     """
-    return _render_trace(trace, cosim=False)
+    return _render_trace(trace)

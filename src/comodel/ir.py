@@ -560,6 +560,7 @@ class _Validator:
                 return
             self.check_expr(cls, attrs, params, stmt.value, target.type)
         elif isinstance(stmt, Send):
+            types: list[str | None] = [None] * len(stmt.args)
             inst = self.instances.get(stmt.instance)
             if inst is None:
                 self.error(
@@ -567,36 +568,32 @@ class _Validator:
                     stmt.instance,
                     f"send targets unknown instance {stmt.instance}",
                 )
-                for a in stmt.args:
-                    self.check_expr(cls, attrs, params, a, None)
-                return
-            recv_cls = self.classes.get(inst.class_name)
-            if recv_cls is None:
-                # instance with an unknown class is reported at the
-                # instance declaration; nothing further to check here
-                return
-            sig = self.signals.get((recv_cls.name, stmt.signal))
-            if sig is None:
-                self.error(
-                    "E_UNKNOWN_SIGNAL",
-                    f"{recv_cls.name}.{stmt.signal}",
-                    f"send of undeclared signal {stmt.signal} to {stmt.instance}",
-                )
-                for a in stmt.args:
-                    self.check_expr(cls, attrs, params, a, None)
-                return
-            if len(stmt.args) != len(sig.params):
-                self.error(
-                    "E_ARITY",
-                    f"{recv_cls.name}.{stmt.signal}",
-                    f"signal {stmt.signal} takes {len(sig.params)} argument(s), got {len(stmt.args)}",
-                )
-                for a in stmt.args:
-                    self.check_expr(cls, attrs, params, a, None)
-                return
-            for a, p in zip(stmt.args, sig.params):
-                self.check_expr(cls, attrs, params, a, p.type)
-            self.sends.append((cls.name, recv_cls.name, stmt.signal))
+            else:
+                recv_cls = self.classes.get(inst.class_name)
+                if recv_cls is None:
+                    # instance with an unknown class is reported at the
+                    # instance declaration; nothing further to check here
+                    return
+                path = f"{recv_cls.name}.{stmt.signal}"
+                sig = self.signals.get((recv_cls.name, stmt.signal))
+                if sig is None:
+                    self.error(
+                        "E_UNKNOWN_SIGNAL",
+                        path,
+                        f"send of undeclared signal {stmt.signal} to {stmt.instance}",
+                    )
+                elif len(stmt.args) != len(sig.params):
+                    self.error(
+                        "E_ARITY",
+                        path,
+                        f"signal {stmt.signal} takes {len(sig.params)} argument(s),"
+                        f" got {len(stmt.args)}",
+                    )
+                else:
+                    types = [p.type for p in sig.params]
+                    self.sends.append((cls.name, recv_cls.name, stmt.signal))
+            for a, t in zip(stmt.args, types):
+                self.check_expr(cls, attrs, params, a, t)
         elif isinstance(stmt, If):
             self.check_expr(cls, attrs, params, stmt.cond, "bool")
             for s in stmt.then:

@@ -17,7 +17,10 @@ sends travel through a FIFO bus and arrive `latency` bus ticks later
 (one tick per dispatch round, fixed round order: SW step, HW step, bus
 tick). Sequence numbers stay global, so every executor trace check
 applies unchanged to the merged trace, and the golden traces remain the
-independent oracle for the shared loop.
+independent oracle for the shared loop. Its events are the records
+`run` builds; the merged trace keeps each instance's domain, each bus
+envelope's enqueue round and the latency once, and a rendered line
+derives its domain and bus rounds from them.
 Under global-fifo each island serves the nonempty queue whose head has
 the smallest seq. A bus delivery joins the back of its receiver's queue,
 so it can wait behind a younger envelope already queued there.
@@ -38,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import executor, ir
-from .executor import ExecConfig, Machine, Trace, TraceEvent
+from .executor import ExecConfig, Machine, Trace
 
 HW = "HW"
 SW = "SW"
@@ -136,18 +139,19 @@ def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class CosimEvent(TraceEvent):
-    """A trace event plus its island and bus rounds, set by the dispatch loop."""
-
-    domain: str = SW
-    bus_enqueue_step: int | None = None
-    bus_deliver_step: int | None = None
-
-
 @dataclass
 class PartitionedTrace(Trace):
-    bus_crossings: int = 0
+    """The merged trace plus what its events do not store: each
+    instance's domain, the enqueue round of every envelope that rode the
+    bus (`bus`, by seq), and the bus latency."""
+
+    domain_of: dict[str, str] = field(default_factory=dict)
+    bus: dict[int, int] = field(default_factory=dict)
+    latency: int = 1
+
+    @property
+    def bus_crossings(self) -> int:
+        return len(self.bus)
 
 
 def cosim(
@@ -170,18 +174,19 @@ def cosim(
         raise ValueError("latency must be >= 1")
     machine = Machine(model)
     domain_of = {n: partition.domain[c.name] for n, c in machine.instance_class.items()}
-    trace, bus_steps = executor._dispatch(
-        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency, CosimEvent
+    trace, bus = executor._dispatch(
+        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency
     )
     return PartitionedTrace(
-        trace.events, trace.final, trace.outcome, trace.expectations, len(bus_steps)
+        trace.events, trace.final, trace.outcome, trace.expectations, domain_of, bus, latency
     )
 
 
 def serialize_partitioned_trace(trace: PartitionedTrace) -> str:
-    """Executor JSON Lines format; each event line ends in its domain and
-    bus steps (`executor.COSIM_KEYS`, null for intra-domain envelopes)."""
-    return executor._render_trace(trace, cosim=True)
+    """Executor JSON Lines format; each event line ends in its receiver's
+    domain and its bus enqueue and deliver rounds (`executor.COSIM_KEYS`,
+    null for intra-domain envelopes), derived from the trace's maps."""
+    return executor._render_trace(trace, trace.domain_of, trace.bus, trace.latency)
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,10 @@ def test_criterion_6_repartition_by_marks():
 def test_criterion_7_degenerate_partition_identity(corpus):
     checked = 0
     for _, _, model, scenario in corpus:
-        reference = [event_dict(e) for e in run(model, scenario).events]
+        reference = [event_dict(e, i) for i, e in enumerate(run(model, scenario).events)]
         for domain in (SW, HW):
             p = Partition(domain={c.name: domain for c in model.classes})
-            partitioned = [event_dict(e) for e in cosim(model, p, scenario).events]
+            partitioned = [event_dict(e, i) for i, e in enumerate(cosim(model, p, scenario).events)]
             assert partitioned == reference
             checked += 1
     report(7, "degenerate-partition identity", True, f"{checked} traces event-exact")

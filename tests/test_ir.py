@@ -118,6 +118,42 @@ def test_invalid_models(text, code, path):
     assert match[0].path == path
 
 
+def test_bad_sends_check_their_arguments():
+    # A send that does not resolve, or resolves with the wrong arity,
+    # still checks its arguments, untyped: 300 would not fit S's u8. A
+    # send to an instance of an unknown class checks nothing; the
+    # instance declaration reports the class.
+    text = """
+    class A {
+      attr x: u8 = 0;
+      signal S(p: u8);
+      signal T();
+      statemachine { initial I; state I { on T -> I {
+        send nobody.S(zz);
+        send a.Nope(zz + 1);
+        send a.S(300, zz);
+        send g.S(zz);
+        send a.S(true);
+        send a.S($p);
+      } } }
+    }
+    instance a: A;
+    instance g: Ghost;
+    """
+    report = ir.validate(parse_model(text))
+    assert [(d.code, d.path) for d in report.diagnostics] == [
+        ("E_UNKNOWN_INSTANCE", "nobody"),
+        ("E_UNKNOWN_ATTR", "A.zz"),
+        ("E_UNKNOWN_SIGNAL", "A.Nope"),
+        ("E_UNKNOWN_ATTR", "A.zz"),
+        ("E_ARITY", "A.S"),
+        ("E_UNKNOWN_ATTR", "A.zz"),
+        ("E_TYPE_MISMATCH", "A"),
+        ("E_UNKNOWN_PARAM", "A.p"),
+        ("E_UNKNOWN_CLASS", "Ghost"),
+    ]
+
+
 def test_literal_out_of_range_in_expression():
     text = """
     class A { attr x: u8 = 0; signal S(); statemachine { initial I;

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 
 import pytest
 from conftest import (
@@ -15,6 +16,7 @@ from conftest import (
 
 from comodel import ir
 from comodel.executor import (
+    COSIM_KEYS,
     LENIENT,
     ExecConfig,
     TraceEvent,
@@ -28,7 +30,6 @@ from comodel.frontend import parse_marks, parse_model, parse_scenario, print_mar
 from comodel.partition import (
     HW,
     SW,
-    CosimEvent,
     MarkError,
     Partition,
     all_partitions,
@@ -48,6 +49,14 @@ class T { attr last: u8 = 0; signal Put(v: u8); statemachine { initial I;
 instance s: S;
 instance t: T;
 """
+
+
+
+def _cosim_keys(trace) -> list[tuple]:
+    """(step, domain, bus_enqueue_step, bus_deliver_step) of each rendered
+    event line: the trace derives them, its events do not store them."""
+    lines = serialize_partitioned_trace(trace).splitlines()[:-1]
+    return [tuple(json.loads(line)[k] for k in ("step",) + COSIM_KEYS) for line in lines]
 
 
 # --- derive_partition ---
@@ -163,18 +172,18 @@ def test_cosim_pingpong_oracle(pingpong, pingpong_scenario):
     assert trace.outcome.kind == "quiescent"
     assert trace.final.attrs == {"ping": {"hits": 1}, "pong": {"hits": 1}}
     assert len(trace.events) == 2
-    first, second = trace.events
-    assert first.domain == SW and first.bus_enqueue_step is None
-    assert second.domain == HW
-    assert second.bus_deliver_step >= second.bus_enqueue_step + 1
+    first, second = _cosim_keys(trace)
+    assert first == (0, SW, None, None)
+    assert second[:2] == (1, HW)
+    assert second[3] >= second[2] + 1
     assert trace.bus_crossings == 1
 
 
 def test_cosim_latency_three(pingpong, pingpong_scenario):
     p = Partition(domain={"Ping": SW, "Pong": HW})
     trace = cosim(pingpong, p, pingpong_scenario, latency=3)
-    second = trace.events[1]
-    assert second.bus_deliver_step >= second.bus_enqueue_step + 3
+    second = _cosim_keys(trace)[1]
+    assert second[3] >= second[2] + 3
     assert trace.final.attrs == {"ping": {"hits": 1}, "pong": {"hits": 1}}
 
 
@@ -204,8 +213,8 @@ def test_degenerate_partitions_reproduce_reference(model_name, scn_name, domain,
     reference = run(model, scenario, config)
     p = Partition(domain={c.name: domain for c in model.classes})
     partitioned = cosim(model, p, scenario, config)
-    assert [event_dict(e) for e in partitioned.events] == [
-        event_dict(e) for e in reference.events
+    assert [event_dict(e, i) for i, e in enumerate(partitioned.events)] == [
+        event_dict(e, i) for i, e in enumerate(reference.events)
     ]
     assert summary_dict(partitioned) == summary_dict(reference)
     assert partitioned.bus_crossings == 0
@@ -213,7 +222,8 @@ def test_degenerate_partitions_reproduce_reference(model_name, scn_name, domain,
 
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + [("unhandled", None)])
 def test_cosim_event_carries_every_trace_event_field(model_name, scn_name):
-    # a lenient drop covers `dropped`; with one domain the event streams match
+    # cosim builds the same records as run; a lenient drop covers
+    # `dropped`; with one domain the event streams match
     if model_name == "unhandled":
         model = parse_model(
             "class A { signal S(); statemachine { initial I; state I {"
@@ -231,7 +241,7 @@ def test_cosim_event_carries_every_trace_event_field(model_name, scn_name):
     names = [f.name for f in dataclasses.fields(TraceEvent)]
     assert names and len(partitioned.events) == len(reference.events)
     for got, want in zip(partitioned.events, reference.events):
-        assert type(got) is CosimEvent and type(want) is TraceEvent
+        assert type(got) is type(want) is TraceEvent
         assert not hasattr(got, "__dict__") and not hasattr(want, "__dict__")  # slotted
         assert [getattr(got, n) for n in names] == [getattr(want, n) for n in names]
     if model_name == "unhandled":
@@ -240,12 +250,28 @@ def test_cosim_event_carries_every_trace_event_field(model_name, scn_name):
 
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS)
 def test_cosim_traces_pass_executor_checks(model_name, scn_name):
+    # and each rendered line's step, domain and bus rounds agree with the
+    # facts the trace derives them from
     model = load_model(model_name)
     scenario = load_scenario(scn_name)
     for p in all_partitions(model):
-        trace = cosim(model, p, scenario)
-        assert check_causality(trace)
-        assert check_pair_fifo(trace)
+        domain = {i.name: p.domain[i.class_name] for i in model.instances}
+        for latency in (1, 2, 3):
+            trace = cosim(model, p, scenario, latency=latency)
+            assert check_causality(trace)
+            assert check_pair_fifo(trace)
+            lines = serialize_partitioned_trace(trace).splitlines()[:-1]
+            crossings = 0
+            for step, line in enumerate(map(json.loads, lines)):
+                assert line["step"] == step
+                assert line["domain"] == domain[line["receiver"]]
+                if line["bus_enqueue_step"] is None:
+                    assert line["bus_deliver_step"] is None
+                    continue
+                crossings += 1
+                assert line["bus_deliver_step"] - line["bus_enqueue_step"] == latency
+                assert domain[line["sender"]] != domain[line["receiver"]]
+            assert crossings == trace.bus_crossings
 
 
 def test_bus_monotonicity_same_pair():
@@ -318,7 +344,7 @@ def test_cosim_injections_beyond_quiescence_resume(pingpong):
     assert trace.outcome.kind == "quiescent"
     report = equivalence_check(run(pingpong, scenario), trace, scenario.confluent)
     assert [l.passed for l in report.levels[:2]] == [True, True]
-    assert [(e.step, e.domain, e.bus_enqueue_step, e.bus_deliver_step) for e in trace.events] == [
+    assert _cosim_keys(trace) == [
         (0, SW, None, None),
         (1, HW, 0, 2),
         (2, SW, None, None),
@@ -327,8 +353,6 @@ def test_cosim_injections_beyond_quiescence_resume(pingpong):
 
 
 def test_partitioned_trace_serialization_keys(pingpong, pingpong_scenario):
-    import json
-
     p = Partition(domain={"Ping": SW, "Pong": HW})
     text = serialize_partitioned_trace(cosim(pingpong, p, pingpong_scenario))
     first = json.loads(text.splitlines()[0])
@@ -375,7 +399,6 @@ def test_l2_fails_on_causality_violation(pingpong, pingpong_scenario):
     p = Partition(domain={"Ping": SW, "Pong": HW})
     mutated = copy.deepcopy(cosim(pingpong, p, pingpong_scenario))
     mutated.events[0], mutated.events[1] = mutated.events[1], mutated.events[0]
-    mutated.events[0].step, mutated.events[1].step = 0, 1
     report = equivalence_check(reference, mutated, False)
     assert not report.levels[1].passed
 

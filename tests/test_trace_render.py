@@ -1,9 +1,10 @@
 """The JSON Lines rendering of run and cosim traces.
 
 One renderer in `executor` formats every event line from a template. Its
-oracle is `json.dumps(event_dict(ev))`, plus the three cosim keys in
-order for a cosim line. The cosim goldens pin the bytes of one cosim per
-corpus model; the run goldens are checked in `test_acceptance.py`.
+oracle is `json.dumps(event_dict(ev, step))`, plus the three cosim keys
+in order for a cosim line, read from the trace's domain and bus maps.
+The cosim goldens pin the bytes of one cosim per corpus model; the run
+goldens are checked in `test_acceptance.py`.
 """
 
 import importlib.util
@@ -43,7 +44,6 @@ from comodel.executor import (
 from comodel.partition import (
     HW,
     SW,
-    CosimEvent,
     PartitionedTrace,
     all_partitions,
     cosim,
@@ -55,17 +55,18 @@ COSIM_LATENCY = 2
 
 
 def _oracle_run(trace: Trace) -> list[str]:
-    lines = [json.dumps(event_dict(ev)) for ev in trace.events]
+    lines = [json.dumps(event_dict(ev, step)) for step, ev in enumerate(trace.events)]
     return lines + [json.dumps(summary_dict(trace))]
 
 
 def _oracle_cosim(trace: PartitionedTrace) -> list[str]:
     lines = []
-    for ev in trace.events:
-        d = event_dict(ev)
-        d["domain"] = ev.domain
-        d["bus_enqueue_step"] = ev.bus_enqueue_step
-        d["bus_deliver_step"] = ev.bus_deliver_step
+    for step, ev in enumerate(trace.events):
+        d = event_dict(ev, step)
+        enqueued = trace.bus.get(ev.envelope.seq)
+        d["domain"] = trace.domain_of[ev.envelope.receiver]
+        d["bus_enqueue_step"] = enqueued
+        d["bus_deliver_step"] = None if enqueued is None else enqueued + trace.latency
         lines.append(json.dumps(d))
     return lines + [json.dumps(summary_dict(trace))]
 
@@ -204,55 +205,51 @@ _NAMES = st.one_of(
 )
 
 
+def _trace_of(events, cls=Trace, *maps):
+    final = SystemState(states={"i": "S"}, attrs={"i": {"a": 1}}, pending={})
+    return cls(events, final, Outcome("quiescent"), [], *maps)
+
+
 @st.composite
-def _events(draw, cosim_events: bool):
+def _traces(draw, cosim: bool):
     # a small pool, so that names repeat within one trace as real ones do
     names = st.sampled_from(draw(st.lists(_NAMES, min_size=1, max_size=4)))
     events = []
-    for step in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, 5))):
         envelope = SignalEnvelope(
             draw(_U32), draw(names), draw(names), draw(names),
             tuple(draw(st.lists(_U32, max_size=3))),
         )
-        fields = (
-            step, envelope, draw(names), draw(names),
+        events.append(TraceEvent(
+            envelope, draw(names), draw(names),
             draw(st.lists(st.tuples(names, _U32), max_size=3)),
             draw(st.lists(_U32, max_size=3)),
             draw(st.booleans()),
-        )
-        if cosim_events:
-            bus_step = st.none() | _U32
-            events.append(CosimEvent(
-                *fields, draw(st.sampled_from([SW, HW]) | names), draw(bus_step), draw(bus_step)
-            ))
-        else:
-            events.append(TraceEvent(*fields))
-    return events
-
-
-def _trace_of(events, cls=Trace):
-    final = SystemState(states={"i": "S"}, attrs={"i": {"a": 1}}, pending={})
-    return cls(events, final, Outcome("quiescent"))
+        ))
+    if not cosim:
+        return _trace_of(events)
+    # any receiver's domain, and any seq on the bus at any round
+    domain_of = {ev.envelope.receiver: draw(st.sampled_from([SW, HW]) | names) for ev in events}
+    bus = {ev.envelope.seq: draw(_U32) for ev in events if draw(st.booleans())}
+    return _trace_of(events, PartitionedTrace, domain_of, bus, draw(st.integers(1, 3)))
 
 
 @_SETTINGS
-@given(_events(cosim_events=False))
-def test_run_lines_escape_as_json_dumps(events):
-    trace = _trace_of(events)
+@given(_traces(cosim=False))
+def test_run_lines_escape_as_json_dumps(trace):
     assert serialize_trace(trace).splitlines() == _oracle_run(trace)
 
 
 @_SETTINGS
-@given(_events(cosim_events=True))
-def test_cosim_lines_escape_as_json_dumps(events):
-    trace = _trace_of(events, PartitionedTrace)
+@given(_traces(cosim=True))
+def test_cosim_lines_escape_as_json_dumps(trace):
     assert serialize_partitioned_trace(trace).splitlines() == _oracle_cosim(trace)
 
 
 def test_rendered_names_stay_ascii():
     env = SignalEnvelope(0, ENV_SENDER, 'q"\\\n', "é\U0001f600", (1,))
-    trace = _trace_of([TraceEvent(0, env, "\x00", " ", [("€", 3)], [], True)])
+    trace = _trace_of([TraceEvent(env, "\x00", " ", [("€", 3)], [], True)])
     line = serialize_trace(trace).splitlines()[0]
     assert line.isascii()
-    assert json.loads(line) == event_dict(trace.events[0])
+    assert json.loads(line) == event_dict(trace.events[0], 0)
     assert r'"receiver": "q\"\\\n"' in line and '"dropped": true' in line
