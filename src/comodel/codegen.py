@@ -10,12 +10,14 @@ re-extracts the constants from the emitted texts and verifies them
 against the manifest, which also catches externally tampered files.
 
 One emitter skeleton serves both targets: it validates the model, checks
-the manifest's names, lays out payloads and walks each transition's
-actions, and the `isHardware` mark picks the mapping rule that prints a
-class. The C rule gives each software class a state enum, an instance
-struct with exact-width unsigned attributes, a dispatch function
-mirroring the transition table, and per-instance FIFO queues, plus bus
-glue (`bus_send` out, `bus_deliver` in) and an injection entry point.
+the manifest's names and that no two names of one scope (classes,
+instances, a class's states, signals or attributes) differ only in case,
+lays out payloads and walks each transition's actions, and the
+`isHardware` mark picks the mapping rule that prints a class. The C rule
+gives each software class a state enum, an instance struct with
+exact-width unsigned attributes, a dispatch function mirroring the
+transition table, and per-instance FIFO queues, plus bus glue
+(`bus_send` out, `bus_deliver` in) and an injection entry point.
 The VHDL rule gives each hardware class an entity with clock/reset and
 event input ports and a synchronous process implementing the same
 transition table over unsigned registers. All arithmetic wraps at the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import frontend, ir, partition as part
@@ -85,12 +88,16 @@ def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
     return constants
 
 
-def _check_name_clashes(constants: list[tuple[str, int]]) -> None:
-    names: set[str] = set()
-    for name, _ in constants:
-        if name in names:
-            raise CodegenError("E_NAME_CLASH", f"mangled name {name} is not unique")
-        names.add(name)
+def _check_name_clashes(what: str, names: Iterable[str]) -> None:
+    """Raise E_NAME_CLASH when two of one scope's `names` are equal
+    upper-cased: the C target upper-cases names into its macros and
+    enumerators, and VHDL identifiers ignore case."""
+    seen: set[str] = set()
+    for name in names:
+        key = name.upper()
+        if key in seen:
+            raise CodegenError("E_NAME_CLASH", f"{what} {name} is not unique ignoring case")
+        seen.add(key)
 
 
 def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
@@ -122,7 +129,7 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
     manifest = InterfaceManifest(
         model_hash=model_content_hash(model, partition), signals=signals
     )
-    _check_name_clashes(_constants(manifest))
+    _check_name_clashes("mangled name", (n for n, _ in _constants(manifest)))
     return manifest
 
 
@@ -243,7 +250,14 @@ class _Emitter:
     ):
         self.checked = ir.ensure_valid(model)
         self.constants = _constants(manifest)
-        _check_name_clashes(self.constants)
+        _check_name_clashes("mangled name", (n for n, _ in self.constants))
+        _check_name_clashes("class", self.checked.classes)
+        _check_name_clashes("instance", self.checked.instance_class)
+        for cls in self.checked.classes.values():
+            for what, items in (
+                ("state", cls.machine.states), ("signal", cls.signals), ("attribute", cls.attributes)
+            ):
+                _check_name_clashes(f"{cls.name} {what}", (x.name for x in items))
         self.layouts = _payload_layouts(self.checked)
         self.partition = partition
         self.manifest = manifest
@@ -571,21 +585,22 @@ class _CEmitter(_Emitter):
 
         w.w(f"int {self.name}_step(void) {{")
         w.indent += 1
-        w.w("uint32_t i;")
-        w.w("for (i = 0; i < SW_INSTANCE_COUNT; i++) {")
-        w.indent += 1
-        w.w("event_queue_t *q = &queues[i];")
-        w.w("if (q->count > 0u) {")
-        w.indent += 1
-        w.w("event_slot_t slot = q->slots[q->head];")
-        w.w("q->head = (q->head + 1u) % QUEUE_CAP;")
-        w.w("q->count--;")
-        w.w("sw_dispatch(i, slot.ev, slot.args);")
-        w.w("return 1;")
-        w.indent -= 1
-        w.w("}")
-        w.indent -= 1
-        w.w("}")
+        if self.instances:  # else the loop test would be `i < 0u`, always false
+            w.w("uint32_t i;")
+            w.w("for (i = 0; i < SW_INSTANCE_COUNT; i++) {")
+            w.indent += 1
+            w.w("event_queue_t *q = &queues[i];")
+            w.w("if (q->count > 0u) {")
+            w.indent += 1
+            w.w("event_slot_t slot = q->slots[q->head];")
+            w.w("q->head = (q->head + 1u) % QUEUE_CAP;")
+            w.w("q->count--;")
+            w.w("sw_dispatch(i, slot.ev, slot.args);")
+            w.w("return 1;")
+            w.indent -= 1
+            w.w("}")
+            w.indent -= 1
+            w.w("}")
         w.w("return 0;")
         w.indent -= 1
         w.w("}")

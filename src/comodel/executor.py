@@ -14,9 +14,12 @@ dispatch step N; injections that fall beyond quiescence are enqueued
 when the system goes quiescent, which resumes the run.
 
 `run` and `partition.cosim` share one dispatch loop, which holds these
-rules, the step limit and the outcome once. `run` is its one-island
-case, in which every send goes straight to its receiver's queue. The
-golden traces remain the independent oracle for that loop.
+rules, the step limit and the outcome once. The loop knows islands,
+each a list of instances served in turn, and not the HW and SW domains:
+`cosim` turns its partition into two islands, and `run` is the
+one-island case, in which every send goes straight to its receiver's
+queue. A step's number is its index in the trace. The golden traces
+remain the independent oracle for that loop.
 
 The scheduler only picks *which* nonempty queue dispatches next:
 
@@ -128,13 +131,13 @@ class SignalEnvelope:
 @dataclass
 class SystemState:
     """Mutable execution state: instance states and attribute valuations,
-    pending per-instance queues, and the send/dispatch counters."""
+    pending per-instance queues, and the next sequence number. The number
+    of steps run is the length of the trace's events."""
 
     states: dict[str, str]
     attrs: dict[str, dict[str, int]]
     pending: dict[str, deque[SignalEnvelope]]
     next_seq: int = 0
-    dispatch_count: int = 0
 
     def quiescent(self) -> bool:
         return not any(self.pending.values())
@@ -155,7 +158,7 @@ class TraceEvent:
 @dataclass
 class Outcome:
     kind: str  # quiescent | step-limit | runtime-error
-    detail: str | None = None
+    detail: str | None = None  # what a runtime error was; no other kind has one
 
     def render(self) -> str:
         if self.kind == RUNTIME_ERROR:
@@ -194,26 +197,23 @@ class Machine:
     The tables are the model's `ir.Checked` record, read through
     `ir.ensure_valid`, so a model that was validated is not validated
     again and one that never was is validated here. `instance_class`
-    maps each instance to its class and `transitions` maps (class,
-    state, signal) to the transition; `instance_order` lists the
-    instances in document order. `compiled` maps the same keys to the
-    transitions compiled so far; it lives on the `ir.Checked` record, so
-    every run and cosim of one validated model shares it.
+    maps each instance to its class, in document order, and
+    `checked.transitions` maps (class, state, signal) to the transition.
+    `compiled` maps the same keys to the transitions compiled so far; it
+    lives on the `ir.Checked` record, so every run and cosim of one
+    validated model shares it.
     """
 
     def __init__(self, model: ir.Model):
         self.checked = ir.ensure_valid(model)
         self.instance_class = self.checked.instance_class
-        self.instance_order = list(self.instance_class)
-        self.transitions = self.checked.transitions
         self.compiled = self.checked.compiled
 
     def initial_state(self) -> SystemState:
         states = {}
         attrs = {}
         pending = {}
-        for name in self.instance_order:
-            cls = self.instance_class[name]
+        for name, cls in self.instance_class.items():
             states[name] = cls.machine.initial
             attrs[name] = {a.name: int(a.default) for a in cls.attributes}
             pending[name] = deque()
@@ -369,7 +369,7 @@ def execute_rtc_step(
     key = (machine.instance_class[inst].name, cur, envelope.signal)
     transition = machine.compiled.get(key)
     if transition is None:
-        tr = machine.transitions.get(key)
+        tr = machine.checked.transitions.get(key)
         if tr is None:
             if mode == STRICT:
                 return None
@@ -398,10 +398,11 @@ def execute_rtc_step(
 
 def _injections(
     checked: ir.Checked, scenario: ir.Scenario
-) -> dict[int, list[tuple[str, str, tuple[int, ...]]]]:
-    """Group the injections by `at`, each group in file order as `(instance,
-    signal, int args)`. Raises ScenarioError at the first scenario
-    reference that does not resolve."""
+) -> list[tuple[int, list[tuple[str, str, tuple[int, ...]]]]]:
+    """The injections grouped by `at`, as `(at, group)` pairs in ascending
+    `at` order, each group in file order as `(instance, signal, int
+    args)`. Raises ScenarioError at the first scenario reference that does
+    not resolve."""
 
     def fail(msg: str) -> None:
         raise ScenarioError(f"E_SCENARIO_REF: {msg}")
@@ -432,7 +433,7 @@ def _injections(
             fail(f"expectation references unknown instance {exp.instance}")
         if not any(a.name == exp.attr for a in cls.attributes):
             fail(f"instance {exp.instance} has no attribute {exp.attr}")
-    return groups
+    return sorted(groups.items())
 
 
 def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[ExpectationResult]:
@@ -502,76 +503,67 @@ def _dispatch(
     machine: Machine,
     scenario: ir.Scenario,
     config: ExecConfig,
-    domain_of: dict[str, str] | None = None,
-    domains: tuple[str | None, ...] = (None,),
+    islands: list[list[str]] | None = None,
     latency: int = 0,
 ) -> tuple[Trace, dict[int, int]]:
     """The one dispatch loop, shared by `run` and `partition.cosim`.
 
-    `domains` names the islands in round order, and `domain_of` maps
-    every instance to one of them. With `domain_of` None, every instance
-    sits on the one island `domains[0]` (the `run` case). A send to
-    another island rides the bus and becomes deliverable `latency`
-    rounds later. A round runs at most one step per island, then a bus
-    tick. Every step builds the same `TraceEvent`, whatever its island.
-    Returns the trace and the bus map `seq -> enqueue round` of the
-    envelopes that rode the bus; each was deliverable `latency` rounds
-    after its enqueue round.
+    `islands` lists each island's instance names in round order; None
+    means one island holding every instance (the `run` case). A round
+    gives every island, even an empty one, its turn for at most one step,
+    then a bus tick. A send to another island rides the bus and is
+    delivered once `latency` rounds have passed since its enqueue round.
+    Every step builds the same `TraceEvent`, whatever its island, and a
+    step's number is the count of events before it. Returns the trace and
+    the bus map `seq -> enqueue round` of the envelopes that rode the bus.
     """
-    groups = _injections(machine.checked, scenario)
+    groups = deque(_injections(machine.checked, scenario))
     state = machine.initial_state()
     rng = random.Random(config.seed) if config.scheduler == RANDOM else None
-    pending_ats = sorted(groups)
-    # (deliver round, envelope); latency is constant, so deliver rounds
-    # never decrease along the deque and the due entries sit at its left
-    bus: deque[tuple[int, SignalEnvelope]] = deque()
+    # latency is constant, so due rounds never decrease along the bus and
+    # the due envelopes sit at its left
+    bus: deque[SignalEnvelope] = deque()
     bus_rounds: dict[int, int] = {}
     round_no = 0
 
-    if domain_of is None:
-        domain_of = dict.fromkeys(machine.instance_order, domains[0])
-    by_domain = {
-        d: Island(state, [n for n in machine.instance_order if domain_of[n] == d], rng)
-        for d in domains
-    }
+    order = [Island(state, names, rng) for names in islands or [list(machine.instance_class)]]
+    island_of = {name: island for island in order for name in island.names}
 
-    def enqueue(env: SignalEnvelope) -> None:
-        by_domain[domain_of[env.receiver]].push(env)
-
-    def make_deliver(sender_domain: str | None):
-        local = by_domain[sender_domain]
-        if len(local.names) == len(domain_of):  # every receiver is local
+    def make_deliver(local: Island):
+        if len(local.names) == len(island_of):  # every receiver is local
             return local.push
 
         def deliver(env: SignalEnvelope) -> None:
-            if domain_of[env.receiver] == sender_domain:
+            if island_of[env.receiver] is local:
                 local.push(env)
             else:
-                bus.append((round_no + latency, env))
+                bus.append(env)
                 bus_rounds[env.seq] = round_no
         return deliver
 
-    islands = [(by_domain[d], make_deliver(d)) for d in domains]
+    turns = [(island, make_deliver(island)) for island in order]
 
     def inject_next() -> None:
-        for instance, signal, args in groups[pending_ats.pop(0)]:
-            enqueue(SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args))
+        for instance, signal, args in groups.popleft()[1]:
+            env = SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args)
+            island_of[instance].push(env)
             state.next_seq += 1
 
     events: list[TraceEvent] = []
     outcome: Outcome | None = None
     while outcome is None:
-        while bus and bus[0][0] <= round_no:
-            enqueue(bus.popleft()[1])
-        steps_before = state.dispatch_count
-        for island, deliver in islands:
+        while bus and bus_rounds[bus[0].seq] + latency <= round_no:
+            env = bus.popleft()
+            island_of[env.receiver].push(env)
+        steps_before = len(events)
+        for island, deliver in turns:
             # the injections `at N` are enqueued, in file order, before step N
-            if pending_ats and pending_ats[0] == state.dispatch_count:
+            if groups and groups[0][0] == len(events):
                 inject_next()
             if not island.count:
                 continue
-            if state.dispatch_count >= config.max_steps:
-                outcome = Outcome(STEP_LIMIT, "E_STEP_LIMIT")
+            if len(events) >= config.max_steps:
+                outcome = Outcome(STEP_LIMIT)
                 break
             env = island.pop()
             ev = execute_rtc_step(machine, state, env, deliver, config.mode)
@@ -579,14 +571,13 @@ def _dispatch(
                 outcome = Outcome(
                     RUNTIME_ERROR,
                     f"E_UNHANDLED {env.receiver}.{env.signal} in state"
-                    f" {state.states[env.receiver]} at step {state.dispatch_count}",
+                    f" {state.states[env.receiver]} at step {len(events)}",
                 )
                 break
             events.append(ev)
-            state.dispatch_count += 1
         else:
-            if state.dispatch_count == steps_before and not bus:  # every queue is empty
-                if not pending_ats:
+            if len(events) == steps_before and not bus:  # every queue is empty
+                if not groups:
                     outcome = Outcome(QUIESCENT)
                     break
                 inject_next()  # injections beyond quiescence resume the run

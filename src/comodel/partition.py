@@ -12,10 +12,11 @@ interface consists of exactly these signals.
 
 `cosim` runs the dispatch loop of `executor.run` with two islands, SW
 and HW, where `run` has one; the partition only decides which island an
-instance sits on. Intra-domain sends enqueue directly; cross-boundary
-sends travel through a FIFO bus and arrive `latency` bus ticks later
-(one tick per dispatch round, fixed round order: SW step, HW step, bus
-tick). Sequence numbers stay global, so every executor trace check
+instance sits on. `cosim` is the one place that turns domains into
+islands, and the loop itself never sees a domain name. Intra-domain
+sends enqueue directly; cross-boundary sends travel through a FIFO bus
+and arrive `latency` bus ticks later (one tick per dispatch round, fixed
+round order: SW step, HW step, bus tick). Sequence numbers stay global, so every executor trace check
 applies unchanged to the merged trace, and the golden traces remain the
 independent oracle for the shared loop. Its events are the records
 `run` builds; the merged trace keeps each instance's domain, each bus
@@ -163,10 +164,13 @@ def cosim(
 ) -> PartitionedTrace:
     """Co-simulate the partitioned system and return the merged trace.
 
-    Each dispatch round runs at most one SW step, then at most one HW
-    step, then a bus tick. A cross-boundary envelope enqueued during
+    The SW instances and then the HW instances, each in document order,
+    are the two islands of the dispatch loop, so each round runs at most
+    one SW step, then at most one HW step, then a bus tick; an empty
+    island keeps its turn. A cross-boundary envelope enqueued during
     round R becomes deliverable in round R + latency; intra-domain sends
-    and scenario injections bypass the bus entirely. Degenerate
+    and scenario injections bypass the bus entirely. The instance ->
+    domain map stays on the trace for its renderer. Degenerate
     partitions (all-SW, all-HW) reproduce the reference trace
     event-for-event.
     """
@@ -174,9 +178,8 @@ def cosim(
         raise ValueError("latency must be >= 1")
     machine = Machine(model)
     domain_of = {n: partition.domain[c.name] for n, c in machine.instance_class.items()}
-    trace, bus = executor._dispatch(
-        machine, scenario, config or ExecConfig(), domain_of, (SW, HW), latency
-    )
+    islands = [[n for n, d in domain_of.items() if d == domain] for domain in (SW, HW)]
+    trace, bus = executor._dispatch(machine, scenario, config or ExecConfig(), islands, latency)
     return PartitionedTrace(
         trace.events, trace.final, trace.outcome, trace.expectations, domain_of, bus, latency
     )

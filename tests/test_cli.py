@@ -242,6 +242,20 @@ def test_gen_name_clash_exits_1(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_gen_case_clash_exits_1(tmp_path, capsys):
+    # x and X would both be `#define SWI_X`, even with every class in SW
+    model = tmp_path / "case.model"
+    model.write_text(
+        "class A { statemachine { initial S; state S {} } }"
+        "class B { statemachine { initial S; state S {} } }"
+        "instance x: A; instance X: B;"
+    )
+    rc = main(["gen", str(model), "-o", str(tmp_path / "g")])
+    assert rc == 1
+    assert "E_NAME_CLASH" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_gen_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -128,17 +128,41 @@ def test_manifest_json_is_canonical(pingpong):
     assert manifest_to_json(m) == manifest_to_json(manifest_from_json(manifest_to_json(m)))
 
 
-def test_name_clash_detected():
-    model = parse_model(
-        "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
-        "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
-        "class D { signal Go(); statemachine { initial I;"
-        " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
-        "instance x: A_B; instance y: A; instance d: D;"
-    )
-    p = Partition(domain={"A_B": HW, "A": HW, "D": SW})
+@pytest.mark.parametrize(
+    "source,hw",
+    [
+        pytest.param(
+            "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
+            "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
+            "class D { signal Go(); statemachine { initial I;"
+            " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
+            "instance x: A_B; instance y: A; instance d: D;",
+            {"A_B", "A"},
+            id="mangled-signal",
+        ),
+        # both would be `#define SWI_X` in C
+        pytest.param(
+            "class A { statemachine { initial S; state S {} } }"
+            "class B { statemachine { initial S; state S {} } }"
+            "instance x: A; instance X: B;",
+            set(),
+            id="instance-case",
+        ),
+        # `A_ST_S` twice in C; `EV_A_GO` twice and entities `A` and `a` in VHDL
+        pytest.param(
+            "class A { signal Go(); statemachine { initial S; state S { on Go -> S {} } } }"
+            "class a { signal Go(); statemachine { initial S; state S { on Go -> S {} } } }"
+            "instance x: A; instance y: a;",
+            {"A", "a"},
+            id="class-case",
+        ),
+    ],
+)
+def test_name_clash_detected(source, hw):
+    model = parse_model(source)
+    p = Partition(domain={c.name: HW if c.name in hw else SW for c in model.classes})
     with pytest.raises(CodegenError) as exc:
-        build_manifest(model, p)
+        emit(model, p)
     assert exc.value.code == "E_NAME_CLASH"
 
 
@@ -354,6 +378,27 @@ def test_generated_c_compiles(tmp_path, name, domain_map):
     result = subprocess.run(
         ["cc", "-std=c99", "-Wall", "-Wextra", "-c", f"{name}_sw.c"],
         cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "", result.stderr
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_every_corpus_partition_compiles_warning_free(tmp_path):
+    sources = []
+    for name in CORPUS_MODELS:
+        model = load_model(name)
+        for k, p in enumerate(all_partitions(model)):
+            out = emit(model, p, name=name)
+            d = tmp_path / f"{name}_{k}"
+            d.mkdir()
+            (d / f"{name}_sw.c").write_text(out.c_source)
+            (d / f"{name}_sw.h").write_text(out.c_header)
+            sources.append(str(d / f"{name}_sw.c"))
+    result = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsyntax-only", *sources],
         capture_output=True,
         text=True,
     )

@@ -6,7 +6,8 @@ import pytest
 from conftest import CORPUS_MODELS, load_model
 
 from comodel import ir
-from comodel.frontend import parse_model
+from comodel.executor import run
+from comodel.frontend import parse_model, parse_scenario
 
 MINIMAL = """
 class A {
@@ -161,6 +162,37 @@ def test_literal_out_of_range_in_expression():
     """
     report = ir.validate(parse_model(text))
     assert codes(report) == ["E_TYPE_MISMATCH"]
+
+
+LITERAL_CMP = """
+class A {{ attr small: u8 = 255; attr hit: u8; signal S();
+  statemachine {{ initial I; state I {{ on S -> I {{ if ({cond}) {{ hit = 1; }} }} }} }} }}
+instance a: A;
+"""
+
+
+@pytest.mark.parametrize(
+    "cond,ty",
+    [
+        ("-1 == small", "u8"),  # -1 wraps to 255 at u8
+        ("1 + 254 == small", "u8"),
+        ("1 < 2", "u32"),  # no side pins a type
+    ],
+)
+def test_literal_side_takes_the_other_side_type(cond, ty):
+    model = parse_model(LITERAL_CMP.format(cond=cond))
+    assert ir.validate(model).ok
+    cmp = model.classes[0].machine.states[0].transitions[0].actions[0].cond
+    assert (cmp.left.ty, cmp.right.ty) == (ty, ty)
+    trace = run(model, parse_scenario("at 0 send a.S();"))
+    assert trace.final.attrs["a"]["hit"] == 1
+
+
+def test_literal_compared_with_a_narrow_side_must_fit():
+    report = ir.validate(parse_model(LITERAL_CMP.format(cond="300 < small")))
+    assert [(d.code, d.message) for d in report.diagnostics] == [
+        ("E_TYPE_MISMATCH", "literal 300 does not fit u8")
+    ]
 
 
 def test_bool_arithmetic_is_width_one():
