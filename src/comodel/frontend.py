@@ -1,11 +1,11 @@
 """Parsers for the three textual inputs: model, marks and scenario files.
 
-All three DSLs share one lexer, a single table of regular expressions
-(`_LEXICON`): whitespace, `//` comments, ASCII decimal integers
-`[0-9]+`, ASCII identifiers `[A-Za-z_][A-Za-z0-9_]*`, and a small symbol
-set, longest symbols first. A character no rule matches is a lexical
-error, raised before parsing starts. Model-language keywords are
-reserved and never usable as identifiers.
+All three DSLs share one lexer, one regular expression built from one
+table (`_LEXICON`): it skips whitespace and `//` comments, then matches an
+ASCII integer `[0-9]+`, an ASCII identifier `[A-Za-z_][A-Za-z0-9_]*` or a
+symbol, longest first. A token is its text; its kind comes from its first
+character. A character no rule matches is a lexical error, and it wins
+over any syntax error. Keywords are reserved, never identifiers.
 
 Model grammar (statements end in `;`, blocks use `{ }`):
 
@@ -39,14 +39,15 @@ Scenario:  directive := "at" INT "send" IDENT "." IDENT "(" literals ")" ";"
                       | "confluent" ";" ;
 
 Parsing is a pure function of the input text; the first syntax error
-wins and is reported with an exact source location. Tokens carry only a
-character offset; the line and column are computed from it only when an
-error is raised.
+wins and is reported with an exact source location. Token offsets, lines
+and columns, and the check for a character no rule matches, are computed
+only when an error is raised.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
@@ -108,16 +109,43 @@ class ParseError(Exception):
         self.code = code
 
 
+# the token alphabet, read by the lexer and by the parser's kind checks
+_DIGITS = "0123456789"
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_SYMBOLS = "-{}();:,.=<>+*!$"
+# a token's first character gives its kind; `""`, the end of input, is in neither
+_INT_START = frozenset(_DIGITS)
+_IDENT_START = frozenset(_LETTERS)
+# the characters that are a token alone; any other one-character token is bad
+_CHAR_TOKENS = frozenset(_DIGITS + _LETTERS + _SYMBOLS)
+
+# whitespace and comments, skipped before each token
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)*"
 _LEXICON = (
-    ("space", r"[ \t\r\n]+"),
-    ("comment", r"//[^\n]*"),
-    ("int", r"[0-9]+"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-    # two-character symbols first, so that `->` is not read as `-` `>`
-    ("sym", r"->|==|!=|<=|>=|&&|\|\||[-{}();:,.=<>+*!$]"),
-    ("bad", r"."),
+    rf"[{_DIGITS}]+",  # integer
+    rf"[{_LETTERS}][{_LETTERS}{_DIGITS}]*",  # identifier
+    # symbol: two-character symbols first, so that `->` is not read as `-` `>`
+    rf"->|==|!=|<=|>=|&&|\|\||[{re.escape(_SYMBOLS)}]",
+    r".",  # one bad character
+    r"\Z",  # the end of input
 )
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{rule})" for kind, rule in _LEXICON), re.DOTALL)
+# after the skip, one group: a token, one bad character or the end of input
+_TOKEN_RE = re.compile(f"{_SKIP}({'|'.join(_LEXICON)})", re.DOTALL)
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, each its own text, ending in one `""`; a bad
+    character is a token that no parser check accepts."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens[-2:] == ["", ""]:  # after a trailing skip `\Z` matches a second time
+        tokens.pop()
+    return tokens
+
+
+def _scan(text: str) -> list[tuple[str, int]]:
+    """`_tokenize` with each token's offset; built only for errors."""
+    scan = [(m.group(1), m.start(1)) for m in _TOKEN_RE.finditer(text)]
+    return scan[: scan.index(("", len(text))) + 1]
 
 
 def _locate(text: str, filename: str, offset: int) -> SourceLoc:
@@ -126,20 +154,15 @@ def _locate(text: str, filename: str, offset: int) -> SourceLoc:
     return SourceLoc(filename, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _lex_error(
-    text: str, filename: str, tokens: list[tuple[str, str, int]], offset: int
-) -> ParseError:
-    """The error for the character at `offset`, which no lexer rule matches.
-
-    A word that holds a non-ASCII letter or digit is reported whole, at its
-    start, also when it starts with ASCII characters; any other character
-    is reported alone.
-    """
-    c = text[offset]
+def _lex_error(text: str, filename: str, scan: list[tuple[str, int]], i: int) -> ParseError:
+    """The error for the bad character `scan[i]`. A word that holds a
+    non-ASCII letter or digit is reported whole, at its start, also when it
+    starts with ASCII characters; any other character is reported alone."""
+    c, offset = scan[i]
     start = offset
-    if c.isalnum() and tokens:
-        kind, value, at = tokens[-1]
-        if kind == "ident" and at + len(value) == offset:
+    if c.isalnum() and i:
+        value, at = scan[i - 1]
+        if value[0] in _IDENT_START and at + len(value) == offset:
             start = at
     if not (text[start].isalpha() or text[start] == "_"):
         return ParseError(_locate(text, filename, offset), "a token", repr(c))
@@ -149,75 +172,79 @@ def _lex_error(
     return ParseError(_locate(text, filename, start), "ASCII identifier", repr(text[start:end]))
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
-    """`(kind, value, offset)` tuples, ending with an `("eof", "", offset)`."""
-    tokens: list[tuple[str, str, int]] = []
-    eof = len(text)
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "comment":
-            if m.end() == eof:
-                eof = m.start()  # a final comment does not advance the end-of-input column
-            continue
-        if kind == "bad":
-            raise _lex_error(text, filename, tokens, m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", eof))
-    return tokens
-
-
 class _Parser:
+    """Recursive descent over the tokens of one text. A token is its text;
+    its kind comes from its first character: an ASCII digit starts an
+    integer, an ASCII letter or `_` an identifier, and `""` is the end of
+    input. Symbols are tested by value. Offsets and the check for a bad
+    character are computed only when an error is raised (`fail`), and a
+    bad character still wins over any syntax error: every token is accepted
+    by a value or kind check, and none accepts a bad character."""
+
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def fail(self, expected: str) -> ParseError:
-        kind, value, offset = self.tokens[self.pos]
-        found = "end of input" if kind == "eof" else repr(value)
-        return ParseError(_locate(self.text, self.filename, offset), expected, found)
+    def fail(self, expected: str, found: str | None = None, code: str | None = None) -> ParseError:
+        """The error at token `pos` (`found` defaults to it), unless the
+        text holds a bad character: the first one wins, wherever it stands."""
+        text, filename = self.text, self.filename
+        scan = _scan(text)
+        for i, (value, _) in enumerate(scan):
+            if len(value) == 1 and value not in _CHAR_TOKENS:
+                return _lex_error(text, filename, scan, i)
+        value, offset = scan[self.pos]
+        if not value:
+            found = found or "end of input"
+            # a final comment keeps the end-of-input column; every `/` is in a comment
+            comment = text.find("//", text.rfind("\n") + 1)
+            offset = offset if comment < 0 else comment
+        return ParseError(_locate(text, filename, offset), expected, found or repr(value), code)
 
     def advance(self) -> str:
-        value = self.tokens[self.pos][1]
+        value = self.tokens[self.pos]
         self.pos += 1
         return value
 
     def at(self, value: str) -> bool:
-        # symbol, word and integer values never coincide, so the value decides
-        return self.tokens[self.pos][1] == value
+        return self.tokens[self.pos] == value
 
     def expect(self, value: str) -> None:
-        if self.tokens[self.pos][1] != value:
+        if self.tokens[self.pos] != value:
             raise self.fail(f"'{value}'")
         self.pos += 1
 
     def expect_ident(self, what: str = "identifier") -> str:
-        kind, value, _ = self.tokens[self.pos]
-        if kind != "ident" or value in KEYWORDS:
+        value = self.tokens[self.pos]
+        if value[:1] not in _IDENT_START or value in KEYWORDS:
             raise self.fail(what)
         self.pos += 1
         return value
 
     def expect_int(self, what: str = "integer") -> int:
-        if self.tokens[self.pos][0] != "int":
+        if self.tokens[self.pos][:1] not in _INT_START:
             raise self.fail(what)
-        return int(self.advance())
+        return self.expect_literal()
 
     def expect_literal(self) -> bool | int:
-        kind, value, _ = self.tokens[self.pos]
-        if kind == "int":
+        value = self.tokens[self.pos]
+        if value[:1] in _INT_START:
+            try:
+                literal = int(value)
+            except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+                limit = sys.get_int_max_str_digits()
+                raise self.fail(f"integer of at most {limit} digits") from None
             self.pos += 1
-            return int(value)
+            return literal
         if value == "true" or value == "false":
             self.pos += 1
             return value == "true"
         raise self.fail("literal")
 
     def expect_type(self) -> str:
-        if self.tokens[self.pos][1] in TYPE_NAMES:
+        if self.tokens[self.pos] in TYPE_NAMES:
             return self.advance()
         raise self.fail("type (bool, u8, u16 or u32)")
 
@@ -242,7 +269,7 @@ class _Parser:
 class _ModelParser(_Parser):
     def parse(self) -> ir.Model:
         model = ir.Model()
-        while self.tokens[self.pos][0] != "eof":
+        while not self.at(""):
             if self.at("class"):
                 model.classes.append(self.class_def())
             elif self.at("instance"):
@@ -389,7 +416,7 @@ class _ModelParser(_Parser):
         operators open around the expression."""
         left = self.unary_expr(depth)
         height = self.height
-        while (op := ir.BINARY_OPS.get(self.tokens[self.pos][1])) and op.prec >= min_prec:
+        while (op := ir.BINARY_OPS.get(self.tokens[self.pos])) and op.prec >= min_prec:
             self.check_depth(depth + height + 1)
             symbol = self.advance()
             right = self.expr(depth + 1, op.prec + 1)
@@ -409,8 +436,8 @@ class _ModelParser(_Parser):
 
     def primary(self, depth: int) -> ir.Expr:
         self.height = 0
-        kind, value, _ = self.tokens[self.pos]
-        if kind == "int" or value == "true" or value == "false":
+        value = self.tokens[self.pos]
+        if value[:1] in _INT_START or value == "true" or value == "false":
             literal = self.expect_literal()
             return ir.BoolLit(literal) if isinstance(literal, bool) else ir.IntLit(literal)
         if self.at("$"):
@@ -424,7 +451,7 @@ class _ModelParser(_Parser):
             self.parens -= 1
             self.expect(")")
             return e
-        if kind == "ident" and value not in KEYWORDS:
+        if value[:1] in _IDENT_START and value not in KEYWORDS:
             self.pos += 1
             return ir.AttrRef(value)
         raise self.fail("expression")
@@ -444,8 +471,8 @@ def parse_marks(text: str, filename: str = "<marks>") -> ir.MarkSet:
     p = _Parser(text, filename)
     marks = ir.MarkSet()
     seen: set[tuple[str, str]] = set()
-    while p.tokens[p.pos][0] != "eof":
-        offset = p.tokens[p.pos][2]
+    while not p.at(""):
+        start = p.pos
         p.expect("mark")
         key = p.expect_ident("mark key")
         value: bool | int = True
@@ -460,8 +487,9 @@ def parse_marks(text: str, filename: str = "<marks>") -> ir.MarkSet:
         p.expect(";")
         path = ".".join(parts)
         if (key, path) in seen:
-            loc = _locate(text, filename, offset)
-            raise ParseError(loc, "distinct (key, path) pair", f"duplicate mark {key} on {path}", code="E_DUP_MARK")
+            p.pos = start
+            found = f"duplicate mark {key} on {path}"
+            raise p.fail("distinct (key, path) pair", found, "E_DUP_MARK")
         seen.add((key, path))
         marks.marks.append(ir.Mark(key, value, path))
     return marks
@@ -475,7 +503,7 @@ def parse_marks(text: str, filename: str = "<marks>") -> ir.MarkSet:
 def parse_scenario(text: str, filename: str = "<scenario>") -> ir.Scenario:
     p = _Parser(text, filename)
     scenario = ir.Scenario()
-    while p.tokens[p.pos][0] != "eof":
+    while not p.at(""):
         if p.at("at"):
             p.advance()
             at = p.expect_int("nonnegative step number")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,18 @@ def load_scenario(name: str) -> ir.Scenario:
 
 def load_marks(name: str) -> ir.MarkSet:
     return frontend.parse_marks(marks_path(name).read_text(), f"{name}.marks")
+
+
+def load_ringgen():
+    """bench/ringgen.py, loaded from its file without changing the bench."""
+    path = CORPUS.parent / "bench" / "ringgen.py"
+    name = "_bench_ringgen"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered first: its dataclasses look their module up by name
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @pytest.fixture

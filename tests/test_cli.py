@@ -7,7 +7,7 @@ import pytest
 from conftest import CORPUS, marks_path, model_path, scenario_path
 
 from comodel.cli import main
-from comodel.frontend import MAX_EXPR_DEPTH, MAX_STMT_DEPTH
+from comodel.frontend import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, ParseError, parse_model
 
 PP = str(model_path("pingpong"))
 PP_SCN = str(scenario_path("pingpong_hit"))
@@ -369,6 +369,9 @@ def test_location_counts_carriage_returns_as_the_library_does(tmp_path, capsys, 
     bad.write_bytes(data)
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err == f"{bad}:{where}: expected a token, found '#'\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model(data.decode(), str(bad))
+    assert str(exc.value.loc) == f"{bad}:{where}"
 
 
 _NESTED = {

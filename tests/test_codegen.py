@@ -6,8 +6,17 @@ import shutil
 import subprocess
 
 import pytest
-from conftest import CORPUS_MARKS, CORPUS_MODELS, GOLDEN, load_marks, load_model
+from conftest import (
+    CORPUS_MARKS,
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    GOLDEN,
+    load_marks,
+    load_model,
+    load_scenario,
+)
 
+from comodel import executor, ir
 from comodel.codegen import (
     CodegenError,
     build_manifest,
@@ -404,3 +413,87 @@ def test_every_corpus_partition_compiles_warning_free(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == "", result.stderr
+
+
+def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
+    """A `main` for the all-SW C half that replays `scenario` as `executor.run`
+    does: the `at N` group is injected before step N, and when a step finds
+    every queue empty with groups left, the next group is injected. It prints
+    the step count and then every `inst_<name>.<attr>`, one per line."""
+    class_of = ir.ensure_valid(model).instance_class
+    injs = sorted(scenario.injections, key=lambda inj: inj.at)  # stable: file order in a group
+    rows = [
+        f"    {{{inj.at}ul, SWI_{inj.instance.upper()},"
+        f" {class_of[inj.instance].name.upper()}_EV_{inj.signal.upper()}, {len(inj.args)}u,"
+        f" {{{', '.join(f'{int(a)}u' for a in inj.args) or '0u'}}}}},"
+        for inj in injs
+    ]
+    prints = [
+        f'    printf("%lu\\n", (unsigned long)inst_{inst}.{a.name});'
+        for inst, cls in class_of.items()
+        for a in cls.attributes
+    ]
+    return "\n".join([
+        f'#include "{name}_sw.c"',
+        "#include <stdio.h>",
+        f"void {name}_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits) {{",
+        "    (void)sig_id; (void)payload; (void)nbits;",
+        "}",
+        "static const struct {",
+        "    unsigned long at; uint32_t inst, ev, nargs, args[MAX_ARGS];",
+        "} injs[] = {", *rows, "};",
+        f"static const unsigned long n = {len(injs)}ul;",
+        "static unsigned long k = 0;",
+        "static void inject_group(void) {",
+        "    unsigned long at = injs[k].at;",
+        "    for (; k < n && injs[k].at == at; k++) {",
+        f"        {name}_inject(injs[k].inst, injs[k].ev, injs[k].args, injs[k].nargs);",
+        "    }",
+        "}",
+        "int main(void) {",
+        "    unsigned long steps = 0;",
+        f"    {name}_reset();",
+        "    for (;;) {",
+        "        if (k < n && injs[k].at == steps) {",
+        "            inject_group();",
+        "        }",
+        f"        if ({name}_step()) {{",
+        "            steps++;",
+        "        } else if (k < n) {",
+        "            inject_group();",
+        "        } else {",
+        "            break;",
+        "        }",
+        "    }",
+        '    printf("%lu\\n", steps);',
+        *prints,
+        "    return 0;",
+        "}",
+        "",
+    ])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS)
+def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
+    model, scenario = load_model(model_name), load_scenario(scn_name)
+    trace = executor.run(model, scenario)
+    assert trace.outcome.kind == executor.QUIESCENT
+    out = emit(model, derive_partition(model, ir.MarkSet()), name=model_name)
+    (tmp_path / f"{model_name}_sw.c").write_text(out.c_source)
+    (tmp_path / f"{model_name}_sw.h").write_text(out.c_header)
+    (tmp_path / "harness.c").write_text(_harness(model_name, model, scenario))
+    build = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsanitize=undefined",
+         "-fno-sanitize-recover=all", "harness.c", "-o", "harness"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert build.returncode == 0 and build.stderr == "", build.stderr
+    result = subprocess.run([str(tmp_path / "harness")], capture_output=True, text=True)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    attrs = [
+        int(trace.final.attrs[inst][a.name])
+        for inst, cls in ir.ensure_valid(model).instance_class.items()
+        for a in cls.attributes
+    ]
+    assert [int(v) for v in result.stdout.split()] == [len(trace.events), *attrs]

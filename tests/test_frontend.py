@@ -1,7 +1,9 @@
 """Parsing, printing and error locations for the three DSLs."""
 
+import sys
+
 import pytest
-from conftest import CORPUS, CORPUS_MODELS, CORPUS_PAIRS, load_model, load_scenario
+from conftest import CORPUS, CORPUS_MODELS, CORPUS_PAIRS, load_model, load_ringgen, load_scenario
 
 from comodel import frontend, ir
 from comodel.frontend import (
@@ -166,8 +168,8 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 )
 def test_single_token_corruption_located(fname, parser):
     text = (CORPUS / fname).read_text()
-    tokens = frontend._tokenize(text, fname)[:-1]  # drop eof
-    for _, value, offset in tokens:
+    tokens = frontend._scan(text)[:-1]  # drop eof
+    for value, offset in tokens:
         corrupted = _corrupt(text, value, offset)
         with pytest.raises(ParseError) as exc:
             parser(corrupted)
@@ -227,6 +229,61 @@ def test_lexical_error_texts(parser, text, message):
         parser(text)
     assert str(exc.value) == message
     assert exc.value.code is None
+
+
+# a lexical error anywhere wins over an earlier syntax error, duplicate
+# mark, depth error or integer too long for `int`, although the text is
+# checked only on error
+_DEEP = (
+    "class A { attr x: u8; signal go(); statemachine { initial S; state S {"
+    f" on go -> S {{ x = {'-' * (frontend.MAX_EXPR_DEPTH + 1)}x; }} }} }} }}\n// é\n"
+)
+# 0 where `int` reads any number of digits
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "parser,text,bad,first,message",
+    [
+        (parse_model, "class class ", "é", "class name",
+         "<model>:1:13: expected ASCII identifier, found 'é'"),
+        (parse_marks, "mark k on A;\nmark k on A; ", "½", "distinct (key, path) pair",
+         "<marks>:2:14: expected a token, found '½'"),
+        (parse_model, _DEEP, "é", f"expression nested at most {frontend.MAX_EXPR_DEPTH} deep",
+         "<model>:3:1: expected ASCII identifier, found 'é'"),
+        pytest.param(
+            parse_model, f"class A {{ attr x: u32 = {'7' * (_INT_DIGITS + 1)}; }} ", "é",
+            f"integer of at most {_INT_DIGITS} digits",
+            f"<model>:1:{_INT_DIGITS + 30}: expected ASCII identifier, found 'é'",
+            marks=pytest.mark.skipif(not _INT_DIGITS, reason="int reads any number of digits"),
+        ),
+    ],
+    ids=["syntax", "duplicate_mark", "depth", "long_integer"],
+)
+def test_lexical_error_wins_over_an_earlier_error(parser, text, bad, first, message):
+    with pytest.raises(ParseError) as exc:
+        parser(text)
+    assert exc.value.expected == first
+    with pytest.raises(ParseError) as exc:
+        parser(text + bad)
+    assert str(exc.value) == message
+    assert exc.value.code is None
+
+
+def _ring_texts() -> list[str]:
+    ringgen = load_ringgen()
+    ring = ringgen.generate(ringgen.RingSpec(instances=4, tokens=2, ttl=5, body="heavy"), 7)
+    return [ring.model_text, ring.marks_text, ring.scenario_text]
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "  \t", " // c", "\n// c", "\n// c\n"])
+def test_token_stream_is_the_located_scan(tail):
+    texts = [p.read_text() for p in sorted(CORPUS.glob("*.*"))] + _ring_texts()
+    for text in texts:
+        text = text.rstrip("\n") + tail
+        tokens = frontend._tokenize(text)
+        assert tokens == [value for value, _ in frontend._scan(text)]
+        assert tokens[-1] == "" and tokens.count("") == 1
 
 
 # --- expression depth ---

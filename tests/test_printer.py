@@ -6,9 +6,16 @@ import gc
 import itertools
 
 import pytest
-from conftest import CORPUS_MARKS, CORPUS_MODELS, CORPUS_PAIRS, load_marks, load_model, load_scenario
+from conftest import (
+    CORPUS_MARKS,
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    load_marks,
+    load_model,
+    load_ringgen,
+    load_scenario,
+)
 from test_compile import _run_block
-from test_trace_render import _ringgen
 
 from comodel import executor, frontend, ir
 from comodel.executor import run
@@ -141,7 +148,7 @@ def test_corpus_code_holds_no_model_text(name):
 
 @pytest.mark.parametrize("body", ["light", "heavy"])
 def test_ring_transitions_share_one_code_object(body):
-    ringgen = _ringgen()
+    ringgen = load_ringgen()
     ring = ringgen.generate(ringgen.RingSpec(instances=8, tokens=2, ttl=5, body=body), 3)
     compiled = _compiled(_validated(ring.model_text))
     assert len(compiled) == 16

@@ -7,19 +7,17 @@ The cosim goldens pin the bytes of one cosim per corpus model; the run
 goldens are checked in `test_acceptance.py`.
 """
 
-import importlib.util
 import json
-import sys
 
 import pytest
 from conftest import (
-    CORPUS,
     CORPUS_MARKS,
     CORPUS_MODELS,
     CORPUS_PAIRS,
     GOLDEN,
     load_marks,
     load_model,
+    load_ringgen,
     load_scenario,
     marks_path,
     model_path,
@@ -122,21 +120,9 @@ def test_corpus_traces_render_as_json_dumps(model_name, scn_name):
     _assert_renders_as_oracle(load_model(model_name), load_scenario(scn_name))
 
 
-def _ringgen():
-    """bench/ringgen.py, loaded from its file without changing the bench."""
-    path = CORPUS.parent / "bench" / "ringgen.py"
-    name = "_bench_ringgen"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, path)
-        # registered first: its dataclasses look their module up by name
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 @pytest.mark.parametrize("body", ["light", "heavy"])
 def test_ring_traces_render_as_json_dumps(body):
-    ringgen = _ringgen()
+    ringgen = load_ringgen()
     ring = ringgen.generate(ringgen.RingSpec(instances=4, tokens=2, ttl=5, body=body), 3)
     model = frontend.parse_model(ring.model_text, "ring.model")
     scenario = frontend.parse_scenario(ring.scenario_text, "ring.scn")
