@@ -134,25 +134,9 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
 
 
 def manifest_to_json(manifest: InterfaceManifest) -> str:
-    """Canonical JSON: sorted keys, two-space indent, byte-stable."""
-    obj = {
-        "model_hash": manifest.model_hash,
-        "signals": [
-            {
-                "id": s.id,
-                "receiver_class": s.receiver_class,
-                "signal": s.signal,
-                "direction": s.direction,
-                "payload": [
-                    {"name": f.name, "width_bits": f.width_bits, "bit_offset": f.bit_offset}
-                    for f in s.payload
-                ],
-                "payload_total_bits": s.payload_total_bits,
-            }
-            for s in manifest.signals
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, byte-stable. Each
+    manifest dataclass is written as its own fields (`vars`)."""
+    return json.dumps(manifest, default=vars, indent=2, sort_keys=True) + "\n"
 
 
 def _manifest_field(obj: object, key: str, ty: type):

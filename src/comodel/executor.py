@@ -11,7 +11,9 @@ target state. No other instance's data changes during a step.
 
 Scenario injections with `at N` are enqueued, in file order, before
 dispatch step N; injections that fall beyond quiescence are enqueued
-when the system goes quiescent, which resumes the run.
+when the system goes quiescent, which resumes the run. A scenario is
+checked once per validated model and kept on the scenario, so `run`,
+`cosim` and every seed of a campaign share one check.
 
 `run` and `partition.cosim` share one dispatch loop, which holds these
 rules, the step limit and the outcome once. The loop knows islands,
@@ -332,13 +334,6 @@ def _code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _compile_expr(e: ir.Expr, params: dict[str, int]):
-    """The function `f(attrs, args) -> int` of a type-annotated expression."""
-    printer = _Printer(params)
-    printer.lines.append(f" return {printer.expr(e, ' ')}")
-    return printer.function("a, p")
-
-
 def _compile_transition(tr: ir.TransitionDef, sig: ir.SignalDef):
     """The function `f(attrs, args, writes, sends) -> target state` of a
     transition triggered by `sig`, whose args it reads by position."""
@@ -401,8 +396,12 @@ def _injections(
 ) -> list[tuple[int, list[tuple[str, str, tuple[int, ...]]]]]:
     """The injections grouped by `at`, as `(at, group)` pairs in ascending
     `at` order, each group in file order as `(instance, signal, int
-    args)`. Raises ScenarioError at the first scenario reference that does
-    not resolve."""
+    args)`; callers must not mutate them. They are stored on the scenario
+    with `checked` and returned without a walk while `checked` is the
+    record. Raises ScenarioError, storing nothing, at the first reference
+    that does not resolve or value that does not fit its type."""
+    if scenario.checked is not None and scenario.checked[0] is checked:
+        return scenario.checked[1]
 
     def fail(msg: str) -> None:
         raise ScenarioError(f"E_SCENARIO_REF: {msg}")
@@ -431,9 +430,15 @@ def _injections(
         cls = checked.instance_class.get(exp.instance)
         if cls is None:
             fail(f"expectation references unknown instance {exp.instance}")
-        if not any(a.name == exp.attr for a in cls.attributes):
+        attr = next((a for a in cls.attributes if a.name == exp.attr), None)
+        if attr is None:
             fail(f"instance {exp.instance} has no attribute {exp.attr}")
-    return sorted(groups.items())
+        if not ir.literal_fits(exp.value, attr.type):
+            if isinstance(exp.value, bool):
+                fail(f"boolean expectation for {attr.type} attribute {exp.attr}")
+            fail(f"expectation {exp.value} does not fit attribute {exp.attr}: {attr.type}")
+    scenario.checked = checked, sorted(groups.items())
+    return scenario.checked[1]
 
 
 def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[ExpectationResult]:
@@ -517,7 +522,7 @@ def _dispatch(
     step's number is the count of events before it. Returns the trace and
     the bus map `seq -> enqueue round` of the envelopes that rode the bus.
     """
-    groups = deque(_injections(machine.checked, scenario))
+    groups = deque(_injections(machine.checked, scenario))  # a copy: popped as injected
     state = machine.initial_state()
     rng = random.Random(config.seed) if config.scheduler == RANDOM else None
     # latency is constant, so due rounds never decrease along the bus and

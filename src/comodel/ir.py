@@ -20,7 +20,8 @@ validates only a model that carries none. A model is therefore validated
 once and then trusted: IR values are treated as immutable once
 validation has run, mutating them afterwards is unsupported (the record
 and the transitions the executor compiled from it would go stale), and
-they can be shared freely across threads.
+they can be shared freely across threads. A scenario is likewise checked
+once per `Checked` record and then trusted (`Scenario.checked`).
 
 Marks, scenarios and the diagnostic report types also live here so the
 parser, the partitioner and the executor share one vocabulary.
@@ -275,11 +276,20 @@ class Scenario:
     `confluent` marks scenarios whose final attribute valuation is
     independent of legal scheduling order; only those assert final-state
     equality across schedulers and partitions.
+
+    `checked` holds the `Checked` record the executor last checked the
+    scenario against, with its injection groups: a run against that same
+    record trusts them, any other record is checked afresh, and a failed
+    check stores nothing. Mutating a scenario after a run is unsupported.
     """
 
     injections: list[Injection] = field(default_factory=list)
     expectations: list[Expectation] = field(default_factory=list)
     confluent: bool = False
+    # set by the executor's check; not part of the scenario's value
+    checked: tuple[Checked, list] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import (
     GOLDEN,
     load_marks,
     load_model,
+    load_ringgen,
     load_scenario,
 )
 
@@ -28,7 +29,7 @@ from comodel.codegen import (
     manifest_to_json,
     mangle,
 )
-from comodel.frontend import parse_model
+from comodel.frontend import parse_model, parse_scenario
 from comodel.partition import HW, SW, Partition, all_partitions, derive_partition
 
 ALARM = """
@@ -473,10 +474,21 @@ def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
     ])
 
 
+# heavy rings of bench/ringgen.py (seed 7) that the C half also runs:
+# (instances, tokens, ttl), taking 8,192 and 602 steps
+C_RINGS = {("ring4", "heavy_ttl2047"): (4, 4, 2047), ("ring8", "heavy_ttl300"): (8, 2, 300)}
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS)
+@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS))
 def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
-    model, scenario = load_model(model_name), load_scenario(scn_name)
+    if (model_name, scn_name) in C_RINGS:
+        ringgen = load_ringgen()
+        spec = ringgen.RingSpec(*C_RINGS[model_name, scn_name], body="heavy")
+        ring = ringgen.generate(spec, 7)
+        model, scenario = parse_model(ring.model_text), parse_scenario(ring.scenario_text)
+    else:
+        model, scenario = load_model(model_name), load_scenario(scn_name)
     trace = executor.run(model, scenario)
     assert trace.outcome.kind == executor.QUIESCENT
     out = emit(model, derive_partition(model, ir.MarkSet()), name=model_name)

@@ -96,13 +96,17 @@ def _operand(shape: str, name: str, value: int, ty: str) -> ir.Expr:
 
 
 SHAPES = ["attr", "param", "lit", "nested"]
-PARAMS = {"x": 0, "y": 1}  # parameter name -> position in the args
+# the triggering signal: parameter x at position 0 of the args, y at 1
+SIG = ir.SignalDef("S", [ir.SignalParam("x", "u32"), ir.SignalParam("y", "u32")])
 
 
 def _check(e: ir.Expr, x: int, y: int) -> None:
+    """Compile the transition `r = e` and read `e`'s value back from `r`."""
     attrs = {"x": x, "y": y}
     want = _eval(e, attrs, {"x": x, "y": y})
-    got = executor._compile_expr(e, PARAMS)(attrs, (x, y))
+    tr = ir.TransitionDef("S", "T", [ir.Assign("r", e)])
+    executor._compile_transition(tr, SIG)(attrs, (x, y), [], [])
+    got = attrs["r"]
     assert (got, type(got)) == (want, int), (e, x, y)
 
 

@@ -207,6 +207,29 @@ def test_scenario_arg_messages(args, message):
     assert str(exc.value) == f"E_SCENARIO_REF: {message}"
 
 
+@pytest.mark.parametrize(
+    "expect,message",
+    [
+        ("gadget.small == 256", "expectation 256 does not fit attribute small: u8"),
+        ("gadget.large == 4294967296", "expectation 4294967296 does not fit attribute large: u32"),
+        ("gadget.large == true", "boolean expectation for u32 attribute large"),
+        ("gadget.armed == 2", "expectation 2 does not fit attribute armed: bool"),
+        ("gadget.small == 255", None),
+        ("gadget.armed == 1", None),
+        ("gadget.armed == false", None),
+    ],
+)
+def test_scenario_expectation_messages(expect, message):
+    # expected values follow the literal-fit rule of scenario args
+    scenario = parse_scenario(f"expect {expect};")
+    if message is None:
+        assert run(load_model("widths"), scenario).outcome.kind == "quiescent"
+        return
+    with pytest.raises(ScenarioError) as exc:
+        run(load_model("widths"), scenario)
+    assert str(exc.value) == f"E_SCENARIO_REF: {message}"
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExecConfig(max_steps=0)

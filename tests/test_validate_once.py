@@ -17,7 +17,7 @@ from conftest import (
 from comodel import frontend, ir
 from comodel.cli import main
 from comodel.codegen import emit
-from comodel.executor import run, serialize_trace
+from comodel.executor import RANDOM, ExecConfig, ScenarioError, run, serialize_trace
 from comodel.partition import SW, Partition, boundary, cosim, derive_partition
 
 BROKEN = """
@@ -148,3 +148,76 @@ def test_never_validated_model_validates_once_in_run(validations, model_name, sc
     trace = run(model, load_scenario(scn_name))
     assert validations == [model]
     assert serialize_trace(trace) == (GOLDEN / f"{scn_name}.trace.jsonl").read_text()
+
+
+# --- a scenario is checked once per validated model ---
+
+# pingpong without a `pong`, so pingpong's scenarios do not resolve
+PING_ONLY = """
+class Ping { attr hits: u32 = 0; signal Hit();
+  statemachine { initial Waiting; state Waiting { on Hit -> Waiting { hits = hits + 1; } } } }
+instance ping: Ping;
+"""
+
+
+class _Walked(list):
+    """A scenario's injection list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _counted(name: str) -> ir.Scenario:
+    scenario = load_scenario(name)
+    scenario.injections = _Walked(scenario.injections)
+    return scenario
+
+
+def test_one_scenario_check_serves_a_job(pingpong):
+    scenario = _counted("pingpong_hit")
+    run(pingpong, scenario)
+    cosim(pingpong, derive_partition(pingpong, load_marks("pingpong_pong_hw")), scenario, latency=2)
+    for seed in range(20):
+        run(pingpong, scenario, ExecConfig(scheduler=RANDOM, seed=seed))
+    assert scenario.injections.walks == 1
+    assert scenario.checked[0] is pingpong.checked
+
+
+def test_revalidated_model_checks_the_scenario_again(pingpong):
+    scenario = _counted("pingpong_hit")
+    run(pingpong, scenario)
+    first = pingpong.checked
+    assert ir.validate(pingpong).ok
+    trace = run(pingpong, scenario)
+    assert scenario.injections.walks == 2
+    assert pingpong.checked is not first
+    assert scenario.checked[0] is pingpong.checked
+    assert serialize_trace(trace) == (GOLDEN / "pingpong_hit.trace.jsonl").read_text()
+
+
+def test_failing_scenario_raises_every_time_and_keeps_nothing(pingpong):
+    scenario = frontend.parse_scenario("at 0 send ping.Hit();\nexpect pong.hits == true;\n")
+    for _ in range(3):
+        with pytest.raises(ScenarioError, match="boolean expectation for u32 attribute hits"):
+            run(pingpong, scenario)
+        assert scenario.checked is None
+
+
+def test_scenario_is_checked_against_another_model(pingpong):
+    scenario = load_scenario("pingpong_hit")
+    run(pingpong, scenario)
+    stored = scenario.checked
+    with pytest.raises(ScenarioError, match="unknown instance pong"):
+        run(frontend.parse_model(PING_ONLY), scenario)
+    assert scenario.checked is stored
+
+
+def test_checked_scenario_keeps_its_value(pingpong):
+    scenario = load_scenario("pingpong_hit")
+    run(pingpong, scenario)
+    assert scenario.checked is not None
+    assert frontend.parse_scenario(frontend.print_scenario(scenario)) == scenario
+    assert repr(scenario) == repr(load_scenario("pingpong_hit"))
