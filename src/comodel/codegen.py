@@ -9,11 +9,13 @@ it, so the two halves agree by construction; `check_interfaces`
 re-extracts the constants from the emitted texts and verifies them
 against the manifest, which also catches externally tampered files.
 
-One emitter skeleton serves both targets: it validates the model, checks
-the manifest's names and that no two names of one scope (classes,
-instances, a class's states, signals or attributes) differ only in case,
-lays out payloads and walks each transition's actions, and the
-`isHardware` mark picks the mapping rule that prints a class. The C rule
+One emitter skeleton serves both targets: it validates the model, lays
+out payloads and walks each transition's actions, and the `isHardware`
+mark picks the mapping rule that prints a class. Each rule spells every
+identifier it prints in its own naming code and declares it, as it prints
+it, in one scope of its target (see `_Scope`): so a model is rejected
+exactly when a printed name collides (`E_NAME_CLASH`) or is one the
+target reserves or cannot spell (`E_TARGET_NAME`). The C rule
 gives each software class a state enum, an instance struct with
 exact-width unsigned attributes, a dispatch function mirroring the
 transition table, and per-instance FIFO queues, plus bus glue
@@ -31,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import frontend, ir, partition as part
@@ -88,18 +89,6 @@ def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
     return constants
 
 
-def _check_name_clashes(what: str, names: Iterable[str]) -> None:
-    """Raise E_NAME_CLASH when two of one scope's `names` are equal
-    upper-cased: the C target upper-cases names into its macros and
-    enumerators, and VHDL identifiers ignore case."""
-    seen: set[str] = set()
-    for name in names:
-        key = name.upper()
-        if key in seen:
-            raise CodegenError("E_NAME_CLASH", f"{what} {name} is not unique ignoring case")
-        seen.add(key)
-
-
 def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
     """64-bit hash over the canonical model text plus the partition's
     class-to-domain map (the semantic content of the marks)."""
@@ -126,11 +115,7 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
                 payload_total_bits=_payload_bits(payload),
             )
         )
-    manifest = InterfaceManifest(
-        model_hash=model_content_hash(model, partition), signals=signals
-    )
-    _check_name_clashes("mangled name", (n for n, _ in _constants(manifest)))
-    return manifest
+    return InterfaceManifest(model_hash=model_content_hash(model, partition), signals=signals)
 
 
 def manifest_to_json(manifest: InterfaceManifest) -> str:
@@ -179,6 +164,94 @@ def manifest_from_json(text: str) -> InterfaceManifest:
             for s in _manifest_field(obj, "signals", list)
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# Target namespaces
+# ---------------------------------------------------------------------------
+
+
+class _Scope:
+    """One namespace of a target text, living for one emitter call.
+    `declare` checks an identifier the text declares, records it and
+    returns it. It raises E_TARGET_NAME for a name in `reserved` or one
+    that `spelling` does not match, and E_NAME_CLASH for one declared
+    before: by this scope, or in `taken`, the names declared elsewhere
+    that reach into it (what the fixed text and its libraries declare;
+    for a C struct, the macros). A `fold` scope ignores case, as VHDL does."""
+
+    def __init__(self, where, spelling, reserved, taken=frozenset(), fold=False):
+        self.where = where
+        self.spelling = spelling
+        self.reserved = reserved
+        self.taken = taken
+        self.fold = fold
+        self.names = set()
+
+    def declare(self, name: str) -> str:
+        key = name.lower() if self.fold else name
+        if key in self.reserved or not self.spelling.fullmatch(name):
+            raise CodegenError(
+                "E_TARGET_NAME", f"{self.where}: {name} is reserved or not an identifier"
+            )
+        if key in self.names or key in self.taken:
+            case = " ignoring case" if self.fold else ""
+            raise CodegenError("E_NAME_CLASH", f"{self.where}: {name} is already declared{case}")
+        self.names.add(key)
+        return name
+
+
+# C identifiers; one that starts `__` or `_` and a capital is the implementation's
+_C_NAME = re.compile(r"(?!_[A-Z_])[A-Za-z_][A-Za-z0-9_]*")
+# a VHDL basic identifier: a letter first, and each `_` between two letters or digits
+_VHDL_NAME = re.compile(r"[A-Za-z](?:_?[A-Za-z0-9])*")
+
+# --- seeded name tables: begin ---
+_C_KEYWORDS = frozenset("""
+    auto break case char const continue default do double else enum extern float for goto
+    if inline int long register restrict return short signed sizeof static struct switch
+    typedef union unsigned void volatile while _Bool _Complex _Imaginary
+""".split())
+_STDINT_STEMS = [
+    f"{u}int{k}{n}" for u in ("", "u") for k in ("", "_least", "_fast") for n in (8, 16, 32, 64)
+]
+_STDINT_STEMS += ["intptr", "uintptr", "intmax", "uintmax"]
+# the macros <stdint.h> and the runtime text define
+_C_MACROS = frozenset(
+    [f"{s.upper()}_MAX" for s in _STDINT_STEMS]
+    + [f"{s.upper()}_MIN" for s in _STDINT_STEMS if s[0] == "i"]
+    + [f"{s.upper()}_C" for s in _STDINT_STEMS if "_" not in s and "ptr" not in s]
+    + """PTRDIFF_MIN PTRDIFF_MAX SIG_ATOMIC_MIN SIG_ATOMIC_MAX SIZE_MAX WCHAR_MIN WCHAR_MAX
+         WINT_MIN WINT_MAX QUEUE_CAP MAX_ARGS SW_INSTANCE_COUNT""".split()
+)
+# every name <stdint.h> and the runtime text declare: the macros, the typedefs,
+# functions and statics, and the parameters and locals
+_C_DECLARED = _C_MACROS | frozenset([f"{s}_t" for s in _STDINT_STEMS] + """
+    event_slot_t event_queue_t queues queue_push put_bits get_bits sw_dispatch
+    inst_id sig_id ev args nargs nbits payload sargs self q slot k i bit buf offset width value
+""".split())
+# every instance struct's own member
+_C_MEMBER_RESERVED = _C_KEYWORDS | {"state"}
+_VHDL_RESERVED = frozenset("""
+    abs access after alias all and architecture array assert attribute begin block body
+    buffer bus case component configuration constant disconnect downto else elsif end entity
+    exit file for function generate generic group guarded if impure in inertial inout is
+    label library linkage literal loop map mod nand new next nor not null of on open or
+    others out package port postponed procedure process pure range record register reject
+    rem report return rol ror select severity signal shared sla sll sra srl subtype then to
+    transport type unaffected units until use variable wait when while with xnor xor
+""".split())
+# the ieee, std and work names the fixed text uses, and the package's own functions
+_VHDL_LIBRARY = frozenset("""
+    ieee std work std_logic_1164 numeric_std std_logic std_logic_vector unsigned natural
+    boolean rising_edge to_unsigned resize to_u1 to_bool
+""".split())
+# what every entity declares for itself: its ports, state, variables and labels
+_VHDL_ENTITY_RESERVED = _VHDL_RESERVED | frozenset("""
+    clk rst ev_valid ev_id ev_args snd_valid snd_sig snd_payload loc_valid loc_inst loc_ev
+    loc_args state_t state v_snd v_loc step rtl
+""".split())
+# --- seeded name tables: end ---
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +307,6 @@ class _Emitter:
     ):
         self.checked = ir.ensure_valid(model)
         self.constants = _constants(manifest)
-        _check_name_clashes("mangled name", (n for n, _ in self.constants))
-        _check_name_clashes("class", self.checked.classes)
-        _check_name_clashes("instance", self.checked.instance_class)
-        for cls in self.checked.classes.values():
-            for what, items in (
-                ("state", cls.machine.states), ("signal", cls.signals), ("attribute", cls.attributes)
-            ):
-                _check_name_clashes(f"{cls.name} {what}", (x.name for x in items))
         self.layouts = _payload_layouts(self.checked)
         self.partition = partition
         self.manifest = manifest
@@ -277,6 +342,29 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 
+# -- naming: the one spelling of each upper-cased or prefixed C identifier --
+
+
+def _c_guard(model: str) -> str:
+    return f"{model.upper()}_SW_H"
+
+
+def _c_state(cls: str, state: str) -> str:
+    return f"{cls.upper()}_ST_{state.upper()}"
+
+
+def _c_event(cls: str, signal: str) -> str:
+    return f"{cls.upper()}_EV_{signal.upper()}"
+
+
+def _c_swi(inst: str) -> str:
+    return f"SWI_{inst.upper()}"
+
+
+def _c_storage(inst: str) -> str:
+    return f"inst_{inst}"
+
+
 def _c_expr(e: ir.Expr, params: _Params) -> str:
     if isinstance(e, (ir.IntLit, ir.BoolLit)):
         return f"{int(e.value)}u"
@@ -307,15 +395,27 @@ class _CEmitter(_Emitter):
     END_IF = "}"
     expr = staticmethod(_c_expr)
 
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.macros = set(_C_MACROS)
+        self.file = _Scope("C file scope", _C_NAME, _C_KEYWORDS, _C_DECLARED)
+
     def assign(self, attr: str, value: str) -> str:
         return f"self->{attr} = {value};"
 
     def if_(self, cond: str) -> str:
         return f"if ({cond}) {{"
 
+    def macro(self, name: str) -> str:
+        """Declare a macro, which also reaches into every struct."""
+        self.macros.add(self.file.declare(name))
+        return name
+
     def header(self) -> str:
+        """Declares the macros, so it runs before `source`, whose structs
+        they reach into."""
         w = _Writer()
-        guard = f"{self.name.upper()}_SW_H"
+        guard = self.macro(_c_guard(self.name))
         w.w("/* Generated software interface header. Do not edit. */")
         w.w(f"#ifndef {guard}")
         w.w(f"#define {guard}")
@@ -326,28 +426,28 @@ class _CEmitter(_Emitter):
         w.w()
         w.w("/* Boundary signal ids and payload widths */")
         for name, value in self.constants:
-            w.w(f"#define {name} {value}")
+            w.w(f"#define {self.macro(name)} {value}")
         w.w()
         w.w("/* Software instance ids (dispatch and bus addressing) */")
         for k, (inst, _) in enumerate(self.instances):
-            w.w(f"#define SWI_{inst.upper()} {k}u")
+            w.w(f"#define {self.macro(_c_swi(inst))} {k}u")
         w.w(f"#define SW_INSTANCE_COUNT {len(self.instances)}u")
         w.w()
         w.w("/* Provided by the platform: outbound boundary transport. */")
         w.w(
-            f"void {self.name}_bus_send(uint32_t sig_id, const uint8_t *payload,"
-            " uint32_t nbits);"
+            f"void {self.file.declare(f'{self.name}_bus_send')}(uint32_t sig_id,"
+            " const uint8_t *payload, uint32_t nbits);"
         )
         w.w()
-        w.w(f"void {self.name}_reset(void);")
-        w.w(f"int {self.name}_step(void);")
+        w.w(f"void {self.file.declare(f'{self.name}_reset')}(void);")
+        w.w(f"int {self.file.declare(f'{self.name}_step')}(void);")
         w.w(
-            f"void {self.name}_inject(uint32_t inst_id, uint32_t ev,"
+            f"void {self.file.declare(f'{self.name}_inject')}(uint32_t inst_id, uint32_t ev,"
             " const uint32_t *args, uint32_t nargs);"
         )
         w.w(
-            f"void {self.name}_bus_deliver(uint32_t inst_id, uint32_t sig_id,"
-            " const uint8_t *payload);"
+            f"void {self.file.declare(f'{self.name}_bus_deliver')}(uint32_t inst_id,"
+            " uint32_t sig_id, const uint8_t *payload);"
         )
         w.w()
         w.w(f"#endif /* {guard} */")
@@ -408,31 +508,32 @@ class _CEmitter(_Emitter):
         w.w()
 
     def _class_decl(self, w: _Writer, cls: ir.ClassDef) -> None:
-        up = cls.name.upper()
         w.w(f"/* ---- class {cls.name} ---- */")
         w.w()
-        self._enum(w, f"{cls.name}_state_t", f"{up}_ST_", cls.machine.states)
+        states = [_c_state(cls.name, st.name) for st in cls.machine.states]
+        self._enum(w, f"{cls.name}_state_t", states)
         if cls.signals:
-            self._enum(w, f"{cls.name}_event_t", f"{up}_EV_", cls.signals)
+            self._enum(w, f"{cls.name}_event_t", [_c_event(cls.name, s.name) for s in cls.signals])
+        members = _Scope(f"C struct {cls.name}_t", _C_NAME, _C_MEMBER_RESERVED, self.macros)
         w.w("typedef struct {")
         w.w(f"    {cls.name}_state_t state;")
         for a in cls.attributes:
-            w.w(f"    {C_TYPES[a.type]} {a.name};")
-        w.w(f"}} {cls.name}_t;")
+            w.w(f"    {C_TYPES[a.type]} {members.declare(a.name)};")
+        w.w(f"}} {self.file.declare(f'{cls.name}_t')};")
         w.w()
 
-    def _enum(self, w: _Writer, type_name: str, prefix: str, members: list) -> None:
-        """A C enum of the members' upper-cased names, numbered from 0."""
+    def _enum(self, w: _Writer, type_name: str, names: list[str]) -> None:
+        """A C enum of `names`, numbered from 0."""
         w.w("typedef enum {")
-        for i, m in enumerate(members):
-            comma = "," if i + 1 < len(members) else ""
-            w.w(f"    {prefix}{m.name.upper()} = {i}{comma}")
-        w.w(f"}} {type_name};")
+        for i, name in enumerate(names):
+            comma = "," if i + 1 < len(names) else ""
+            w.w(f"    {self.file.declare(name)} = {i}{comma}")
+        w.w(f"}} {self.file.declare(type_name)};")
         w.w()
 
     def _instance_storage(self, w: _Writer) -> None:
         for inst, cls in self.instances:
-            w.w(f"static {cls.name}_t inst_{inst};")
+            w.w(f"static {cls.name}_t {self.file.declare(_c_storage(inst))};")
         if self.instances:
             w.w()
 
@@ -466,7 +567,7 @@ class _CEmitter(_Emitter):
 
     def send(self, w: _Writer, s: ir.Send, recv: str, params: _Params) -> None:
         if self.partition.domain[recv] == part.SW:
-            ev = f"{recv.upper()}_EV_{s.signal.upper()}"
+            ev = _c_event(recv, s.signal)
             if s.args:
                 w.w("{")
                 w.indent += 1
@@ -474,13 +575,13 @@ class _CEmitter(_Emitter):
                 for i, a in enumerate(s.args):
                     w.w(f"sargs[{i}] = (uint32_t){_c_expr(a, params)};")
                 w.w(
-                    f"queue_push(SWI_{s.instance.upper()}, {ev}, sargs,"
+                    f"queue_push({_c_swi(s.instance)}, {ev}, sargs,"
                     f" {len(s.args)}u);"
                 )
                 w.indent -= 1
                 w.w("}")
             else:
-                w.w(f"queue_push(SWI_{s.instance.upper()}, {ev}, 0, 0u);")
+                w.w(f"queue_push({_c_swi(s.instance)}, {ev}, 0, 0u);")
         else:
             macro = mangle(recv, s.signal)
             layout = self.layouts[(recv, s.signal)]
@@ -497,8 +598,8 @@ class _CEmitter(_Emitter):
             w.w("}")
 
     def _dispatch_fn(self, w: _Writer, cls: ir.ClassDef) -> None:
-        up = cls.name.upper()
-        w.w(f"static void {cls.name}_dispatch({cls.name}_t *self, uint32_t ev,")
+        fn = self.file.declare(f"{cls.name}_dispatch")
+        w.w(f"static void {fn}({cls.name}_t *self, uint32_t ev,")
         w.w("        const uint32_t *args) {")
         w.indent += 1
         w.w("(void)args;")
@@ -508,15 +609,15 @@ class _CEmitter(_Emitter):
         else:
             w.w("switch (self->state) {")
             for st in cls.machine.states:
-                w.w(f"case {up}_ST_{st.name.upper()}:")
+                w.w(f"case {_c_state(cls.name, st.name)}:")
                 w.indent += 1
                 if st.transitions:
                     w.w("switch (ev) {")
                     for tr in st.transitions:
-                        w.w(f"case {up}_EV_{tr.signal.upper()}: {{")
+                        w.w(f"case {_c_event(cls.name, tr.signal)}: {{")
                         w.indent += 1
                         self._stmts(w, tr.actions, self._params(cls, tr))
-                        w.w(f"self->state = {up}_ST_{tr.target.upper()};")
+                        w.w(f"self->state = {_c_state(cls.name, tr.target)};")
                         w.w("break;")
                         w.indent -= 1
                         w.w("}")
@@ -536,9 +637,9 @@ class _CEmitter(_Emitter):
         w.indent += 1
         w.w("uint32_t k;")
         for inst, cls in self.instances:
-            w.w(f"inst_{inst}.state = {cls.name.upper()}_ST_{cls.machine.initial.upper()};")
+            w.w(f"{_c_storage(inst)}.state = {_c_state(cls.name, cls.machine.initial)};")
             for a in cls.attributes:
-                w.w(f"inst_{inst}.{a.name} = {int(a.default)}u;")
+                w.w(f"{_c_storage(inst)}.{a.name} = {int(a.default)}u;")
         w.w(f"for (k = 0; k < {max(1, len(self.instances))}u; k++) {{")
         w.w("    queues[k].head = 0;")
         w.w("    queues[k].count = 0;")
@@ -553,8 +654,8 @@ class _CEmitter(_Emitter):
         if self.instances:
             w.w("switch (inst_id) {")
             for inst, cls in self.instances:
-                w.w(f"case SWI_{inst.upper()}:")
-                w.w(f"    {cls.name}_dispatch(&inst_{inst}, ev, args);")
+                w.w(f"case {_c_swi(inst)}:")
+                w.w(f"    {cls.name}_dispatch(&{_c_storage(inst)}, ev, args);")
                 w.w("    break;")
             w.w("default:")
             w.w("    break;")
@@ -616,7 +717,7 @@ class _CEmitter(_Emitter):
                 w.indent += 1
                 for i, f in enumerate(s.payload):
                     w.w(f"args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);")
-                ev = f"{s.receiver_class.upper()}_EV_{s.signal.upper()}"
+                ev = _c_event(s.receiver_class, s.signal)
                 w.w(f"queue_push(inst_id, {ev}, args, {len(s.payload)}u);")
                 w.w("break;")
                 w.indent -= 1
@@ -636,12 +737,36 @@ def emit_c(
 ) -> tuple[str, str]:
     """Emit the software half; returns (c_source, c_header)."""
     emitter = _CEmitter(model, partition, manifest, name)
-    return emitter.source(), emitter.header()
+    header = emitter.header()
+    return emitter.source(), header
 
 
 # ---------------------------------------------------------------------------
 # VHDL emitter
 # ---------------------------------------------------------------------------
+
+
+# -- naming: the one spelling of each upper-cased or prefixed VHDL identifier --
+
+
+def _v_var(attr: str) -> str:
+    return f"v_{attr}"
+
+
+def _v_reg(attr: str) -> str:
+    return f"r_{attr}"
+
+
+def _v_state(state: str) -> str:
+    return f"ST_{state.upper()}"
+
+
+def _v_event(cls: str, signal: str) -> str:
+    return f"EV_{cls.upper()}_{signal.upper()}"
+
+
+def _v_inst(inst: str) -> str:
+    return f"INST_{inst.upper()}"
 
 
 # the binary operators that VHDL spells otherwise
@@ -655,7 +780,7 @@ def _v_expr(e: ir.Expr, params: _Params) -> str:
             return f'unsigned\'(x"{e.value:08X}")'
         return f"to_unsigned({int(e.value)}, {ir.WIDTHS[e.ty]})"
     if isinstance(e, ir.AttrRef):
-        return f"v_{e.name}"
+        return _v_var(e.name)
     if isinstance(e, ir.ParamRef):
         f = params[e.name][1]
         return f"unsigned(ev_args({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}))"
@@ -681,13 +806,15 @@ class _VhdlEmitter(_Emitter):
     expr = staticmethod(_v_expr)
 
     def assign(self, attr: str, value: str) -> str:
-        return f"v_{attr} := {value};"
+        return f"{_v_var(attr)} := {value};"
 
     def if_(self, cond: str) -> str:
         return f"if to_bool({cond}) then"
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
+        self.pkg = _Scope("VHDL package", _VHDL_NAME, _VHDL_RESERVED, _VHDL_LIBRARY, fold=True)
+        self.iface = self.pkg.declare(f"{self.name}_iface")
         self.snd_bits = max(
             [1] + [s.payload_total_bits for s in self.manifest.signals]
         )
@@ -708,24 +835,24 @@ class _VhdlEmitter(_Emitter):
         w.w("use ieee.std_logic_1164.all;")
         w.w("use ieee.numeric_std.all;")
         w.w()
-        w.w(f"package {self.name}_iface is")
+        w.w(f"package {self.iface} is")
         w.indent += 1
         w.w("-- Boundary signal ids and payload widths")
         for name, value in self.constants:
-            w.w(f"constant {name} : natural := {value};")
+            w.w(f"constant {self.pkg.declare(name)} : natural := {value};")
         w.w("-- Instance ids (model population, document order)")
         for k, inst in enumerate(self.checked.instance_class):
-            w.w(f"constant INST_{inst.upper()} : natural := {k};")
+            w.w(f"constant {self.pkg.declare(_v_inst(inst))} : natural := {k};")
         w.w("-- Class-local event ids")
         for cls in self.checked.classes.values():
             for i, s in enumerate(cls.signals):
-                w.w(f"constant EV_{cls.name.upper()}_{s.name.upper()} : natural := {i};")
+                w.w(f"constant {self.pkg.declare(_v_event(cls.name, s.name))} : natural := {i};")
         w.w("function to_u1(b : boolean) return unsigned;")
         w.w("function to_bool(u : unsigned) return boolean;")
         w.indent -= 1
-        w.w(f"end package {self.name}_iface;")
+        w.w(f"end package {self.iface};")
         w.w()
-        w.w(f"package body {self.name}_iface is")
+        w.w(f"package body {self.iface} is")
         w.indent += 1
         w.w("function to_u1(b : boolean) return unsigned is")
         w.w("begin")
@@ -741,7 +868,7 @@ class _VhdlEmitter(_Emitter):
         w.w("    return u /= to_unsigned(0, u'length);")
         w.w("end function;")
         w.indent -= 1
-        w.w(f"end package body {self.name}_iface;")
+        w.w(f"end package body {self.iface};")
         w.w()
 
     def _entity(self, w: _Writer, cls: ir.ClassDef) -> None:
@@ -750,9 +877,9 @@ class _VhdlEmitter(_Emitter):
         w.w("library ieee;")
         w.w("use ieee.std_logic_1164.all;")
         w.w("use ieee.numeric_std.all;")
-        w.w(f"use work.{self.name}_iface.all;")
+        w.w(f"use work.{self.iface}.all;")
         w.w()
-        w.w(f"entity {cls.name} is")
+        w.w(f"entity {self.pkg.declare(cls.name)} is")
         w.indent += 1
         w.w("port (")
         w.indent += 1
@@ -775,18 +902,19 @@ class _VhdlEmitter(_Emitter):
         w.w()
         w.w(f"architecture rtl of {cls.name} is")
         w.indent += 1
-        states = ", ".join(f"ST_{st.name.upper()}" for st in cls.machine.states)
+        ent = _Scope(f"VHDL entity {cls.name}", _VHDL_NAME, _VHDL_ENTITY_RESERVED, fold=True)
+        states = ", ".join(ent.declare(_v_state(st.name)) for st in cls.machine.states)
         w.w(f"type state_t is ({states});")
         w.w("signal state : state_t;")
         for a in cls.attributes:
-            w.w(f"signal r_{a.name} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
+            w.w(f"signal {ent.declare(_v_reg(a.name))} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
         w.indent -= 1
         w.w("begin")
         w.indent += 1
         w.w("step : process (clk)")
         w.indent += 1
         for a in cls.attributes:
-            w.w(f"variable v_{a.name} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
+            w.w(f"variable {ent.declare(_v_var(a.name))} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
         w.w(f"variable v_snd : std_logic_vector({self.snd_bits - 1} downto 0);")
         w.w(f"variable v_loc : std_logic_vector({self.loc_bits - 1} downto 0);")
         w.indent -= 1
@@ -796,9 +924,9 @@ class _VhdlEmitter(_Emitter):
         w.indent += 1
         w.w("if rst = '1' then")
         w.indent += 1
-        w.w(f"state <= ST_{cls.machine.initial.upper()};")
+        w.w(f"state <= {_v_state(cls.machine.initial)};")
         for a in cls.attributes:
-            w.w(f"r_{a.name} <= to_unsigned({int(a.default)}, {ir.WIDTHS[a.type]});")
+            w.w(f"{_v_reg(a.name)} <= to_unsigned({int(a.default)}, {ir.WIDTHS[a.type]});")
         w.w("snd_valid <= '0';")
         w.w("loc_valid <= '0';")
         w.indent -= 1
@@ -809,12 +937,12 @@ class _VhdlEmitter(_Emitter):
         w.w("if ev_valid = '1' then")
         w.indent += 1
         for a in cls.attributes:
-            w.w(f"v_{a.name} := r_{a.name};")
+            w.w(f"{_v_var(a.name)} := {_v_reg(a.name)};")
         w.w("v_snd := (others => '0');")
         w.w("v_loc := (others => '0');")
         self._machine_case(w, cls)
         for a in cls.attributes:
-            w.w(f"r_{a.name} <= v_{a.name};")
+            w.w(f"{_v_reg(a.name)} <= {_v_var(a.name)};")
         w.indent -= 1
         w.w("end if;")
         w.indent -= 1
@@ -831,16 +959,16 @@ class _VhdlEmitter(_Emitter):
         w.w("case state is")
         w.indent += 1
         for st in cls.machine.states:
-            w.w(f"when ST_{st.name.upper()} =>")
+            w.w(f"when {_v_state(st.name)} =>")
             w.indent += 1
             if st.transitions:
                 w.w("case ev_id is")
                 w.indent += 1
                 for tr in st.transitions:
-                    w.w(f"when EV_{cls.name.upper()}_{tr.signal.upper()} =>")
+                    w.w(f"when {_v_event(cls.name, tr.signal)} =>")
                     w.indent += 1
                     self._stmts(w, tr.actions, self._params(cls, tr))
-                    w.w(f"state <= ST_{tr.target.upper()};")
+                    w.w(f"state <= {_v_state(tr.target)};")
                     w.indent -= 1
                 w.w("when others =>")
                 w.w("    null; -- unhandled in this state: dropped")
@@ -865,8 +993,8 @@ class _VhdlEmitter(_Emitter):
             )
         if local:
             w.w("loc_valid <= '1';")
-            w.w(f"loc_inst <= INST_{s.instance.upper()};")
-            w.w(f"loc_ev <= EV_{recv.upper()}_{s.signal.upper()};")
+            w.w(f"loc_inst <= {_v_inst(s.instance)};")
+            w.w(f"loc_ev <= {_v_event(recv, s.signal)};")
             w.w("loc_args <= v_loc;")
         else:
             w.w("snd_valid <= '1';")

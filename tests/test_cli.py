@@ -242,6 +242,17 @@ def test_gen_name_clash_exits_1(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_gen_bad_model_stem_exits_1(tmp_path, capsys):
+    # the stem names the C functions and the VHDL package: `foo-bar_reset`
+    # and `foo-bar_iface` are no identifiers
+    model = tmp_path / "foo-bar.model"
+    model.write_text("class A { statemachine { initial S; state S {} } } instance x: A;")
+    rc = main(["gen", str(model), "-o", str(tmp_path / "g")])
+    assert rc == 1
+    assert "E_TARGET_NAME" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_gen_case_clash_exits_1(tmp_path, capsys):
     # x and X would both be `#define SWI_X`, even with every class in SW
     model = tmp_path / "case.model"

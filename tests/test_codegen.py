@@ -17,7 +17,8 @@ from conftest import (
     load_scenario,
 )
 
-from comodel import executor, ir
+from comodel import executor, frontend, ir
+from comodel.cli import main
 from comodel.codegen import (
     CodegenError,
     build_manifest,
@@ -70,7 +71,14 @@ instance idleh: IdleH;
 """
 UNARY_DOMAINS = {"Soft": SW, "Hard": HW, "IdleS": SW, "IdleH": HW}
 
-INLINE_MODELS = {"narrow_mul": NARROW_MUL, "unary": UNARY}
+# two attributes whose names differ only in case: accepted in SW only
+CASE_ATTRS = """
+class K { attr a: u8; attr A: u8 = 1; signal Go(); statemachine { initial I;
+  state I { on Go -> I { a = A; } } } }
+instance k: K;
+"""
+
+INLINE_MODELS = {"narrow_mul": NARROW_MUL, "unary": UNARY, "case_attrs": CASE_ATTRS}
 
 
 def pingpong_hw(model):
@@ -166,6 +174,34 @@ def test_manifest_json_is_canonical(pingpong):
             {"A", "a"},
             id="class-case",
         ),
+        # both print the C enumerator `A_ST_ST_X`, in different classes
+        pytest.param(
+            "class A_ST { statemachine { initial X; state X {} } }"
+            "class A { statemachine { initial ST_X; state ST_X {} } }"
+            "instance x: A_ST; instance y: A;",
+            set(),
+            id="cross-scope-enumerator",
+        ),
+        # both print the VHDL package constant `EV_A_B_C`, neither on the boundary
+        pytest.param(
+            "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
+            "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
+            "instance x: A_B; instance y: A;",
+            set(),
+            id="event-constant",
+        ),
+        # `sw_dispatch`, `event_slot_t` and `uint8_t` are the runtime's and <stdint.h>'s
+        *(
+            pytest.param(
+                f"class {name} {{ statemachine {{ initial S; state S {{}} }} }} instance x: {name};",
+                set(),
+                id=f"runtime-{name}",
+            )
+            for name in ("sw", "event_slot", "uint8")
+        ),
+        # `r_a` and `r_A` are one VHDL name; in SW the class compiles
+        # (`test_generated_c_compiles`), as C member names are case-sensitive
+        pytest.param(CASE_ATTRS, {"K"}, id="attribute-case-hw"),
     ],
 )
 def test_name_clash_detected(source, hw):
@@ -174,6 +210,34 @@ def test_name_clash_detected(source, hw):
     with pytest.raises(CodegenError) as exc:
         emit(model, p)
     assert exc.value.code == "E_NAME_CLASH"
+
+
+def _one_class(cls="K", attr="a", state="I", signal="Go", instance="k") -> str:
+    """A one-class model that prints each of its names into both targets."""
+    return (
+        f"class {cls} {{ attr {attr}: u8 = 1; signal {signal}(p: u8); statemachine {{"
+        f" initial {state}; state {state} {{ on {signal} -> {state} {{ {attr} = $p;"
+        f" send {instance}.{signal}({attr}); }} }} }} }} instance {instance}: {cls};"
+    )
+
+
+@pytest.mark.parametrize(
+    "source,hw",
+    [
+        pytest.param(_one_class(attr="int"), set(), id="c-keyword-attribute"),
+        pytest.param(_one_class(cls="begin"), {"begin"}, id="vhdl-reserved-entity"),
+        pytest.param(_one_class(attr="snd"), {"K"}, id="vhdl-v_snd"),
+        pytest.param(_one_class(attr="loc"), {"K"}, id="vhdl-v_loc"),
+        pytest.param(_one_class(attr="_x"), {"K"}, id="vhdl-double-underscore"),
+        pytest.param(_one_class(cls="end_"), {"end_"}, id="vhdl-trailing-underscore"),
+    ],
+)
+def test_target_name_rejected(source, hw):
+    model = parse_model(source)
+    p = Partition(domain={c.name: HW if c.name in hw else SW for c in model.classes})
+    with pytest.raises(CodegenError) as exc:
+        emit(model, p)
+    assert exc.value.code == "E_TARGET_NAME"
 
 
 @pytest.mark.parametrize("emitter", [emit_c, emit_vhdl])
@@ -378,6 +442,7 @@ def test_every_class_in_exactly_one_target(name):
         ("chain", {"Bouncer": SW, "Mirror": HW}),
         ("narrow_mul", {"Mul": SW}),
         ("unary", UNARY_DOMAINS),
+        ("case_attrs", {"K": SW}),
     ],
 )
 def test_generated_c_compiles(tmp_path, name, domain_map):
@@ -414,6 +479,54 @@ def test_every_corpus_partition_compiles_warning_free(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == "", result.stderr
+
+
+# Names near the generated C namespace: every C99 keyword, every <stdint.h>
+# typedef stem, every name of the fixed runtime text and the stems that print
+# one (`sw` -> `sw_dispatch`, `id` -> `inst_id`), and some VHDL reserved
+# words. Names the model language keeps for itself cannot reach codegen.
+ADVERSARIAL_NAMES = [
+    name
+    for name in (
+        """auto break case char const continue default do double else enum extern float
+        for goto if inline int long register restrict return short signed sizeof static
+        struct switch typedef union unsigned void volatile while _Bool _Complex _Imaginary
+        """.split()
+        + [f"{u}int{k}{n}" for u in ("", "u") for k in ("", "_least", "_fast") for n in (8, 16, 32, 64)]
+        + ["intptr", "uintptr", "intmax", "uintmax"]
+        + """event_slot event_queue queues queue_push put_bits get_bits sw_dispatch sw id
+        QUEUE_CAP MAX_ARGS SW_INSTANCE_COUNT begin end entity process architecture""".split()
+    )
+    if name not in frontend.KEYWORDS
+]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_adversarial_names_are_rejected_or_compile(tmp_path, capsys):
+    sources = []
+    for role in ("cls", "attr", "state", "signal", "instance"):
+        for name in ADVERSARIAL_NAMES:
+            d = tmp_path / f"{role}-{name}"
+            d.mkdir()
+            (d / "adv.model").write_text(_one_class(**{role: name}))
+            rc = main(["gen", str(d / "adv.model"), "-o", str(d)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                sources.append(str(d / "adv_sw.c"))
+            else:
+                assert rc == 1 and err.startswith(("E_NAME_CLASH", "E_TARGET_NAME")), (role, err)
+    # cc runs one compiler process per file: two drivers halve the wall time
+    drivers = [
+        subprocess.Popen(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *sources[k::2]],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for k in range(2)
+    ]
+    for driver in drivers:
+        _, err = driver.communicate()
+        assert driver.returncode == 0 and err == "", err
 
 
 def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
