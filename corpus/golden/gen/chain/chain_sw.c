@@ -2,36 +2,34 @@
 #include <stdint.h>
 #include "chain_sw.h"
 
-#define QUEUE_CAP 64u
+#define QUEUE_CAP 64u /* 64 per SW instance */
 #define MAX_ARGS 1u
 
 typedef struct {
+    uint32_t inst;
     uint32_t ev;
     uint32_t args[MAX_ARGS];
 } event_slot_t;
 
-typedef struct {
-    event_slot_t slots[QUEUE_CAP];
-    uint32_t head;
-    uint32_t count;
-} event_queue_t;
+/* one FIFO for every software instance, in enqueue order */
+static event_slot_t queue[QUEUE_CAP];
+static uint32_t queue_head;
+static uint32_t queue_count;
 
-static event_queue_t queues[1];
-
-static void queue_push(uint32_t inst_id, uint32_t ev,
-                       const uint32_t *args, uint32_t nargs) {
-    event_queue_t *q = &queues[inst_id];
+void chain_inject(uint32_t inst_id, uint32_t ev,
+        const uint32_t *args, uint32_t nargs) {
     event_slot_t *slot;
     uint32_t k;
-    if (q->count == QUEUE_CAP) {
-        return; /* overflow: drop (platform sizes QUEUE_CAP) */
+    if (queue_count == QUEUE_CAP) {
+        return; /* overflow: dropped */
     }
-    slot = &q->slots[(q->head + q->count) % QUEUE_CAP];
+    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];
+    slot->inst = inst_id;
     slot->ev = ev;
     for (k = 0; k < MAX_ARGS; k++) {
         slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;
     }
-    q->count++;
+    queue_count++;
 }
 
 /* ---- class Bouncer ---- */
@@ -39,10 +37,6 @@ static void queue_push(uint32_t inst_id, uint32_t ev,
 typedef enum {
     BOUNCER_ST_RUN = 0
 } Bouncer_state_t;
-
-typedef enum {
-    BOUNCER_EV_POKE = 0
-} Bouncer_event_t;
 
 typedef struct {
     Bouncer_state_t state;
@@ -64,7 +58,7 @@ static void Bouncer_dispatch(Bouncer_t *self, uint32_t ev,
                 chain_bus_send(SIG_MIRROR_ECHO, payload, SIG_MIRROR_ECHO_BITS);
             }
             if ((uint8_t)(self->n < 5u)) {
-                queue_push(SWI_ME, BOUNCER_EV_POKE, 0, 0u);
+                chain_inject(SWI_ME, BOUNCER_EV_POKE, 0, 0u);
             }
             self->state = BOUNCER_ST_RUN;
             break;
@@ -77,13 +71,10 @@ static void Bouncer_dispatch(Bouncer_t *self, uint32_t ev,
 }
 
 void chain_reset(void) {
-    uint32_t k;
     inst_me.state = BOUNCER_ST_RUN;
     inst_me.n = 0u;
-    for (k = 0; k < 1u; k++) {
-        queues[k].head = 0;
-        queues[k].count = 0;
-    }
+    queue_head = 0u;
+    queue_count = 0u;
 }
 
 static void sw_dispatch(uint32_t inst_id, uint32_t ev,
@@ -98,23 +89,15 @@ static void sw_dispatch(uint32_t inst_id, uint32_t ev,
 }
 
 int chain_step(void) {
-    uint32_t i;
-    for (i = 0; i < SW_INSTANCE_COUNT; i++) {
-        event_queue_t *q = &queues[i];
-        if (q->count > 0u) {
-            event_slot_t slot = q->slots[q->head];
-            q->head = (q->head + 1u) % QUEUE_CAP;
-            q->count--;
-            sw_dispatch(i, slot.ev, slot.args);
-            return 1;
-        }
+    event_slot_t slot;
+    if (queue_count == 0u) {
+        return 0;
     }
-    return 0;
-}
-
-void chain_inject(uint32_t inst_id, uint32_t ev,
-        const uint32_t *args, uint32_t nargs) {
-    queue_push(inst_id, ev, args, nargs);
+    slot = queue[queue_head];
+    queue_head = (queue_head + 1u) % QUEUE_CAP;
+    queue_count--;
+    sw_dispatch(slot.inst, slot.ev, slot.args);
+    return 1;
 }
 
 void chain_bus_deliver(uint32_t inst_id, uint32_t sig_id,

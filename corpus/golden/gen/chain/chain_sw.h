@@ -14,6 +14,11 @@
 #define SWI_ME 0u
 #define SW_INSTANCE_COUNT 1u
 
+/* Event ids of each software class: the `ev` of chain_inject */
+typedef enum {
+    BOUNCER_EV_POKE = 0
+} Bouncer_event_t;
+
 /* Provided by the platform: outbound boundary transport. */
 void chain_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 

@@ -14,6 +14,11 @@
 #define SWI_PING 0u
 #define SW_INSTANCE_COUNT 1u
 
+/* Event ids of each software class: the `ev` of pingpong_inject */
+typedef enum {
+    PING_EV_HIT = 0
+} Ping_event_t;
+
 /* Provided by the platform: outbound boundary transport. */
 void pingpong_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 

@@ -2,36 +2,34 @@
 #include <stdint.h>
 #include "pipeline_sw.h"
 
-#define QUEUE_CAP 64u
+#define QUEUE_CAP 128u /* 64 per SW instance */
 #define MAX_ARGS 1u
 
 typedef struct {
+    uint32_t inst;
     uint32_t ev;
     uint32_t args[MAX_ARGS];
 } event_slot_t;
 
-typedef struct {
-    event_slot_t slots[QUEUE_CAP];
-    uint32_t head;
-    uint32_t count;
-} event_queue_t;
+/* one FIFO for every software instance, in enqueue order */
+static event_slot_t queue[QUEUE_CAP];
+static uint32_t queue_head;
+static uint32_t queue_count;
 
-static event_queue_t queues[2];
-
-static void queue_push(uint32_t inst_id, uint32_t ev,
-                       const uint32_t *args, uint32_t nargs) {
-    event_queue_t *q = &queues[inst_id];
+void pipeline_inject(uint32_t inst_id, uint32_t ev,
+        const uint32_t *args, uint32_t nargs) {
     event_slot_t *slot;
     uint32_t k;
-    if (q->count == QUEUE_CAP) {
-        return; /* overflow: drop (platform sizes QUEUE_CAP) */
+    if (queue_count == QUEUE_CAP) {
+        return; /* overflow: dropped */
     }
-    slot = &q->slots[(q->head + q->count) % QUEUE_CAP];
+    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];
+    slot->inst = inst_id;
     slot->ev = ev;
     for (k = 0; k < MAX_ARGS; k++) {
         slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;
     }
-    q->count++;
+    queue_count++;
 }
 
 /* ---- class Ticker ---- */
@@ -39,10 +37,6 @@ static void queue_push(uint32_t inst_id, uint32_t ev,
 typedef enum {
     TICKER_ST_IDLE = 0
 } Ticker_state_t;
-
-typedef enum {
-    TICKER_EV_GO = 0
-} Ticker_event_t;
 
 typedef struct {
     Ticker_state_t state;
@@ -54,10 +48,6 @@ typedef struct {
 typedef enum {
     REPORTER_ST_READY = 0
 } Reporter_state_t;
-
-typedef enum {
-    REPORTER_EV_REPORT = 0
-} Reporter_event_t;
 
 typedef struct {
     Reporter_state_t state;
@@ -135,16 +125,13 @@ static void Reporter_dispatch(Reporter_t *self, uint32_t ev,
 }
 
 void pipeline_reset(void) {
-    uint32_t k;
     inst_ticker.state = TICKER_ST_IDLE;
     inst_ticker.fired = 0u;
     inst_reporter.state = REPORTER_ST_READY;
     inst_reporter.last = 0u;
     inst_reporter.count = 0u;
-    for (k = 0; k < 2u; k++) {
-        queues[k].head = 0;
-        queues[k].count = 0;
-    }
+    queue_head = 0u;
+    queue_count = 0u;
 }
 
 static void sw_dispatch(uint32_t inst_id, uint32_t ev,
@@ -162,23 +149,15 @@ static void sw_dispatch(uint32_t inst_id, uint32_t ev,
 }
 
 int pipeline_step(void) {
-    uint32_t i;
-    for (i = 0; i < SW_INSTANCE_COUNT; i++) {
-        event_queue_t *q = &queues[i];
-        if (q->count > 0u) {
-            event_slot_t slot = q->slots[q->head];
-            q->head = (q->head + 1u) % QUEUE_CAP;
-            q->count--;
-            sw_dispatch(i, slot.ev, slot.args);
-            return 1;
-        }
+    event_slot_t slot;
+    if (queue_count == 0u) {
+        return 0;
     }
-    return 0;
-}
-
-void pipeline_inject(uint32_t inst_id, uint32_t ev,
-        const uint32_t *args, uint32_t nargs) {
-    queue_push(inst_id, ev, args, nargs);
+    slot = queue[queue_head];
+    queue_head = (queue_head + 1u) % QUEUE_CAP;
+    queue_count--;
+    sw_dispatch(slot.inst, slot.ev, slot.args);
+    return 1;
 }
 
 void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id,
@@ -192,7 +171,7 @@ void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id,
     switch (sig_id) {
     case SIG_REPORTER_REPORT: {
         args[0] = get_bits(payload, 0u, 8u);
-        queue_push(inst_id, REPORTER_EV_REPORT, args, 1u);
+        pipeline_inject(inst_id, REPORTER_EV_REPORT, args, 1u);
         break;
     }
     default:

@@ -17,6 +17,15 @@
 #define SWI_REPORTER 1u
 #define SW_INSTANCE_COUNT 2u
 
+/* Event ids of each software class: the `ev` of pipeline_inject */
+typedef enum {
+    TICKER_EV_GO = 0
+} Ticker_event_t;
+
+typedef enum {
+    REPORTER_EV_REPORT = 0
+} Reporter_event_t;
+
 /* Provided by the platform: outbound boundary transport. */
 void pipeline_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 

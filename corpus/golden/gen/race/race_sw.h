@@ -15,6 +15,15 @@
 #define SWI_REC 1u
 #define SW_INSTANCE_COUNT 2u
 
+/* Event ids of each software class: the `ev` of race_inject */
+typedef enum {
+    ALPHA_EV_KICK = 0
+} Alpha_event_t;
+
+typedef enum {
+    RECORDER_EV_PUT = 0
+} Recorder_event_t;
+
 /* Provided by the platform: outbound boundary transport. */
 void race_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 

@@ -2,36 +2,34 @@
 #include <stdint.h>
 #include "widths_sw.h"
 
-#define QUEUE_CAP 64u
+#define QUEUE_CAP 64u /* 64 per SW instance */
 #define MAX_ARGS 4u
 
 typedef struct {
+    uint32_t inst;
     uint32_t ev;
     uint32_t args[MAX_ARGS];
 } event_slot_t;
 
-typedef struct {
-    event_slot_t slots[QUEUE_CAP];
-    uint32_t head;
-    uint32_t count;
-} event_queue_t;
+/* one FIFO for every software instance, in enqueue order */
+static event_slot_t queue[QUEUE_CAP];
+static uint32_t queue_head;
+static uint32_t queue_count;
 
-static event_queue_t queues[1];
-
-static void queue_push(uint32_t inst_id, uint32_t ev,
-                       const uint32_t *args, uint32_t nargs) {
-    event_queue_t *q = &queues[inst_id];
+void widths_inject(uint32_t inst_id, uint32_t ev,
+        const uint32_t *args, uint32_t nargs) {
     event_slot_t *slot;
     uint32_t k;
-    if (q->count == QUEUE_CAP) {
-        return; /* overflow: drop (platform sizes QUEUE_CAP) */
+    if (queue_count == QUEUE_CAP) {
+        return; /* overflow: dropped */
     }
-    slot = &q->slots[(q->head + q->count) % QUEUE_CAP];
+    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];
+    slot->inst = inst_id;
     slot->ev = ev;
     for (k = 0; k < MAX_ARGS; k++) {
         slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;
     }
-    q->count++;
+    queue_count++;
 }
 
 /* ---- class Gadget ---- */
@@ -40,11 +38,6 @@ typedef enum {
     GADGET_ST_FRESH = 0,
     GADGET_ST_LOADED = 1
 } Gadget_state_t;
-
-typedef enum {
-    GADGET_EV_LOAD = 0,
-    GADGET_EV_MIX = 1
-} Gadget_event_t;
 
 typedef struct {
     Gadget_state_t state;
@@ -110,16 +103,13 @@ static void Gadget_dispatch(Gadget_t *self, uint32_t ev,
 }
 
 void widths_reset(void) {
-    uint32_t k;
     inst_gadget.state = GADGET_ST_FRESH;
     inst_gadget.armed = 0u;
     inst_gadget.small = 7u;
     inst_gadget.medium = 0u;
     inst_gadget.large = 0u;
-    for (k = 0; k < 1u; k++) {
-        queues[k].head = 0;
-        queues[k].count = 0;
-    }
+    queue_head = 0u;
+    queue_count = 0u;
 }
 
 static void sw_dispatch(uint32_t inst_id, uint32_t ev,
@@ -134,23 +124,15 @@ static void sw_dispatch(uint32_t inst_id, uint32_t ev,
 }
 
 int widths_step(void) {
-    uint32_t i;
-    for (i = 0; i < SW_INSTANCE_COUNT; i++) {
-        event_queue_t *q = &queues[i];
-        if (q->count > 0u) {
-            event_slot_t slot = q->slots[q->head];
-            q->head = (q->head + 1u) % QUEUE_CAP;
-            q->count--;
-            sw_dispatch(i, slot.ev, slot.args);
-            return 1;
-        }
+    event_slot_t slot;
+    if (queue_count == 0u) {
+        return 0;
     }
-    return 0;
-}
-
-void widths_inject(uint32_t inst_id, uint32_t ev,
-        const uint32_t *args, uint32_t nargs) {
-    queue_push(inst_id, ev, args, nargs);
+    slot = queue[queue_head];
+    queue_head = (queue_head + 1u) % QUEUE_CAP;
+    queue_count--;
+    sw_dispatch(slot.inst, slot.ev, slot.args);
+    return 1;
 }
 
 void widths_bus_deliver(uint32_t inst_id, uint32_t sig_id,

@@ -14,6 +14,12 @@
 #define SWI_GADGET 0u
 #define SW_INSTANCE_COUNT 1u
 
+/* Event ids of each software class: the `ev` of widths_inject */
+typedef enum {
+    GADGET_EV_LOAD = 0,
+    GADGET_EV_MIX = 1
+} Gadget_event_t;
+
 /* Provided by the platform: outbound boundary transport. */
 void widths_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 

@@ -16,10 +16,15 @@ identifier it prints in its own naming code and declares it, as it prints
 it, in one scope of its target (see `_Scope`): so a model is rejected
 exactly when a printed name collides (`E_NAME_CLASH`) or is one the
 target reserves or cannot spell (`E_TARGET_NAME`). The C rule
-gives each software class a state enum, an instance struct with
-exact-width unsigned attributes, a dispatch function mirroring the
-transition table, and per-instance FIFO queues, plus bus glue
-(`bus_send` out, `bus_deliver` in) and an injection entry point.
+gives each software class a state enum, an event enum (in the header,
+so a platform can inject), an instance struct with exact-width unsigned
+attributes and a dispatch function mirroring the transition table. All
+software instances share one event FIFO of `{inst, ev, args}` slots,
+`QUEUE_CAP` = 64 per software instance, filled only by `<model>_inject`:
+local sends, bus deliveries (`bus_deliver`) and the platform all enqueue
+through it, and `<model>_step` dispatches the oldest slot. So an all-SW
+half serves events in the interpreter's global-fifo order. Outbound
+boundary sends go through the platform's `bus_send`.
 The VHDL rule gives each hardware class an entity with clock/reset and
 event input ports and a synchronous process implementing the same
 transition table over unsigned registers. All arithmetic wraps at the
@@ -227,8 +232,8 @@ _C_MACROS = frozenset(
 # every name <stdint.h> and the runtime text declare: the macros, the typedefs,
 # functions and statics, and the parameters and locals
 _C_DECLARED = _C_MACROS | frozenset([f"{s}_t" for s in _STDINT_STEMS] + """
-    event_slot_t event_queue_t queues queue_push put_bits get_bits sw_dispatch
-    inst_id sig_id ev args nargs nbits payload sargs self q slot k i bit buf offset width value
+    event_slot_t queue queue_head queue_count put_bits get_bits sw_dispatch
+    inst_id sig_id ev args nargs nbits payload sargs self slot k bit buf offset width value
 """.split())
 # every instance struct's own member
 _C_MEMBER_RESERVED = _C_KEYWORDS | {"state"}
@@ -433,6 +438,11 @@ class _CEmitter(_Emitter):
             w.w(f"#define {self.macro(_c_swi(inst))} {k}u")
         w.w(f"#define SW_INSTANCE_COUNT {len(self.instances)}u")
         w.w()
+        events = [cls for cls in self.classes if cls.signals]
+        if events:
+            w.w(f"/* Event ids of each software class: the `ev` of {self.name}_inject */")
+        for cls in events:
+            self._enum(w, f"{cls.name}_event_t", [_c_event(cls.name, s.name) for s in cls.signals])
         w.w("/* Provided by the platform: outbound boundary transport. */")
         w.w(
             f"void {self.file.declare(f'{self.name}_bus_send')}(uint32_t sig_id,"
@@ -459,7 +469,7 @@ class _CEmitter(_Emitter):
         w.w("#include <stdint.h>")
         w.w(f'#include "{self.name}_sw.h"')
         w.w()
-        w.w("#define QUEUE_CAP 64u")
+        w.w(f"#define QUEUE_CAP {64 * max(1, len(self.instances))}u /* 64 per SW instance */")
         w.w(f"#define MAX_ARGS {max([1] + [len(lay) for lay in self.layouts.values()])}u")
         w.w()
         self._queue_machinery(w)
@@ -477,33 +487,30 @@ class _CEmitter(_Emitter):
 
     def _queue_machinery(self, w: _Writer) -> None:
         w.w("typedef struct {")
+        w.w("    uint32_t inst;")
         w.w("    uint32_t ev;")
         w.w("    uint32_t args[MAX_ARGS];")
         w.w("} event_slot_t;")
         w.w()
-        w.w("typedef struct {")
-        w.w("    event_slot_t slots[QUEUE_CAP];")
-        w.w("    uint32_t head;")
-        w.w("    uint32_t count;")
-        w.w("} event_queue_t;")
+        w.w("/* one FIFO for every software instance, in enqueue order */")
+        w.w("static event_slot_t queue[QUEUE_CAP];")
+        w.w("static uint32_t queue_head;")
+        w.w("static uint32_t queue_count;")
         w.w()
-        n = max(1, len(self.instances))
-        w.w(f"static event_queue_t queues[{n}];")
-        w.w()
-        w.w("static void queue_push(uint32_t inst_id, uint32_t ev,")
-        w.w("                       const uint32_t *args, uint32_t nargs) {")
-        w.w("    event_queue_t *q = &queues[inst_id];")
+        w.w(f"void {self.name}_inject(uint32_t inst_id, uint32_t ev,")
+        w.w("        const uint32_t *args, uint32_t nargs) {")
         w.w("    event_slot_t *slot;")
         w.w("    uint32_t k;")
-        w.w("    if (q->count == QUEUE_CAP) {")
-        w.w("        return; /* overflow: drop (platform sizes QUEUE_CAP) */")
+        w.w("    if (queue_count == QUEUE_CAP) {")
+        w.w("        return; /* overflow: dropped */")
         w.w("    }")
-        w.w("    slot = &q->slots[(q->head + q->count) % QUEUE_CAP];")
+        w.w("    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];")
+        w.w("    slot->inst = inst_id;")
         w.w("    slot->ev = ev;")
         w.w("    for (k = 0; k < MAX_ARGS; k++) {")
         w.w("        slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;")
         w.w("    }")
-        w.w("    q->count++;")
+        w.w("    queue_count++;")
         w.w("}")
         w.w()
 
@@ -512,8 +519,6 @@ class _CEmitter(_Emitter):
         w.w()
         states = [_c_state(cls.name, st.name) for st in cls.machine.states]
         self._enum(w, f"{cls.name}_state_t", states)
-        if cls.signals:
-            self._enum(w, f"{cls.name}_event_t", [_c_event(cls.name, s.name) for s in cls.signals])
         members = _Scope(f"C struct {cls.name}_t", _C_NAME, _C_MEMBER_RESERVED, self.macros)
         w.w("typedef struct {")
         w.w(f"    {cls.name}_state_t state;")
@@ -574,14 +579,11 @@ class _CEmitter(_Emitter):
                 w.w("uint32_t sargs[MAX_ARGS];")
                 for i, a in enumerate(s.args):
                     w.w(f"sargs[{i}] = (uint32_t){_c_expr(a, params)};")
-                w.w(
-                    f"queue_push({_c_swi(s.instance)}, {ev}, sargs,"
-                    f" {len(s.args)}u);"
-                )
+                w.w(f"{self.name}_inject({_c_swi(s.instance)}, {ev}, sargs, {len(s.args)}u);")
                 w.indent -= 1
                 w.w("}")
             else:
-                w.w(f"queue_push({_c_swi(s.instance)}, {ev}, 0, 0u);")
+                w.w(f"{self.name}_inject({_c_swi(s.instance)}, {ev}, 0, 0u);")
         else:
             macro = mangle(recv, s.signal)
             layout = self.layouts[(recv, s.signal)]
@@ -635,15 +637,12 @@ class _CEmitter(_Emitter):
         inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
         w.w(f"void {self.name}_reset(void) {{")
         w.indent += 1
-        w.w("uint32_t k;")
         for inst, cls in self.instances:
             w.w(f"{_c_storage(inst)}.state = {_c_state(cls.name, cls.machine.initial)};")
             for a in cls.attributes:
                 w.w(f"{_c_storage(inst)}.{a.name} = {int(a.default)}u;")
-        w.w(f"for (k = 0; k < {max(1, len(self.instances))}u; k++) {{")
-        w.w("    queues[k].head = 0;")
-        w.w("    queues[k].count = 0;")
-        w.w("}")
+        w.w("queue_head = 0u;")
+        w.w("queue_count = 0u;")
         w.indent -= 1
         w.w("}")
         w.w()
@@ -669,31 +668,15 @@ class _CEmitter(_Emitter):
         w.w()
 
         w.w(f"int {self.name}_step(void) {{")
-        w.indent += 1
-        if self.instances:  # else the loop test would be `i < 0u`, always false
-            w.w("uint32_t i;")
-            w.w("for (i = 0; i < SW_INSTANCE_COUNT; i++) {")
-            w.indent += 1
-            w.w("event_queue_t *q = &queues[i];")
-            w.w("if (q->count > 0u) {")
-            w.indent += 1
-            w.w("event_slot_t slot = q->slots[q->head];")
-            w.w("q->head = (q->head + 1u) % QUEUE_CAP;")
-            w.w("q->count--;")
-            w.w("sw_dispatch(i, slot.ev, slot.args);")
-            w.w("return 1;")
-            w.indent -= 1
-            w.w("}")
-            w.indent -= 1
-            w.w("}")
-        w.w("return 0;")
-        w.indent -= 1
-        w.w("}")
-        w.w()
-
-        w.w(f"void {self.name}_inject(uint32_t inst_id, uint32_t ev,")
-        w.w("        const uint32_t *args, uint32_t nargs) {")
-        w.w("    queue_push(inst_id, ev, args, nargs);")
+        w.w("    event_slot_t slot;")
+        w.w("    if (queue_count == 0u) {")
+        w.w("        return 0;")
+        w.w("    }")
+        w.w("    slot = queue[queue_head];")
+        w.w("    queue_head = (queue_head + 1u) % QUEUE_CAP;")
+        w.w("    queue_count--;")
+        w.w("    sw_dispatch(slot.inst, slot.ev, slot.args);")
+        w.w("    return 1;")
         w.w("}")
         w.w()
 
@@ -718,7 +701,7 @@ class _CEmitter(_Emitter):
                 for i, f in enumerate(s.payload):
                     w.w(f"args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);")
                 ev = _c_event(s.receiver_class, s.signal)
-                w.w(f"queue_push(inst_id, {ev}, args, {len(s.payload)}u);")
+                w.w(f"{self.name}_inject(inst_id, {ev}, args, {len(s.payload)}u);")
                 w.w("break;")
                 w.indent -= 1
                 w.w("}")

@@ -17,7 +17,7 @@ from conftest import (
     load_scenario,
 )
 
-from comodel import executor, frontend, ir
+from comodel import codegen, executor, frontend, ir
 from comodel.cli import main
 from comodel.codegen import (
     CodegenError,
@@ -240,6 +240,43 @@ def test_target_name_rejected(source, hw):
     assert exc.value.code == "E_TARGET_NAME"
 
 
+# every model name holds `zq`; Zqsoft (SW) and Zqhard (HW) each send locally
+# and across the boundary, with a payload
+SEED_PROBE = """
+class Zqsoft { attr zqn: u8 = 1; signal Zqgo(zqp: u8); statemachine { initial Zqs;
+  state Zqs { on Zqgo -> Zqs { zqn = $zqp;
+    if (zqn < 3) { send zqi1.Zqgo(zqn + 1); } send zqi2.Zqput(zqn); } } } }
+class Zqhard { attr zqw: u8; signal Zqput(zqv: u8); statemachine { initial Zqs;
+  state Zqs { on Zqput -> Zqs { zqw = $zqv;
+    if (zqw < 3) { send zqi2.Zqput(0); } send zqi1.Zqgo($zqv); } } } }
+instance zqi1: Zqsoft;
+instance zqi2: Zqhard;
+"""
+
+
+def _fixed_names(text: str, comment: str, literal: str) -> set[str]:
+    """The identifiers of `text`, outside comments and literals, that no model
+    name spells."""
+    text = re.sub(literal, " ", re.sub(comment, " ", text))
+    return {n for n in re.findall(r"(?<!\w)[A-Za-z_]\w*", text) if "zq" not in n.lower()}
+
+
+def test_seed_tables_hold_every_name_of_the_fixed_text():
+    out = emit(parse_model(SEED_PROBE), Partition(domain={"Zqsoft": SW, "Zqhard": HW}), name="zqm")
+    c = out.c_source + out.c_header
+    for used in ("put_bits(", "get_bits(", "sargs", "zqm_inject(SWI_ZQI1", "zqm_bus_send("):
+        assert used in c
+    assert "loc_valid <= '1';" in out.vhdl_source and "snd_valid <= '1';" in out.vhdl_source
+    c_names = _fixed_names(c, r"/\*.*?\*/", r'"[^"]*"|<stdint\.h>')
+    # preprocessor words, a queue slot's `inst` and an instance struct's `state`
+    c_words = {"include", "define", "ifndef", "endif", "inst", "state"}
+    assert c_names - codegen._C_KEYWORDS - codegen._C_DECLARED - c_words == set()
+    vhdl_names = {n.lower() for n in _fixed_names(out.vhdl_source, r"--[^\n]*", r"'[01]'")}
+    # the package functions' own parameters, and the attribute `u'length`
+    vhdl_words = {"u", "b", "length"}
+    assert vhdl_names - codegen._VHDL_ENTITY_RESERVED - codegen._VHDL_LIBRARY - vhdl_words == set()
+
+
 @pytest.mark.parametrize("emitter", [emit_c, emit_vhdl])
 @pytest.mark.parametrize("receiver,signal", [("pong", "hit"), ("Pong", "Hit_BITS")])
 def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver, signal):
@@ -397,12 +434,13 @@ def test_unary_forms_big_literal_and_idle_classes():
 
 @pytest.mark.parametrize("name", CORPUS_MODELS)
 def test_emit_matches_golden_files(name):
-    """The four files `comodel gen` writes for each corpus model under its
+    r"""The four files `comodel gen` writes for each corpus model under its
     committed marks, byte for byte. After an intended change to the
     emitted text, regenerate them from the repository root with
 
         for m in chain pingpong pipeline race widths; do
-          comodel gen corpus/$m.model --marks corpus/${m}_*.marks -o corpus/golden/gen/$m
+          PYTHONPATH=src python3 -m comodel.cli gen corpus/$m.model \\
+            --marks corpus/${m}_*.marks -o corpus/golden/gen/$m
         done
     """
     model = load_model(name)
@@ -494,8 +532,9 @@ ADVERSARIAL_NAMES = [
         """.split()
         + [f"{u}int{k}{n}" for u in ("", "u") for k in ("", "_least", "_fast") for n in (8, 16, 32, 64)]
         + ["intptr", "uintptr", "intmax", "uintmax"]
-        + """event_slot event_queue queues queue_push put_bits get_bits sw_dispatch sw id
-        QUEUE_CAP MAX_ARGS SW_INSTANCE_COUNT begin end entity process architecture""".split()
+        + """event_slot event_queue queues queue_push queue queue_head queue_count put_bits
+        get_bits sw_dispatch sw id QUEUE_CAP MAX_ARGS SW_INSTANCE_COUNT begin end entity
+        process architecture""".split()
     )
     if name not in frontend.KEYWORDS
 ]
@@ -532,8 +571,10 @@ def test_adversarial_names_are_rejected_or_compile(tmp_path, capsys):
 def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
     """A `main` for the all-SW C half that replays `scenario` as `executor.run`
     does: the `at N` group is injected before step N, and when a step finds
-    every queue empty with groups left, the next group is injected. It prints
-    the step count and then every `inst_<name>.<attr>`, one per line."""
+    the queue empty with groups left, the next group is injected. Before each
+    step that dispatches it prints the head slot's `inst` and `ev` on one
+    line; at the end it prints the step count and then every
+    `inst_<name>.<attr>`, one per line."""
     class_of = ir.ensure_valid(model).instance_class
     injs = sorted(scenario.injections, key=lambda inj: inj.at)  # stable: file order in a group
     rows = [
@@ -571,6 +612,10 @@ def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
         "        if (k < n && injs[k].at == steps) {",
         "            inject_group();",
         "        }",
+        "        if (queue_count > 0u) {",
+        '            printf("%lu %lu\\n", (unsigned long)queue[queue_head].inst,',
+        "                   (unsigned long)queue[queue_head].ev);",
+        "        }",
         f"        if ({name}_step()) {{",
         "            steps++;",
         "        } else if (k < n) {",
@@ -592,6 +637,23 @@ def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
 C_RINGS = {("ring4", "heavy_ttl2047"): (4, 4, 2047), ("ring8", "heavy_ttl300"): (8, 2, 300)}
 
 
+def _ubsan_run(tmp_path, name: str, out, main_text: str) -> str:
+    """Build `main_text` (which includes `<name>_sw.c`) with UBSan, run it, and
+    return its stdout; the build and the run must be silent on stderr."""
+    (tmp_path / f"{name}_sw.c").write_text(out.c_source)
+    (tmp_path / f"{name}_sw.h").write_text(out.c_header)
+    (tmp_path / "harness.c").write_text(main_text)
+    build = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsanitize=undefined",
+         "-fno-sanitize-recover=all", "harness.c", "-o", "harness"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert build.returncode == 0 and build.stderr == "", build.stderr
+    result = subprocess.run([str(tmp_path / "harness")], capture_output=True, text=True)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    return result.stdout
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS))
 def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
@@ -605,20 +667,54 @@ def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
     trace = executor.run(model, scenario)
     assert trace.outcome.kind == executor.QUIESCENT
     out = emit(model, derive_partition(model, ir.MarkSet()), name=model_name)
-    (tmp_path / f"{model_name}_sw.c").write_text(out.c_source)
-    (tmp_path / f"{model_name}_sw.h").write_text(out.c_header)
-    (tmp_path / "harness.c").write_text(_harness(model_name, model, scenario))
-    build = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsanitize=undefined",
-         "-fno-sanitize-recover=all", "harness.c", "-o", "harness"],
+    harness = _harness(model_name, model, scenario)
+    lines = _ubsan_run(tmp_path, model_name, out, harness).splitlines()
+    class_of = ir.ensure_valid(model).instance_class
+    # all SW: the C instance ids are the instances in document order
+    swi = {inst: k for k, inst in enumerate(class_of)}
+    dispatched = [
+        (swi[ev.envelope.receiver],
+         [s.name for s in class_of[ev.envelope.receiver].signals].index(ev.envelope.signal))
+        for ev in trace.events
+    ]
+    assert [tuple(map(int, line.split())) for line in lines if " " in line] == dispatched
+    attrs = [int(trace.final.attrs[inst][a.name]) for inst, cls in class_of.items()
+             for a in cls.attributes]
+    assert [int(line) for line in lines if " " not in line] == [len(trace.events), *attrs]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_out_of_range_instance_id_is_dropped(tmp_path, pingpong):
+    out = emit(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), name="pingpong")
+    assert _ubsan_run(tmp_path, "pingpong", out, "\n".join([
+        '#include "pingpong_sw.c"',
+        "void pingpong_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits) {",
+        "    (void)sig_id; (void)payload; (void)nbits;",
+        "}",
+        "int main(void) {",
+        "    pingpong_reset();",
+        "    pingpong_inject(SW_INSTANCE_COUNT + 3u, PING_EV_HIT, 0, 0u);",
+        "    while (pingpong_step()) {",
+        "    }",
+        "    return 0;",
+        "}",
+        "",
+    ])) == ""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_platform_injects_through_the_header_alone(tmp_path, pingpong):
+    out = emit(pingpong, pingpong_hw(pingpong), name="pingpong")
+    (tmp_path / "pingpong_sw.h").write_text(out.c_header)
+    (tmp_path / "platform.c").write_text("\n".join([
+        '#include "pingpong_sw.h"',
+        "void platform_hit(void) {",
+        "    pingpong_inject(SWI_PING, PING_EV_HIT, 0, 0u);",
+        "}",
+        "",
+    ]))
+    result = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-c", "platform.c"],
         cwd=tmp_path, capture_output=True, text=True,
     )
-    assert build.returncode == 0 and build.stderr == "", build.stderr
-    result = subprocess.run([str(tmp_path / "harness")], capture_output=True, text=True)
     assert result.returncode == 0 and result.stderr == "", result.stderr
-    attrs = [
-        int(trace.final.attrs[inst][a.name])
-        for inst, cls in ir.ensure_valid(model).instance_class.items()
-        for a in cls.attributes
-    ]
-    assert [int(v) for v in result.stdout.split()] == [len(trace.events), *attrs]

@@ -87,6 +87,17 @@ def test_scenario_round_trip(_, name):
     assert parse_scenario(print_scenario(scenario)) == scenario
 
 
+def test_boolean_literals_round_trip():
+    model = parse_model(
+        "class A { attr f: bool; signal S(g: bool); statemachine { initial I; state I {"
+        " on S -> I { f = true; if (f == false) { send a.S(true); } else { f = !false; } } } } }"
+        " instance a: A;"
+    )
+    text = print_model(model)
+    assert "f = true;" in text and "(f == false)" in text and "send a.S(true);" in text
+    assert parse_model(text) == model
+
+
 def test_marks_round_trip():
     marks = parse_marks("mark isHardware on Pong; mark weight = 3 on Ping.Hit;")
     assert parse_marks(print_marks(marks)) == marks

@@ -119,6 +119,16 @@ def test_invalid_models(text, code, path):
     assert match[0].path == path
 
 
+def test_not_yields_bool():
+    report = ir.validate(parse_model(
+        "class A { attr a: u8; attr b: bool; signal S(); statemachine { initial I;"
+        " state I { on S -> I { a = !b; } } } }"
+    ))
+    assert [(d.code, d.path, d.message) for d in report.diagnostics] == [
+        ("E_TYPE_MISMATCH", "A", "! yields bool, expected u8")
+    ]
+
+
 def test_bad_sends_check_their_arguments():
     # A send that does not resolve, or resolves with the wrong arity,
     # still checks its arguments, untyped: 300 would not fit S's u8. A
