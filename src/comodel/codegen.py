@@ -30,6 +30,13 @@ event input ports and a synchronous process implementing the same
 transition table over unsigned registers. All arithmetic wraps at the
 declared widths in both targets, matching the interpreter bit for bit.
 
+Each rule's fixed text lives in module-level templates (`_Template`) whose
+`${hole}`s take text that is already rendered; only the action walker
+prints line by line, passing an indent string down. The names the fixed
+text declares (`_C_DECLARED`, `_C_MACROS`, `_VHDL_ENTITY_RESERVED`) are
+derived from the templates at import; only the target keywords, the
+`<stdint.h>` names and `_VHDL_LIBRARY` are kept by hand.
+
 Emission is pure text generation: identical inputs give identical bytes.
 """
 
@@ -221,20 +228,15 @@ _STDINT_STEMS = [
     f"{u}int{k}{n}" for u in ("", "u") for k in ("", "_least", "_fast") for n in (8, 16, 32, 64)
 ]
 _STDINT_STEMS += ["intptr", "uintptr", "intmax", "uintmax"]
-# the macros <stdint.h> and the runtime text define
-_C_MACROS = frozenset(
+# the typedefs and the macros <stdint.h> declares
+_STDINT_TYPES = frozenset(f"{s}_t" for s in _STDINT_STEMS)
+_STDINT_MACROS = frozenset(
     [f"{s.upper()}_MAX" for s in _STDINT_STEMS]
     + [f"{s.upper()}_MIN" for s in _STDINT_STEMS if s[0] == "i"]
     + [f"{s.upper()}_C" for s in _STDINT_STEMS if "_" not in s and "ptr" not in s]
     + """PTRDIFF_MIN PTRDIFF_MAX SIG_ATOMIC_MIN SIG_ATOMIC_MAX SIZE_MAX WCHAR_MIN WCHAR_MAX
-         WINT_MIN WINT_MAX QUEUE_CAP MAX_ARGS SW_INSTANCE_COUNT""".split()
+         WINT_MIN WINT_MAX""".split()
 )
-# every name <stdint.h> and the runtime text declare: the macros, the typedefs,
-# functions and statics, and the parameters and locals
-_C_DECLARED = _C_MACROS | frozenset([f"{s}_t" for s in _STDINT_STEMS] + """
-    event_slot_t queue queue_head queue_count put_bits get_bits sw_dispatch
-    inst_id sig_id ev args nargs nbits payload sargs self slot k bit buf offset width value
-""".split())
 # every instance struct's own member
 _C_MEMBER_RESERVED = _C_KEYWORDS | {"state"}
 _VHDL_RESERVED = frozenset("""
@@ -246,15 +248,11 @@ _VHDL_RESERVED = frozenset("""
     rem report return rol ror select severity signal shared sla sll sra srl subtype then to
     transport type unaffected units until use variable wait when while with xnor xor
 """.split())
-# the ieee, std and work names the fixed text uses, and the package's own functions
+# the ieee and work names the fixed text uses, `std` (which every design unit
+# sees unnamed), and the package's own functions
 _VHDL_LIBRARY = frozenset("""
     ieee std work std_logic_1164 numeric_std std_logic std_logic_vector unsigned natural
     boolean rising_edge to_unsigned resize to_u1 to_bool
-""".split())
-# what every entity declares for itself: its ports, state, variables and labels
-_VHDL_ENTITY_RESERVED = _VHDL_RESERVED | frozenset("""
-    clk rst ev_valid ev_id ev_args snd_valid snd_sig snd_payload loc_valid loc_inst loc_ev
-    loc_args state_t state v_snd v_loc step rtl
 """.split())
 # --- seeded name tables: end ---
 
@@ -264,16 +262,30 @@ _VHDL_ENTITY_RESERVED = _VHDL_RESERVED | frozenset("""
 # ---------------------------------------------------------------------------
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.indent = 0
+class _Template:
+    """Fixed target text with `${hole}`s. It is split into its literal parts
+    once, so a fill only joins them with the hole values. A hole value is
+    text that is already rendered, with its own indentation."""
 
-    def w(self, text: str = "") -> None:
-        self.lines.append(("    " * self.indent + text) if text else "")
+    def __init__(self, text: str):
+        parts = re.split(r"\$\{(\w+)\}", text)
+        self.text = text
+        self.head = parts[0]
+        self.tail = list(zip(parts[1::2], parts[2::2]))
 
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def __call__(self, **values: object) -> str:
+        return self.head + "".join([f"{values[hole]}{text}" for hole, text in self.tail])
+
+
+def _fixed_text(skip: str, *templates: _Template) -> str:
+    """The templates' text, less what `skip` matches: comments and literals."""
+    return re.sub(skip, " ", "\n".join(t.text for t in templates))
+
+
+def _words(text: str) -> frozenset[str]:
+    """The identifiers of template text; a word that a hole touches is the model's."""
+    words = re.findall(r"(?:\$\{\w+\}|\w)+", text)
+    return frozenset(w for w in words if "$" not in w and not w[0].isdigit())
 
 
 def _payload_layouts(checked: ir.Checked) -> dict[tuple[str, str], list[PayloadField]]:
@@ -301,7 +313,8 @@ _Params = dict[str, tuple[int, PayloadField]]
 class _Emitter:
     """The emitter skeleton (see the module docstring). A target gives its
     `DOMAIN`, its `assign`, `if_`, `ELSE` and `END_IF` syntax, its `expr`
-    printer, and its `send(w, s, receiver class, params)`."""
+    printer, and its `send(out, pad, s, receiver class, params)`. The
+    action walker appends lines to `out`, each starting with `pad`."""
 
     def __init__(
         self,
@@ -323,23 +336,23 @@ class _Emitter:
     def _params(self, cls: ir.ClassDef, tr: ir.TransitionDef) -> _Params:
         return {f.name: (i, f) for i, f in enumerate(self.layouts[(cls.name, tr.signal)])}
 
-    def _stmts(self, w: _Writer, stmts: list[ir.Stmt], params: _Params) -> None:
+    def _stmts(self, out: list[str], pad: str, stmts: list[ir.Stmt], params: _Params) -> None:
         for s in stmts:
             if isinstance(s, ir.Assign):
-                w.w(self.assign(s.attr, self.expr(s.value, params)))
+                out.append(pad + self.assign(s.attr, self.expr(s.value, params)))
             elif isinstance(s, ir.Send):
-                self.send(w, s, self.checked.instance_class[s.instance].name, params)
+                self.send(out, pad, s, self.checked.instance_class[s.instance].name, params)
             elif isinstance(s, ir.If):
-                w.w(self.if_(self.expr(s.cond, params)))
-                w.indent += 1
-                self._stmts(w, s.then, params)
-                w.indent -= 1
+                out.append(pad + self.if_(self.expr(s.cond, params)))
+                self._stmts(out, pad + "    ", s.then, params)
                 if s.orelse:
-                    w.w(self.ELSE)
-                    w.indent += 1
-                    self._stmts(w, s.orelse, params)
-                    w.indent -= 1
-                w.w(self.END_IF)
+                    out.append(pad + self.ELSE)
+                    self._stmts(out, pad + "    ", s.orelse, params)
+                out.append(pad + self.END_IF)
+
+
+def _lines(out: list[str]) -> str:
+    return "".join([line + "\n" for line in out])
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +407,181 @@ def _c_expr(e: ir.Expr, params: _Params) -> str:
     raise TypeError(f"unexpected expression node {e!r}")
 
 
+# -- fixed text --
+
+_C_HEADER = _Template("""\
+/* Generated software interface header. Do not edit. */
+#ifndef ${guard}
+#define ${guard}
+
+#include <stdint.h>
+
+/* model hash ${hash} */
+
+/* Boundary signal ids and payload widths */
+${constants}
+/* Software instance ids (dispatch and bus addressing) */
+${swi}#define SW_INSTANCE_COUNT ${count}u
+
+${events}/* Provided by the platform: outbound boundary transport. */
+void ${model}_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
+
+void ${model}_reset(void);
+int ${model}_step(void);
+void ${model}_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
+void ${model}_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+
+#endif /* ${guard} */
+""")
+_C_EVENTS = _Template("""\
+/* Event ids of each software class: the `ev` of ${model}_inject */
+${enums}""")
+_C_ENUM = _Template("""\
+typedef enum {
+${names}
+} ${type};
+
+""")
+_C_SOURCE = _Template("""\
+/* Generated software half. Do not edit. */
+#include <stdint.h>
+#include "${model}_sw.h"
+
+#define QUEUE_CAP ${queue_cap}u /* 64 per SW instance */
+#define MAX_ARGS ${max_args}u
+
+typedef struct {
+    uint32_t inst;
+    uint32_t ev;
+    uint32_t args[MAX_ARGS];
+} event_slot_t;
+
+/* one FIFO for every software instance, in enqueue order */
+static event_slot_t queue[QUEUE_CAP];
+static uint32_t queue_head;
+static uint32_t queue_count;
+
+void ${model}_inject(uint32_t inst_id, uint32_t ev,
+        const uint32_t *args, uint32_t nargs) {
+    event_slot_t *slot;
+    uint32_t k;
+    if (queue_count == QUEUE_CAP) {
+        return; /* overflow: dropped */
+    }
+    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];
+    slot->inst = inst_id;
+    slot->ev = ev;
+    for (k = 0; k < MAX_ARGS; k++) {
+        slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;
+    }
+    queue_count++;
+}
+
+${classes}${put_bits}${get_bits}${dispatch}void ${model}_reset(void) {
+${reset}    queue_head = 0u;
+    queue_count = 0u;
+}
+
+static void sw_dispatch(uint32_t inst_id, uint32_t ev,
+                        const uint32_t *args) {
+${sw_dispatch}}
+
+int ${model}_step(void) {
+    event_slot_t slot;
+    if (queue_count == 0u) {
+        return 0;
+    }
+    slot = queue[queue_head];
+    queue_head = (queue_head + 1u) % QUEUE_CAP;
+    queue_count--;
+    sw_dispatch(slot.inst, slot.ev, slot.args);
+    return 1;
+}
+
+void ${model}_bus_deliver(uint32_t inst_id, uint32_t sig_id,
+        const uint8_t *payload) {
+${bus_deliver}}
+""")
+_C_PUT_BITS = _Template("""\
+static void put_bits(uint8_t *buf, uint32_t offset, uint32_t width,
+                     uint32_t value) {
+    uint32_t k;
+    for (k = 0; k < width; k++) {
+        uint32_t bit = offset + k;
+        if ((value >> k) & 1u) {
+            buf[bit / 8u] |= (uint8_t)(1u << (bit % 8u));
+        }
+    }
+}
+
+""")
+_C_GET_BITS = _Template("""\
+static uint32_t get_bits(const uint8_t *buf, uint32_t offset,
+                         uint32_t width) {
+    uint32_t value = 0;
+    uint32_t k;
+    for (k = 0; k < width; k++) {
+        uint32_t bit = offset + k;
+        if ((buf[bit / 8u] >> (bit % 8u)) & 1u) {
+            value |= (1u << k);
+        }
+    }
+    return value;
+}
+
+""")
+_C_CLASS = _Template("""\
+/* ---- class ${cls} ---- */
+
+${states}typedef struct {
+    ${cls}_state_t state;
+${members}} ${type};
+
+""")
+_C_DISPATCH = _Template("""\
+static void ${fn}(${cls}_t *self, uint32_t ev,
+        const uint32_t *args) {
+    (void)args;
+${body}}
+
+""")
+_C_SW_SWITCH = _Template("""\
+    switch (inst_id) {
+${cases}    default:
+        break;
+    }
+""")
+_C_DELIVER_SWITCH = _Template("""\
+    uint32_t args[MAX_ARGS];
+    uint32_t k;
+    (void)payload;
+    for (k = 0; k < MAX_ARGS; k++) {
+        args[k] = 0;
+    }
+    switch (sig_id) {
+${cases}    default:
+        break;
+    }
+""")
+# the body of a function with nothing to do marks its parameters unused
+_C_DISPATCH_IDLE = _Template("    (void)self;\n    (void)ev;\n")
+_C_SW_IDLE = _Template("    (void)inst_id;\n    (void)ev;\n    (void)args;\n")
+_C_DELIVER_IDLE = _Template("    (void)inst_id;\n    (void)sig_id;\n    (void)payload;\n")
+_C_FIXED = _fixed_text(r'/\*.*?\*/|"[^"]*"|<stdint\.h>', _C_HEADER, _C_EVENTS, _C_ENUM, _C_SOURCE,
+                       _C_PUT_BITS, _C_GET_BITS, _C_CLASS, _C_DISPATCH, _C_DISPATCH_IDLE,
+                       _C_SW_SWITCH, _C_SW_IDLE, _C_DELIVER_SWITCH, _C_DELIVER_IDLE)
+# the platform interface the header declares: `<model>_<function>`
+_C_API = re.findall(r"\$\{model\}_(\w+)\(", _C_HEADER.text)
+# the macros <stdint.h> and the fixed text define
+_C_MACROS = _STDINT_MACROS | frozenset(re.findall(r"#define (\w+)", _C_FIXED))
+# every name <stdint.h> and the fixed text declare: the macros, the typedefs, functions
+# and statics, and the parameters and locals; plus `sargs`, the walker's local-send
+# buffer. The templates also print words with no `_` that declare nothing at file
+# scope (`inst`, `state`, the preprocessor's); every generated file-scope name joins
+# a model name with `_`, so they decide nothing.
+_C_DECLARED = _C_MACROS | _STDINT_TYPES | (_words(_C_FIXED) - _C_KEYWORDS) | {"sargs"}
+
+
 class _CEmitter(_Emitter):
     DOMAIN = part.SW
     ELSE = "} else {"
@@ -418,298 +606,121 @@ class _CEmitter(_Emitter):
 
     def header(self) -> str:
         """Declares the macros, so it runs before `source`, whose structs
-        they reach into."""
-        w = _Writer()
+        they reach into. Each name is declared in the order it prints."""
         guard = self.macro(_c_guard(self.name))
-        w.w("/* Generated software interface header. Do not edit. */")
-        w.w(f"#ifndef {guard}")
-        w.w(f"#define {guard}")
-        w.w()
-        w.w("#include <stdint.h>")
-        w.w()
-        w.w(f"/* model hash {self.manifest.model_hash} */")
-        w.w()
-        w.w("/* Boundary signal ids and payload widths */")
-        for name, value in self.constants:
-            w.w(f"#define {self.macro(name)} {value}")
-        w.w()
-        w.w("/* Software instance ids (dispatch and bus addressing) */")
-        for k, (inst, _) in enumerate(self.instances):
-            w.w(f"#define {self.macro(_c_swi(inst))} {k}u")
-        w.w(f"#define SW_INSTANCE_COUNT {len(self.instances)}u")
-        w.w()
-        events = [cls for cls in self.classes if cls.signals]
-        if events:
-            w.w(f"/* Event ids of each software class: the `ev` of {self.name}_inject */")
-        for cls in events:
-            self._enum(w, f"{cls.name}_event_t", [_c_event(cls.name, s.name) for s in cls.signals])
-        w.w("/* Provided by the platform: outbound boundary transport. */")
-        w.w(
-            f"void {self.file.declare(f'{self.name}_bus_send')}(uint32_t sig_id,"
-            " const uint8_t *payload, uint32_t nbits);"
+        constants = "".join(f"#define {self.macro(n)} {v}\n" for n, v in self.constants)
+        swi = "".join(
+            f"#define {self.macro(_c_swi(i))} {k}u\n" for k, (i, _) in enumerate(self.instances)
         )
-        w.w()
-        w.w(f"void {self.file.declare(f'{self.name}_reset')}(void);")
-        w.w(f"int {self.file.declare(f'{self.name}_step')}(void);")
-        w.w(
-            f"void {self.file.declare(f'{self.name}_inject')}(uint32_t inst_id, uint32_t ev,"
-            " const uint32_t *args, uint32_t nargs);"
+        enums = "".join(
+            self._enum(f"{cls.name}_event_t", [_c_event(cls.name, s.name) for s in cls.signals])
+            for cls in self.classes if cls.signals
         )
-        w.w(
-            f"void {self.file.declare(f'{self.name}_bus_deliver')}(uint32_t inst_id,"
-            " uint32_t sig_id, const uint8_t *payload);"
+        for fn in _C_API:
+            self.file.declare(f"{self.name}_{fn}")
+        return _C_HEADER(
+            guard=guard, hash=self.manifest.model_hash, constants=constants, swi=swi,
+            count=len(self.instances), model=self.name,
+            events=_C_EVENTS(model=self.name, enums=enums) if enums else "",
         )
-        w.w()
-        w.w(f"#endif /* {guard} */")
-        return w.text()
 
     def source(self) -> str:
-        w = _Writer()
-        w.w("/* Generated software half. Do not edit. */")
-        w.w("#include <stdint.h>")
-        w.w(f'#include "{self.name}_sw.h"')
-        w.w()
-        w.w(f"#define QUEUE_CAP {64 * max(1, len(self.instances))}u /* 64 per SW instance */")
-        w.w(f"#define MAX_ARGS {max([1] + [len(lay) for lay in self.layouts.values()])}u")
-        w.w()
-        self._queue_machinery(w)
-        for cls in self.classes:
-            self._class_decl(w, cls)
-        self._instance_storage(w)
-        if any(s.direction == part.SW_TO_HW and s.payload for s in self.manifest.signals):
-            self._put_bits(w)
-        if any(s.direction == part.HW_TO_SW and s.payload for s in self.manifest.signals):
-            self._get_bits(w)
-        for cls in self.classes:
-            self._dispatch_fn(w, cls)
-        self._entry_points(w)
-        return w.text()
-
-    def _queue_machinery(self, w: _Writer) -> None:
-        w.w("typedef struct {")
-        w.w("    uint32_t inst;")
-        w.w("    uint32_t ev;")
-        w.w("    uint32_t args[MAX_ARGS];")
-        w.w("} event_slot_t;")
-        w.w()
-        w.w("/* one FIFO for every software instance, in enqueue order */")
-        w.w("static event_slot_t queue[QUEUE_CAP];")
-        w.w("static uint32_t queue_head;")
-        w.w("static uint32_t queue_count;")
-        w.w()
-        w.w(f"void {self.name}_inject(uint32_t inst_id, uint32_t ev,")
-        w.w("        const uint32_t *args, uint32_t nargs) {")
-        w.w("    event_slot_t *slot;")
-        w.w("    uint32_t k;")
-        w.w("    if (queue_count == QUEUE_CAP) {")
-        w.w("        return; /* overflow: dropped */")
-        w.w("    }")
-        w.w("    slot = &queue[(queue_head + queue_count) % QUEUE_CAP];")
-        w.w("    slot->inst = inst_id;")
-        w.w("    slot->ev = ev;")
-        w.w("    for (k = 0; k < MAX_ARGS; k++) {")
-        w.w("        slot->args[k] = (args != 0 && k < nargs) ? args[k] : 0u;")
-        w.w("    }")
-        w.w("    queue_count++;")
-        w.w("}")
-        w.w()
-
-    def _class_decl(self, w: _Writer, cls: ir.ClassDef) -> None:
-        w.w(f"/* ---- class {cls.name} ---- */")
-        w.w()
-        states = [_c_state(cls.name, st.name) for st in cls.machine.states]
-        self._enum(w, f"{cls.name}_state_t", states)
-        members = _Scope(f"C struct {cls.name}_t", _C_NAME, _C_MEMBER_RESERVED, self.macros)
-        w.w("typedef struct {")
-        w.w(f"    {cls.name}_state_t state;")
-        for a in cls.attributes:
-            w.w(f"    {C_TYPES[a.type]} {members.declare(a.name)};")
-        w.w(f"}} {self.file.declare(f'{cls.name}_t')};")
-        w.w()
-
-    def _enum(self, w: _Writer, type_name: str, names: list[str]) -> None:
-        """A C enum of `names`, numbered from 0."""
-        w.w("typedef enum {")
-        for i, name in enumerate(names):
-            comma = "," if i + 1 < len(names) else ""
-            w.w(f"    {self.file.declare(name)} = {i}{comma}")
-        w.w(f"}} {self.file.declare(type_name)};")
-        w.w()
-
-    def _instance_storage(self, w: _Writer) -> None:
+        outbound = [s for s in self.manifest.signals if s.direction == part.SW_TO_HW]
+        inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
+        # names are declared in print order: classes, storage, dispatch functions
+        classes = "".join([self._class_decl(cls) for cls in self.classes])
+        storage, reset, cases = [], [], []
         for inst, cls in self.instances:
-            w.w(f"static {cls.name}_t {self.file.declare(_c_storage(inst))};")
-        if self.instances:
-            w.w()
+            var = self.file.declare(_c_storage(inst))
+            storage.append(f"static {cls.name}_t {var};")
+            reset.append(f"    {var}.state = {_c_state(cls.name, cls.machine.initial)};")
+            reset += [f"    {var}.{a.name} = {int(a.default)}u;" for a in cls.attributes]
+            cases += [f"    case {_c_swi(inst)}:",
+                      f"        {cls.name}_dispatch(&{var}, ev, args);", "        break;"]
+        deliver = []
+        for s in inbound:
+            deliver.append(f"    case {mangle(s.receiver_class, s.signal)}: {{")
+            deliver += [f"        args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);"
+                        for i, f in enumerate(s.payload)]
+            ev = _c_event(s.receiver_class, s.signal)
+            deliver += [f"        {self.name}_inject(inst_id, {ev}, args, {len(s.payload)}u);",
+                        "        break;", "    }"]
+        return _C_SOURCE(
+            model=self.name,
+            queue_cap=64 * max(1, len(self.instances)),
+            max_args=max([1] + [len(lay) for lay in self.layouts.values()]),
+            classes=classes + _lines(storage) + ("\n" if storage else ""),
+            put_bits=_C_PUT_BITS() if any(s.payload for s in outbound) else "",
+            get_bits=_C_GET_BITS() if any(s.payload for s in inbound) else "",
+            dispatch="".join([self._dispatch_fn(cls) for cls in self.classes]),
+            reset=_lines(reset),
+            sw_dispatch=_C_SW_SWITCH(cases=_lines(cases)) if cases else _C_SW_IDLE(),
+            bus_deliver=_C_DELIVER_SWITCH(cases=_lines(deliver)) if deliver else _C_DELIVER_IDLE(),
+        )
 
-    def _put_bits(self, w: _Writer) -> None:
-        w.w("static void put_bits(uint8_t *buf, uint32_t offset, uint32_t width,")
-        w.w("                     uint32_t value) {")
-        w.w("    uint32_t k;")
-        w.w("    for (k = 0; k < width; k++) {")
-        w.w("        uint32_t bit = offset + k;")
-        w.w("        if ((value >> k) & 1u) {")
-        w.w("            buf[bit / 8u] |= (uint8_t)(1u << (bit % 8u));")
-        w.w("        }")
-        w.w("    }")
-        w.w("}")
-        w.w()
+    def _class_decl(self, cls: ir.ClassDef) -> str:
+        states = [_c_state(cls.name, st.name) for st in cls.machine.states]
+        enum = self._enum(f"{cls.name}_state_t", states)
+        members = _Scope(f"C struct {cls.name}_t", _C_NAME, _C_MEMBER_RESERVED, self.macros)
+        fields = [f"    {C_TYPES[a.type]} {members.declare(a.name)};" for a in cls.attributes]
+        struct = self.file.declare(f"{cls.name}_t")
+        return _C_CLASS(cls=cls.name, states=enum, members=_lines(fields), type=struct)
 
-    def _get_bits(self, w: _Writer) -> None:
-        w.w("static uint32_t get_bits(const uint8_t *buf, uint32_t offset,")
-        w.w("                         uint32_t width) {")
-        w.w("    uint32_t value = 0;")
-        w.w("    uint32_t k;")
-        w.w("    for (k = 0; k < width; k++) {")
-        w.w("        uint32_t bit = offset + k;")
-        w.w("        if ((buf[bit / 8u] >> (bit % 8u)) & 1u) {")
-        w.w("            value |= (1u << k);")
-        w.w("        }")
-        w.w("    }")
-        w.w("    return value;")
-        w.w("}")
-        w.w()
+    def _enum(self, type_name: str, names: list[str]) -> str:
+        """A C enum of `names`, numbered from 0."""
+        return _C_ENUM(
+            names=",\n".join(f"    {self.file.declare(n)} = {i}" for i, n in enumerate(names)),
+            type=self.file.declare(type_name),
+        )
 
-    def send(self, w: _Writer, s: ir.Send, recv: str, params: _Params) -> None:
+    def send(self, out: list[str], pad: str, s: ir.Send, recv: str, params: _Params) -> None:
+        inner = pad + "    "
         if self.partition.domain[recv] == part.SW:
-            ev = _c_event(recv, s.signal)
-            if s.args:
-                w.w("{")
-                w.indent += 1
-                w.w("uint32_t sargs[MAX_ARGS];")
-                for i, a in enumerate(s.args):
-                    w.w(f"sargs[{i}] = (uint32_t){_c_expr(a, params)};")
-                w.w(f"{self.name}_inject({_c_swi(s.instance)}, {ev}, sargs, {len(s.args)}u);")
-                w.indent -= 1
-                w.w("}")
-            else:
-                w.w(f"{self.name}_inject({_c_swi(s.instance)}, {ev}, 0, 0u);")
+            inject = f"{self.name}_inject({_c_swi(s.instance)}, {_c_event(recv, s.signal)}"
+            if not s.args:
+                out.append(f"{pad}{inject}, 0, 0u);")
+                return
+            out += [pad + "{", inner + "uint32_t sargs[MAX_ARGS];"]
+            out += [f"{inner}sargs[{i}] = (uint32_t){_c_expr(a, params)};"
+                    for i, a in enumerate(s.args)]
+            out += [f"{inner}{inject}, sargs, {len(s.args)}u);", pad + "}"]
         else:
             macro = mangle(recv, s.signal)
             layout = self.layouts[(recv, s.signal)]
-            w.w(f"{{ /* send {s.instance}.{s.signal}: cross-boundary */")
-            w.indent += 1
-            w.w(f"uint8_t payload[{max(1, (_payload_bits(layout) + 7) // 8)}] = {{0}};")
-            for f, a in zip(layout, s.args):
-                w.w(
-                    f"put_bits(payload, {f.bit_offset}u, {f.width_bits}u,"
-                    f" (uint32_t){_c_expr(a, params)});"
-                )
-            w.w(f"{self.name}_bus_send({macro}, payload, {macro}_BITS);")
-            w.indent -= 1
-            w.w("}")
+            out += [
+                f"{pad}{{ /* send {s.instance}.{s.signal}: cross-boundary */",
+                f"{inner}uint8_t payload[{max(1, (_payload_bits(layout) + 7) // 8)}] = {{0}};",
+            ]
+            out += [
+                f"{inner}put_bits(payload, {f.bit_offset}u, {f.width_bits}u,"
+                f" (uint32_t){_c_expr(a, params)});"
+                for f, a in zip(layout, s.args)
+            ]
+            out += [f"{inner}{self.name}_bus_send({macro}, payload, {macro}_BITS);", pad + "}"]
 
-    def _dispatch_fn(self, w: _Writer, cls: ir.ClassDef) -> None:
+    def _dispatch_fn(self, cls: ir.ClassDef) -> str:
         fn = self.file.declare(f"{cls.name}_dispatch")
-        w.w(f"static void {fn}({cls.name}_t *self, uint32_t ev,")
-        w.w("        const uint32_t *args) {")
-        w.indent += 1
-        w.w("(void)args;")
-        if not any(st.transitions for st in cls.machine.states):
-            w.w("(void)self;")
-            w.w("(void)ev;")
-        else:
-            w.w("switch (self->state) {")
-            for st in cls.machine.states:
-                w.w(f"case {_c_state(cls.name, st.name)}:")
-                w.indent += 1
-                if st.transitions:
-                    w.w("switch (ev) {")
-                    for tr in st.transitions:
-                        w.w(f"case {_c_event(cls.name, tr.signal)}: {{")
-                        w.indent += 1
-                        self._stmts(w, tr.actions, self._params(cls, tr))
-                        w.w(f"self->state = {_c_state(cls.name, tr.target)};")
-                        w.w("break;")
-                        w.indent -= 1
-                        w.w("}")
-                    w.w("default:")
-                    w.w("    break; /* unhandled in this state: dropped */")
-                    w.w("}")
-                w.w("break;")
-                w.indent -= 1
-            w.w("}")
-        w.indent -= 1
-        w.w("}")
-        w.w()
+        out: list[str] = []
+        if any(st.transitions for st in cls.machine.states):
+            self._machine_case(out, "    ", cls)
+        return _C_DISPATCH(fn=fn, cls=cls.name, body=_lines(out) if out else _C_DISPATCH_IDLE())
 
-    def _entry_points(self, w: _Writer) -> None:
-        inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
-        w.w(f"void {self.name}_reset(void) {{")
-        w.indent += 1
-        for inst, cls in self.instances:
-            w.w(f"{_c_storage(inst)}.state = {_c_state(cls.name, cls.machine.initial)};")
-            for a in cls.attributes:
-                w.w(f"{_c_storage(inst)}.{a.name} = {int(a.default)}u;")
-        w.w("queue_head = 0u;")
-        w.w("queue_count = 0u;")
-        w.indent -= 1
-        w.w("}")
-        w.w()
-
-        w.w("static void sw_dispatch(uint32_t inst_id, uint32_t ev,")
-        w.w("                        const uint32_t *args) {")
-        w.indent += 1
-        if self.instances:
-            w.w("switch (inst_id) {")
-            for inst, cls in self.instances:
-                w.w(f"case {_c_swi(inst)}:")
-                w.w(f"    {cls.name}_dispatch(&{_c_storage(inst)}, ev, args);")
-                w.w("    break;")
-            w.w("default:")
-            w.w("    break;")
-            w.w("}")
-        else:
-            w.w("(void)inst_id;")
-            w.w("(void)ev;")
-            w.w("(void)args;")
-        w.indent -= 1
-        w.w("}")
-        w.w()
-
-        w.w(f"int {self.name}_step(void) {{")
-        w.w("    event_slot_t slot;")
-        w.w("    if (queue_count == 0u) {")
-        w.w("        return 0;")
-        w.w("    }")
-        w.w("    slot = queue[queue_head];")
-        w.w("    queue_head = (queue_head + 1u) % QUEUE_CAP;")
-        w.w("    queue_count--;")
-        w.w("    sw_dispatch(slot.inst, slot.ev, slot.args);")
-        w.w("    return 1;")
-        w.w("}")
-        w.w()
-
-        w.w(f"void {self.name}_bus_deliver(uint32_t inst_id, uint32_t sig_id,")
-        w.w("        const uint8_t *payload) {")
-        w.indent += 1
-        if not inbound:
-            w.w("(void)inst_id;")
-            w.w("(void)sig_id;")
-            w.w("(void)payload;")
-        else:
-            w.w("uint32_t args[MAX_ARGS];")
-            w.w("uint32_t k;")
-            w.w("(void)payload;")
-            w.w("for (k = 0; k < MAX_ARGS; k++) {")
-            w.w("    args[k] = 0;")
-            w.w("}")
-            w.w("switch (sig_id) {")
-            for s in inbound:
-                w.w(f"case {mangle(s.receiver_class, s.signal)}: {{")
-                w.indent += 1
-                for i, f in enumerate(s.payload):
-                    w.w(f"args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);")
-                ev = _c_event(s.receiver_class, s.signal)
-                w.w(f"{self.name}_inject(inst_id, {ev}, args, {len(s.payload)}u);")
-                w.w("break;")
-                w.indent -= 1
-                w.w("}")
-            w.w("default:")
-            w.w("    break;")
-            w.w("}")
-        w.indent -= 1
-        w.w("}")
+    def _machine_case(self, out: list[str], pad: str, cls: ir.ClassDef) -> None:
+        out.append(pad + "switch (self->state) {")
+        for st in cls.machine.states:
+            out.append(f"{pad}case {_c_state(cls.name, st.name)}:")
+            if st.transitions:
+                out.append(pad + "    switch (ev) {")
+                for tr in st.transitions:
+                    out.append(f"{pad}    case {_c_event(cls.name, tr.signal)}: {{")
+                    self._stmts(out, pad + "        ", tr.actions, self._params(cls, tr))
+                    out += [f"{pad}        self->state = {_c_state(cls.name, tr.target)};",
+                            pad + "        break;", pad + "    }"]
+                out += [pad + "    default:",
+                        pad + "        break; /* unhandled in this state: dropped */",
+                        pad + "    }"]
+            out.append(pad + "    break;")
+        out.append(pad + "}")
 
 
 def emit_c(
@@ -782,6 +793,98 @@ def _v_expr(e: ir.Expr, params: _Params) -> str:
     raise TypeError(f"unexpected expression node {e!r}")
 
 
+# -- fixed text --
+
+# The package's functions print their parameters `b` and `u` and the
+# attribute `length`; no table holds them, as a HW class may be named `b`.
+_V_PACKAGE = _Template("""\
+-- Generated hardware half. Do not edit.
+-- model hash ${hash}
+
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+package ${iface} is
+    -- Boundary signal ids and payload widths
+${constants}    -- Instance ids (model population, document order)
+${instances}    -- Class-local event ids
+${events}    function to_u1(b : boolean) return unsigned;
+    function to_bool(u : unsigned) return boolean;
+end package ${iface};
+
+package body ${iface} is
+    function to_u1(b : boolean) return unsigned is
+    begin
+        if b then
+            return to_unsigned(1, 1);
+        else
+            return to_unsigned(0, 1);
+        end if;
+    end function;
+
+    function to_bool(u : unsigned) return boolean is
+    begin
+        return u /= to_unsigned(0, u'length);
+    end function;
+end package body ${iface};
+
+${entities}""")
+_V_ENTITY = _Template("""\
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+use work.${iface}.all;
+
+entity ${entity} is
+    port (
+        clk : in std_logic;
+        rst : in std_logic;
+        ev_valid : in std_logic;
+        ev_id : in natural range 0 to ${ev_max};
+        ev_args : in std_logic_vector(${ev_high} downto 0);
+        snd_valid : out std_logic;
+        snd_sig : out natural;
+        snd_payload : out std_logic_vector(${snd_high} downto 0);
+        loc_valid : out std_logic;
+        loc_inst : out natural;
+        loc_ev : out natural;
+        loc_args : out std_logic_vector(${loc_high} downto 0)
+    );
+end entity ${entity};
+
+architecture rtl of ${entity} is
+    type state_t is (${states});
+    signal state : state_t;
+${registers}begin
+    step : process (clk)
+${variables}        variable v_snd : std_logic_vector(${snd_high} downto 0);
+        variable v_loc : std_logic_vector(${loc_high} downto 0);
+    begin
+        if rising_edge(clk) then
+            if rst = '1' then
+                state <= ${initial};
+${resets}                snd_valid <= '0';
+                loc_valid <= '0';
+            else
+                snd_valid <= '0';
+                loc_valid <= '0';
+                if ev_valid = '1' then
+${loads}                    v_snd := (others => '0');
+                    v_loc := (others => '0');
+${case}${stores}                end if;
+            end if;
+        end if;
+    end process step;
+end architecture rtl;
+
+""")
+# what every entity declares for itself: its ports, state, variables and labels
+_VHDL_ENTITY_RESERVED = _VHDL_RESERVED | {
+    w.lower() for w in _words(_fixed_text(r"--[^\n]*|'[01]'", _V_ENTITY))
+} - _VHDL_LIBRARY
+
+
 class _VhdlEmitter(_Emitter):
     DOMAIN = part.HW
     ELSE = "else"
@@ -798,191 +901,86 @@ class _VhdlEmitter(_Emitter):
         super().__init__(*args)
         self.pkg = _Scope("VHDL package", _VHDL_NAME, _VHDL_RESERVED, _VHDL_LIBRARY, fold=True)
         self.iface = self.pkg.declare(f"{self.name}_iface")
-        self.snd_bits = max(
-            [1] + [s.payload_total_bits for s in self.manifest.signals]
-        )
-        self.loc_bits = max([1] + [_payload_bits(layout) for layout in self.layouts.values()])
+        # the highest bit of the outbound and the local payload ports
+        self.snd_high = max([1] + [s.payload_total_bits for s in self.manifest.signals]) - 1
+        self.loc_high = max([1] + [_payload_bits(layout) for layout in self.layouts.values()]) - 1
+
+    def _constant(self, name: str, value: int) -> str:
+        return f"    constant {self.pkg.declare(name)} : natural := {value};\n"
 
     def emit(self) -> str:
-        w = _Writer()
-        w.w("-- Generated hardware half. Do not edit.")
-        w.w(f"-- model hash {self.manifest.model_hash}")
-        w.w()
-        self._package(w)
-        for cls in self.classes:
-            self._entity(w, cls)
-        return w.text()
+        # the keyword arguments run in order, and so do the declarations
+        return _V_PACKAGE(
+            hash=self.manifest.model_hash,
+            iface=self.iface,
+            constants="".join(self._constant(name, value) for name, value in self.constants),
+            instances="".join(
+                self._constant(_v_inst(i), k) for k, i in enumerate(self.checked.instance_class)
+            ),
+            events="".join(
+                self._constant(_v_event(cls.name, s.name), i)
+                for cls in self.checked.classes.values()
+                for i, s in enumerate(cls.signals)
+            ),
+            entities="".join([self._entity(cls) for cls in self.classes]),
+        )
 
-    def _package(self, w: _Writer) -> None:
-        w.w("library ieee;")
-        w.w("use ieee.std_logic_1164.all;")
-        w.w("use ieee.numeric_std.all;")
-        w.w()
-        w.w(f"package {self.iface} is")
-        w.indent += 1
-        w.w("-- Boundary signal ids and payload widths")
-        for name, value in self.constants:
-            w.w(f"constant {self.pkg.declare(name)} : natural := {value};")
-        w.w("-- Instance ids (model population, document order)")
-        for k, inst in enumerate(self.checked.instance_class):
-            w.w(f"constant {self.pkg.declare(_v_inst(inst))} : natural := {k};")
-        w.w("-- Class-local event ids")
-        for cls in self.checked.classes.values():
-            for i, s in enumerate(cls.signals):
-                w.w(f"constant {self.pkg.declare(_v_event(cls.name, s.name))} : natural := {i};")
-        w.w("function to_u1(b : boolean) return unsigned;")
-        w.w("function to_bool(u : unsigned) return boolean;")
-        w.indent -= 1
-        w.w(f"end package {self.iface};")
-        w.w()
-        w.w(f"package body {self.iface} is")
-        w.indent += 1
-        w.w("function to_u1(b : boolean) return unsigned is")
-        w.w("begin")
-        w.w("    if b then")
-        w.w('        return to_unsigned(1, 1);')
-        w.w("    else")
-        w.w('        return to_unsigned(0, 1);')
-        w.w("    end if;")
-        w.w("end function;")
-        w.w()
-        w.w("function to_bool(u : unsigned) return boolean is")
-        w.w("begin")
-        w.w("    return u /= to_unsigned(0, u'length);")
-        w.w("end function;")
-        w.indent -= 1
-        w.w(f"end package body {self.iface};")
-        w.w()
-
-    def _entity(self, w: _Writer, cls: ir.ClassDef) -> None:
+    def _entity(self, cls: ir.ClassDef) -> str:
         ev_bits = max([1] + [_payload_bits(self.layouts[(cls.name, s.name)]) for s in cls.signals])
-        n_ev = max(1, len(cls.signals))
-        w.w("library ieee;")
-        w.w("use ieee.std_logic_1164.all;")
-        w.w("use ieee.numeric_std.all;")
-        w.w(f"use work.{self.iface}.all;")
-        w.w()
-        w.w(f"entity {self.pkg.declare(cls.name)} is")
-        w.indent += 1
-        w.w("port (")
-        w.indent += 1
-        w.w("clk : in std_logic;")
-        w.w("rst : in std_logic;")
-        w.w("ev_valid : in std_logic;")
-        w.w(f"ev_id : in natural range 0 to {n_ev - 1};")
-        w.w(f"ev_args : in std_logic_vector({ev_bits - 1} downto 0);")
-        w.w("snd_valid : out std_logic;")
-        w.w("snd_sig : out natural;")
-        w.w(f"snd_payload : out std_logic_vector({self.snd_bits - 1} downto 0);")
-        w.w("loc_valid : out std_logic;")
-        w.w("loc_inst : out natural;")
-        w.w("loc_ev : out natural;")
-        w.w(f"loc_args : out std_logic_vector({self.loc_bits - 1} downto 0)")
-        w.indent -= 1
-        w.w(");")
-        w.indent -= 1
-        w.w(f"end entity {cls.name};")
-        w.w()
-        w.w(f"architecture rtl of {cls.name} is")
-        w.indent += 1
+        entity = self.pkg.declare(cls.name)
         ent = _Scope(f"VHDL entity {cls.name}", _VHDL_NAME, _VHDL_ENTITY_RESERVED, fold=True)
         states = ", ".join(ent.declare(_v_state(st.name)) for st in cls.machine.states)
-        w.w(f"type state_t is ({states});")
-        w.w("signal state : state_t;")
-        for a in cls.attributes:
-            w.w(f"signal {ent.declare(_v_reg(a.name))} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
-        w.indent -= 1
-        w.w("begin")
-        w.indent += 1
-        w.w("step : process (clk)")
-        w.indent += 1
-        for a in cls.attributes:
-            w.w(f"variable {ent.declare(_v_var(a.name))} : unsigned({ir.WIDTHS[a.type] - 1} downto 0);")
-        w.w(f"variable v_snd : std_logic_vector({self.snd_bits - 1} downto 0);")
-        w.w(f"variable v_loc : std_logic_vector({self.loc_bits - 1} downto 0);")
-        w.indent -= 1
-        w.w("begin")
-        w.indent += 1
-        w.w("if rising_edge(clk) then")
-        w.indent += 1
-        w.w("if rst = '1' then")
-        w.indent += 1
-        w.w(f"state <= {_v_state(cls.machine.initial)};")
-        for a in cls.attributes:
-            w.w(f"{_v_reg(a.name)} <= to_unsigned({int(a.default)}, {ir.WIDTHS[a.type]});")
-        w.w("snd_valid <= '0';")
-        w.w("loc_valid <= '0';")
-        w.indent -= 1
-        w.w("else")
-        w.indent += 1
-        w.w("snd_valid <= '0';")
-        w.w("loc_valid <= '0';")
-        w.w("if ev_valid = '1' then")
-        w.indent += 1
-        for a in cls.attributes:
-            w.w(f"{_v_var(a.name)} := {_v_reg(a.name)};")
-        w.w("v_snd := (others => '0');")
-        w.w("v_loc := (others => '0');")
-        self._machine_case(w, cls)
-        for a in cls.attributes:
-            w.w(f"{_v_reg(a.name)} <= {_v_var(a.name)};")
-        w.indent -= 1
-        w.w("end if;")
-        w.indent -= 1
-        w.w("end if;")
-        w.indent -= 1
-        w.w("end if;")
-        w.indent -= 1
-        w.w("end process step;")
-        w.indent -= 1
-        w.w(f"end architecture rtl;")
-        w.w()
+        attrs = [(_v_reg(a.name), _v_var(a.name), ir.WIDTHS[a.type], a) for a in cls.attributes]
+        registers = [f"    signal {ent.declare(r)} : unsigned({n - 1} downto 0);"
+                     for r, _, n, _ in attrs]
+        variables = [f"        variable {ent.declare(v)} : unsigned({n - 1} downto 0);"
+                     for _, v, n, _ in attrs]
+        resets = [f"{' ' * 16}{r} <= to_unsigned({int(a.default)}, {n});" for r, _, n, a in attrs]
+        loads = [f"{' ' * 20}{v} := {r};" for r, v, _, _ in attrs]
+        case: list[str] = []
+        self._machine_case(case, " " * 20, cls)
+        return _V_ENTITY(
+            iface=self.iface, entity=entity, ev_max=max(1, len(cls.signals)) - 1,
+            ev_high=ev_bits - 1, snd_high=self.snd_high, loc_high=self.loc_high, states=states,
+            registers=_lines(registers), variables=_lines(variables),
+            initial=_v_state(cls.machine.initial), resets=_lines(resets), loads=_lines(loads),
+            case=_lines(case), stores=_lines([f"{' ' * 20}{r} <= {v};" for r, v, _, _ in attrs]),
+        )
 
-    def _machine_case(self, w: _Writer, cls: ir.ClassDef) -> None:
-        w.w("case state is")
-        w.indent += 1
+    def _machine_case(self, out: list[str], pad: str, cls: ir.ClassDef) -> None:
+        out.append(pad + "case state is")
         for st in cls.machine.states:
-            w.w(f"when {_v_state(st.name)} =>")
-            w.indent += 1
+            out.append(f"{pad}    when {_v_state(st.name)} =>")
             if st.transitions:
-                w.w("case ev_id is")
-                w.indent += 1
+                out.append(pad + "        case ev_id is")
                 for tr in st.transitions:
-                    w.w(f"when {_v_event(cls.name, tr.signal)} =>")
-                    w.indent += 1
-                    self._stmts(w, tr.actions, self._params(cls, tr))
-                    w.w(f"state <= {_v_state(tr.target)};")
-                    w.indent -= 1
-                w.w("when others =>")
-                w.w("    null; -- unhandled in this state: dropped")
-                w.indent -= 1
-                w.w("end case;")
+                    out.append(f"{pad}            when {_v_event(cls.name, tr.signal)} =>")
+                    self._stmts(out, pad + " " * 16, tr.actions, self._params(cls, tr))
+                    out.append(f"{pad}                state <= {_v_state(tr.target)};")
+                out += [pad + "            when others =>",
+                        pad + "                null; -- unhandled in this state: dropped",
+                        pad + "        end case;"]
             else:
-                w.w("null;")
-            w.indent -= 1
-        w.indent -= 1
-        w.w("end case;")
+                out.append(pad + "        null;")
+        out.append(pad + "end case;")
 
-    def send(self, w: _Writer, s: ir.Send, recv: str, params: _Params) -> None:
+    def send(self, out: list[str], pad: str, s: ir.Send, recv: str, params: _Params) -> None:
         # an intra-hardware send uses the local event interconnect
         local = self.partition.domain[recv] == part.HW
         var = "v_loc" if local else "v_snd"
-        w.w(f"-- send {s.instance}.{s.signal} ({'local' if local else 'cross-boundary'})")
-        w.w(f"{var} := (others => '0');")
-        for f, a in zip(self.layouts[(recv, s.signal)], s.args):
-            w.w(
-                f"{var}({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}) :="
-                f" std_logic_vector({_v_expr(a, params)});"
-            )
+        out += [f"{pad}-- send {s.instance}.{s.signal} ({'local' if local else 'cross-boundary'})",
+                f"{pad}{var} := (others => '0');"]
+        out += [
+            f"{pad}{var}({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}) :="
+            f" std_logic_vector({_v_expr(a, params)});"
+            for f, a in zip(self.layouts[(recv, s.signal)], s.args)
+        ]
         if local:
-            w.w("loc_valid <= '1';")
-            w.w(f"loc_inst <= {_v_inst(s.instance)};")
-            w.w(f"loc_ev <= {_v_event(recv, s.signal)};")
-            w.w("loc_args <= v_loc;")
+            out += [pad + "loc_valid <= '1';", f"{pad}loc_inst <= {_v_inst(s.instance)};",
+                    f"{pad}loc_ev <= {_v_event(recv, s.signal)};", pad + "loc_args <= v_loc;"]
         else:
-            w.w("snd_valid <= '1';")
-            w.w(f"snd_sig <= {mangle(recv, s.signal)};")
-            w.w("snd_payload <= v_snd;")
+            out += [pad + "snd_valid <= '1';", f"{pad}snd_sig <= {mangle(recv, s.signal)};",
+                    pad + "snd_payload <= v_snd;"]
 
 
 def emit_vhdl(

@@ -241,13 +241,13 @@ def test_target_name_rejected(source, hw):
 
 
 # every model name holds `zq`; Zqsoft (SW) and Zqhard (HW) each send locally
-# and across the boundary, with a payload
+# and across the boundary, with a payload, and Zqhard multiplies (`resize`)
 SEED_PROBE = """
 class Zqsoft { attr zqn: u8 = 1; signal Zqgo(zqp: u8); statemachine { initial Zqs;
   state Zqs { on Zqgo -> Zqs { zqn = $zqp;
     if (zqn < 3) { send zqi1.Zqgo(zqn + 1); } send zqi2.Zqput(zqn); } } } }
 class Zqhard { attr zqw: u8; signal Zqput(zqv: u8); statemachine { initial Zqs;
-  state Zqs { on Zqput -> Zqs { zqw = $zqv;
+  state Zqs { on Zqput -> Zqs { zqw = $zqv * zqw;
     if (zqw < 3) { send zqi2.Zqput(0); } send zqi1.Zqgo($zqv); } } } }
 instance zqi1: Zqsoft;
 instance zqi2: Zqhard;
@@ -262,19 +262,24 @@ def _fixed_names(text: str, comment: str, literal: str) -> set[str]:
 
 
 def test_seed_tables_hold_every_name_of_the_fixed_text():
+    # both directions: a name the fixed text prints that no table holds, and a
+    # table entry that no text prints any more, each fail
     out = emit(parse_model(SEED_PROBE), Partition(domain={"Zqsoft": SW, "Zqhard": HW}), name="zqm")
     c = out.c_source + out.c_header
     for used in ("put_bits(", "get_bits(", "sargs", "zqm_inject(SWI_ZQI1", "zqm_bus_send("):
         assert used in c
     assert "loc_valid <= '1';" in out.vhdl_source and "snd_valid <= '1';" in out.vhdl_source
-    c_names = _fixed_names(c, r"/\*.*?\*/", r'"[^"]*"|<stdint\.h>')
-    # preprocessor words, a queue slot's `inst` and an instance struct's `state`
-    c_words = {"include", "define", "ifndef", "endif", "inst", "state"}
-    assert c_names - codegen._C_KEYWORDS - codegen._C_DECLARED - c_words == set()
+    c_names = _fixed_names(c, r"/\*.*?\*/", r'"[^"]*"|<stdint\.h>') - codegen._C_KEYWORDS
+    # the <stdint.h> names are kept by hand, and the text prints only some of them
+    stdint = codegen._STDINT_TYPES | codegen._STDINT_MACROS
+    assert c_names - stdint == codegen._C_DECLARED - stdint
     vhdl_names = {n.lower() for n in _fixed_names(out.vhdl_source, r"--[^\n]*", r"'[01]'")}
     # the package functions' own parameters, and the attribute `u'length`
     vhdl_words = {"u", "b", "length"}
-    assert vhdl_names - codegen._VHDL_ENTITY_RESERVED - codegen._VHDL_LIBRARY - vhdl_words == set()
+    # `std` is the library every design unit sees without naming it
+    assert vhdl_names - codegen._VHDL_RESERVED - vhdl_words == (
+        codegen._VHDL_ENTITY_RESERVED - codegen._VHDL_RESERVED
+    ) | (codegen._VHDL_LIBRARY - {"std"})
 
 
 @pytest.mark.parametrize("emitter", [emit_c, emit_vhdl])
@@ -368,6 +373,23 @@ def test_vhdl_wrapping_arithmetic_forms():
     vhdl = emit_vhdl(model, p, manifest, name="widths")
     assert "resize(" in vhdl  # multiplication truncates back to width
     assert "unsigned(ev_args(" in vhdl  # parameter field access
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS)
+def test_vhdl_reset_loads_each_attribute_default(name):
+    model = load_model(name)
+    classes = ir.ensure_valid(model).classes.values()
+    for p in all_partitions(model):
+        vhdl = emit(model, p, name=name).vhdl_source
+        # each entity's reset branch: from `if rst = '1' then` to its `else`
+        branches = re.findall(r"if rst = '1' then\n(.*?)\n +else\n", vhdl, re.S)
+        hw = [cls for cls in classes if p.domain[cls.name] == HW]
+        assert len(branches) == len(hw)
+        for cls, branch in zip(hw, branches):
+            assert dict(re.findall(r"(r_\w+) <= (.+);", branch)) == {
+                f"r_{a.name}": f"to_unsigned({int(a.default)}, {ir.WIDTHS[a.type]})"
+                for a in cls.attributes
+            }, (name, cls.name)
 
 
 def test_vhdl_emission_deterministic(pingpong):
@@ -636,6 +658,17 @@ def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
 # (instances, tokens, ttl), taking 8,192 and 602 steps
 C_RINGS = {("ring4", "heavy_ttl2047"): (4, 4, 2047), ("ring8", "heavy_ttl300"): (8, 2, 300)}
 
+# models the corpus lacks, as (model, scenario) text: `flip` applies `!` to a
+# bool attribute in an assignment and in an `if`, taking 8 steps
+C_MODELS = {
+    ("flip", "flip_go"): ("""
+class Flip { attr lit: bool = true; attr n: u8; signal Go(); statemachine { initial S;
+  state S { on Go -> S { lit = !lit; if (!lit) { n = n + 1; } else { n = n + 10; }
+    if (n < 40) { send f.Go(); } } } } }
+instance f: Flip;
+""", "at 0 send f.Go();\n"),
+}
+
 
 def _ubsan_run(tmp_path, name: str, out, main_text: str) -> str:
     """Build `main_text` (which includes `<name>_sw.c`) with UBSan, run it, and
@@ -655,13 +688,16 @@ def _ubsan_run(tmp_path, name: str, out, main_text: str) -> str:
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS))
+@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS) + list(C_MODELS))
 def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
     if (model_name, scn_name) in C_RINGS:
         ringgen = load_ringgen()
         spec = ringgen.RingSpec(*C_RINGS[model_name, scn_name], body="heavy")
         ring = ringgen.generate(spec, 7)
         model, scenario = parse_model(ring.model_text), parse_scenario(ring.scenario_text)
+    elif (model_name, scn_name) in C_MODELS:
+        model_text, scn_text = C_MODELS[model_name, scn_name]
+        model, scenario = parse_model(model_text), parse_scenario(scn_text)
     else:
         model, scenario = load_model(model_name), load_scenario(scn_name)
     trace = executor.run(model, scenario)
