@@ -22,13 +22,17 @@ attributes and a dispatch function mirroring the transition table. All
 software instances share one event FIFO of `{inst, ev, args}` slots,
 `QUEUE_CAP` = 64 per software instance, filled only by `<model>_inject`:
 local sends, bus deliveries (`bus_deliver`) and the platform all enqueue
-through it, and `<model>_step` dispatches the oldest slot. So an all-SW
-half serves events in the interpreter's global-fifo order. Outbound
-boundary sends go through the platform's `bus_send`.
+through it, and `<model>_step` dispatches the oldest slot. That is the
+interpreter's global-fifo rule, under which an island serves envelopes
+in the order they reach it. So an all-SW half serves events in `run`'s
+order, and a split half, as the SW island of a cosim, in `cosim`'s.
+Outbound boundary sends go through the platform's `bus_send`.
 The VHDL rule gives each hardware class an entity with clock/reset and
 event input ports and a synchronous process implementing the same
 transition table over unsigned registers. All arithmetic wraps at the
-declared widths in both targets, matching the interpreter bit for bit.
+declared widths in both targets. Tests run the C half against the
+interpreter, all-SW and split across the bus, so C matches it bit for
+bit; the VHDL is printed by the same rules, but no test evaluates it.
 
 Each rule's fixed text lives in module-level templates (`_Template`) whose
 `${hole}`s take text that is already rendered; only the action walker

@@ -25,9 +25,12 @@ remain the independent oracle for that loop.
 
 The scheduler only picks *which* nonempty queue dispatches next:
 
-* ``global-fifo`` - the nonempty queue whose head has the smallest
-  sequence number (the deterministic reference order). In `run` every
-  envelope is enqueued in seq order, so this is the global minimum;
+* ``global-fifo`` - the envelope that reached the island first (the
+  deterministic reference order), which is always the head of its
+  receiver's queue. In `run` every envelope reaches the one island in
+  seq order, so this is seq order; in `cosim` a bus delivery is served
+  after the envelopes that reached its island before it, as the
+  generated C's one FIFO serves it;
 * ``random`` - a uniformly chosen nonempty receiver under a seeded RNG,
   then that receiver's oldest envelope. Per-receiver FIFO order is never
   violated, so causality holds for every seed.
@@ -76,7 +79,6 @@ compiled expression masks its result with an `int`.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import random
 from collections import deque
@@ -172,7 +174,7 @@ class Outcome:
 class ExpectationResult:
     path: str
     expected: int
-    actual: int | None
+    actual: int
     passed: bool
 
 
@@ -444,7 +446,7 @@ def _injections(
 def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[ExpectationResult]:
     results = []
     for exp in scenario.expectations:
-        actual = state.attrs[exp.instance].get(exp.attr)
+        actual = state.attrs[exp.instance][exp.attr]  # the scenario check resolved it
         expected = int(exp.value)
         results.append(
             ExpectationResult(
@@ -466,26 +468,27 @@ class Island:
     """The scheduler over some instances' queues in `state.pending`, which
     stay the state of record; `count` is their number of pending envelopes.
 
-    Under global-fifo, `heap` holds one `(head seq, instance)` entry per
-    nonempty queue. It is keyed on queue heads, not on every envelope: in
-    cosim a bus delivery can arrive behind a younger envelope already
-    queued for its receiver, and it still waits its turn in that queue.
-    The random scheduler draws over the nonempty receivers in `names`
-    order. The queues start empty.
+    Under global-fifo the island serves envelopes in the order they reach
+    it: `arrivals` holds every pending envelope in that order, and its
+    head is always the head of its receiver's queue. In `run` every
+    envelope reaches the one island in seq order. In cosim a bus delivery
+    can reach an island after a younger envelope, and then it is served
+    after it, as the generated C's one FIFO serves it. The random
+    scheduler draws over the nonempty receivers in `names` order. The
+    queues start empty.
     """
 
     def __init__(self, state: SystemState, names: list[str], rng: random.Random | None):
         self.pending = state.pending
         self.names = names
         self.rng = rng
-        self.heap: list[tuple[int, str]] = []
+        self.arrivals: deque[SignalEnvelope] = deque()
         self.count = 0
 
     def push(self, env: SignalEnvelope) -> None:
-        q = self.pending[env.receiver]
-        if not q and self.rng is None:
-            heapq.heappush(self.heap, (env.seq, env.receiver))
-        q.append(env)
+        self.pending[env.receiver].append(env)
+        if self.rng is None:
+            self.arrivals.append(env)
         self.count += 1
 
     def pop(self) -> SignalEnvelope:
@@ -494,13 +497,8 @@ class Island:
         if self.rng is not None:
             nonempty = [name for name in self.names if self.pending[name]]
             return self.pending[nonempty[self.rng.randrange(len(nonempty))]].popleft()
-        name = self.heap[0][1]
-        q = self.pending[name]
-        env = q.popleft()
-        if q:
-            heapq.heapreplace(self.heap, (q[0].seq, name))
-        else:
-            heapq.heappop(self.heap)
+        env = self.arrivals.popleft()
+        self.pending[env.receiver].popleft()
         return env
 
 

@@ -22,9 +22,11 @@ independent oracle for the shared loop. Its events are the records
 `run` builds; the merged trace keeps each instance's domain, each bus
 envelope's enqueue round and the latency once, and a rendered line
 derives its domain and bus rounds from them.
-Under global-fifo each island serves the nonempty queue whose head has
-the smallest seq. A bus delivery joins the back of its receiver's queue,
-so it can wait behind a younger envelope already queued there.
+Under global-fifo each island serves envelopes in the order they reach
+it, which in `run` is seq order. A bus delivery reaches its island when
+it comes off the bus, so it is served after every envelope already
+pending there, whatever its receiver, as the generated C's one event
+FIFO serves it.
 
 `equivalence_check` grades a partitioned run against the reference run:
 

@@ -29,6 +29,23 @@ CORPUS_PAIRS = [
 
 CORPUS_MODELS = ["pingpong", "pipeline", "race", "widths", "chain"]
 
+# heavy rings of bench/ringgen.py (seed 7), as (instances, tokens, ttl) under a
+# (model, scenario) id: they take 8,192 and 602 steps
+C_RINGS = {("ring4", "heavy_ttl2047"): (4, 4, 2047), ("ring8", "heavy_ttl300"): (8, 2, 300)}
+
+# (model, scenario) text of a bus delivery that reaches an island after a
+# younger envelope for another receiver: with `Kick` in HW, `c.Put` (seq 3)
+# rides the bus while `a` keeps sending itself `Go` (seqs 2, 4, 5)
+LATE_PUT = ("""
+class Loop { attr n: u8; signal Go(); statemachine { initial S;
+  state S { on Go -> S { n = n + 1; if (n < 4) { send a.Go(); } } } } }
+class Sink { attr got: u8; signal Put(v: u8); statemachine { initial S;
+  state S { on Put -> S { got = $v; } } } }
+class Kick { signal Kick(); statemachine { initial S;
+  state S { on Kick -> S { send c.Put(7); } } } }
+instance a: Loop; instance c: Sink; instance h: Kick;
+""", "at 0 send a.Go(); at 0 send h.Kick(); expect c.got == 7; expect a.n == 4; confluent;\n")
+
 CORPUS_MARKS = {
     "pingpong": "pingpong_pong_hw",
     "pipeline": "pipeline_counter_hw",
@@ -72,6 +89,13 @@ def load_ringgen():
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
+
+
+def load_ring(model_name: str, scn_name: str) -> tuple[ir.Model, ir.Scenario]:
+    """The model and scenario of the ring `C_RINGS` names."""
+    ringgen = load_ringgen()
+    ring = ringgen.generate(ringgen.RingSpec(*C_RINGS[model_name, scn_name], body="heavy"), 7)
+    return frontend.parse_model(ring.model_text), frontend.parse_scenario(ring.scenario_text)
 
 
 @pytest.fixture

@@ -79,6 +79,7 @@ SEMANTIC = [
     "tests/test_executor.py::*",
     "tests/test_partition.py::*",
     "tests/test_compile.py::*",
+    "tests/test_c_island.py::*",
     "tests/test_printer.py::*",
     "tests/test_trace_render.py::*",
     "tests/test_acceptance.py::test_criterion_[1234679]_*",

@@ -7,13 +7,14 @@ import subprocess
 
 import pytest
 from conftest import (
+    C_RINGS,
     CORPUS_MARKS,
     CORPUS_MODELS,
     CORPUS_PAIRS,
     GOLDEN,
     load_marks,
     load_model,
-    load_ringgen,
+    load_ring,
     load_scenario,
 )
 
@@ -654,10 +655,6 @@ def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
     ])
 
 
-# heavy rings of bench/ringgen.py (seed 7) that the C half also runs:
-# (instances, tokens, ttl), taking 8,192 and 602 steps
-C_RINGS = {("ring4", "heavy_ttl2047"): (4, 4, 2047), ("ring8", "heavy_ttl300"): (8, 2, 300)}
-
 # models the corpus lacks, as (model, scenario) text: `flip` applies `!` to a
 # bool attribute in an assignment and in an `if`, taking 8 steps
 C_MODELS = {
@@ -691,10 +688,7 @@ def _ubsan_run(tmp_path, name: str, out, main_text: str) -> str:
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS) + list(C_MODELS))
 def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
     if (model_name, scn_name) in C_RINGS:
-        ringgen = load_ringgen()
-        spec = ringgen.RingSpec(*C_RINGS[model_name, scn_name], body="heavy")
-        ring = ringgen.generate(spec, 7)
-        model, scenario = parse_model(ring.model_text), parse_scenario(ring.scenario_text)
+        model, scenario = load_ring(model_name, scn_name)
     elif (model_name, scn_name) in C_MODELS:
         model_text, scn_text = C_MODELS[model_name, scn_name]
         model, scenario = parse_model(model_text), parse_scenario(scn_text)

@@ -6,10 +6,13 @@ import json
 
 import pytest
 from conftest import (
+    C_RINGS,
     CORPUS_MODELS,
     CORPUS_PAIRS,
+    LATE_PUT,
     load_marks,
     load_model,
+    load_ring,
     load_scenario,
     model_path,
 )
@@ -287,13 +290,42 @@ def test_bus_monotonicity_same_pair():
 
 
 def test_bus_delivery_waits_behind_younger_queued_envelope():
-    # b's Put (seq 3) is queued for rec before a's Put (seq 2) comes off
-    # the bus; fifo serves rec's queue head, not the smallest pending seq
+    # b's Put (seq 3) reaches the HW island before a's Put (seq 2) comes
+    # off the bus; fifo serves in arrival order, not the smallest seq
     model = load_model("race")
     p = Partition(domain={"Alpha": SW, "Beta": HW, "Recorder": HW})
     trace = cosim(model, p, load_scenario("race_both"), latency=1)
     assert [e.envelope.seq for e in trace.events if e.envelope.receiver == "rec"] == [3, 2]
     assert trace.final.attrs["rec"]["last"] == 1
+
+
+@pytest.mark.parametrize("latency,order", [
+    (1, "a.Go 0, h.Kick 1, a.Go 2, c.Put 3, a.Go 4, a.Go 5"),
+    (2, "a.Go 0, h.Kick 1, a.Go 2, a.Go 4, c.Put 3, a.Go 5"),
+    (3, "a.Go 0, h.Kick 1, a.Go 2, a.Go 4, a.Go 5, c.Put 3"),
+])
+def test_island_serves_envelopes_in_arrival_order(latency, order):
+    # c.Put (seq 3) reaches the SW island `latency` rounds after h sent
+    # it, behind every a.Go that a sent itself before then
+    model, scenario = parse_model(LATE_PUT[0]), parse_scenario(LATE_PUT[1])
+    p = derive_partition(model, parse_marks("mark isHardware on Kick;"))
+    trace = cosim(model, p, scenario, latency=latency)
+    assert trace.passed
+    assert ", ".join(
+        f"{e.envelope.receiver}.{e.envelope.signal} {e.envelope.seq}" for e in trace.events
+    ) == order
+
+
+@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS))
+def test_run_dispatches_in_seq_order(model_name, scn_name):
+    # every envelope reaches run's one island in seq order, so serving in
+    # arrival order is serving in seq order
+    if (model_name, scn_name) in C_RINGS:
+        model, scenario = load_ring(model_name, scn_name)
+    else:
+        model, scenario = load_model(model_name), load_scenario(scn_name)
+    seqs = [e.envelope.seq for e in run(model, scenario).events]
+    assert seqs and all(a < b for a, b in zip(seqs, seqs[1:]))
 
 
 def test_seeded_random_order_is_pinned():
