@@ -9,11 +9,7 @@ package chain_iface is
     -- Boundary signal ids and payload widths
     constant SIG_MIRROR_ECHO : natural := 0;
     constant SIG_MIRROR_ECHO_BITS : natural := 0;
-    -- Instance ids (model population, document order)
-    constant INST_ME : natural := 0;
-    constant INST_MIRROR : natural := 1;
-    -- Class-local event ids
-    constant EV_BOUNCER_POKE : natural := 0;
+    -- Class-local event ids of the hardware classes
     constant EV_MIRROR_ECHO : natural := 0;
     function to_u1(b : boolean) return unsigned;
     function to_bool(u : unsigned) return boolean;
@@ -47,13 +43,9 @@ entity Mirror is
         ev_valid : in std_logic;
         ev_id : in natural range 0 to 0;
         ev_args : in std_logic_vector(0 downto 0);
-        snd_valid : out std_logic;
-        snd_sig : out natural;
-        snd_payload : out std_logic_vector(0 downto 0);
-        loc_valid : out std_logic;
-        loc_inst : out natural;
-        loc_ev : out natural;
-        loc_args : out std_logic_vector(0 downto 0)
+        -- one send slot per send statement, in document order
+        send_valid : out std_logic_vector(0 downto 0);
+        send_args : out std_logic_vector(0 downto 0)
     );
 end entity Mirror;
 
@@ -64,22 +56,17 @@ architecture rtl of Mirror is
 begin
     step : process (clk)
         variable v_seen : unsigned(7 downto 0);
-        variable v_snd : std_logic_vector(0 downto 0);
-        variable v_loc : std_logic_vector(0 downto 0);
     begin
         if rising_edge(clk) then
             if rst = '1' then
                 state <= ST_WATCH;
                 r_seen <= to_unsigned(0, 8);
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
+                send_args <= (others => '0');
             else
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
                 if ev_valid = '1' then
                     v_seen := r_seen;
-                    v_snd := (others => '0');
-                    v_loc := (others => '0');
                     case state is
                         when ST_WATCH =>
                             case ev_id is

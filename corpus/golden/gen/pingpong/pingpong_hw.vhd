@@ -9,11 +9,7 @@ package pingpong_iface is
     -- Boundary signal ids and payload widths
     constant SIG_PONG_HIT : natural := 0;
     constant SIG_PONG_HIT_BITS : natural := 0;
-    -- Instance ids (model population, document order)
-    constant INST_PING : natural := 0;
-    constant INST_PONG : natural := 1;
-    -- Class-local event ids
-    constant EV_PING_HIT : natural := 0;
+    -- Class-local event ids of the hardware classes
     constant EV_PONG_HIT : natural := 0;
     function to_u1(b : boolean) return unsigned;
     function to_bool(u : unsigned) return boolean;
@@ -47,13 +43,9 @@ entity Pong is
         ev_valid : in std_logic;
         ev_id : in natural range 0 to 0;
         ev_args : in std_logic_vector(0 downto 0);
-        snd_valid : out std_logic;
-        snd_sig : out natural;
-        snd_payload : out std_logic_vector(0 downto 0);
-        loc_valid : out std_logic;
-        loc_inst : out natural;
-        loc_ev : out natural;
-        loc_args : out std_logic_vector(0 downto 0)
+        -- one send slot per send statement, in document order
+        send_valid : out std_logic_vector(0 downto 0);
+        send_args : out std_logic_vector(0 downto 0)
     );
 end entity Pong;
 
@@ -64,22 +56,17 @@ architecture rtl of Pong is
 begin
     step : process (clk)
         variable v_hits : unsigned(31 downto 0);
-        variable v_snd : std_logic_vector(0 downto 0);
-        variable v_loc : std_logic_vector(0 downto 0);
     begin
         if rising_edge(clk) then
             if rst = '1' then
                 state <= ST_WAITING;
                 r_hits <= to_unsigned(0, 32);
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
+                send_args <= (others => '0');
             else
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
                 if ev_valid = '1' then
                     v_hits := r_hits;
-                    v_snd := (others => '0');
-                    v_loc := (others => '0');
                     case state is
                         when ST_WAITING =>
                             case ev_id is

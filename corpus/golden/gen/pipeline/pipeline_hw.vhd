@@ -11,14 +11,8 @@ package pipeline_iface is
     constant SIG_COUNTER_BUMP_BITS : natural := 8;
     constant SIG_REPORTER_REPORT : natural := 1;
     constant SIG_REPORTER_REPORT_BITS : natural := 8;
-    -- Instance ids (model population, document order)
-    constant INST_TICKER : natural := 0;
-    constant INST_COUNTER : natural := 1;
-    constant INST_REPORTER : natural := 2;
-    -- Class-local event ids
-    constant EV_TICKER_GO : natural := 0;
+    -- Class-local event ids of the hardware classes
     constant EV_COUNTER_BUMP : natural := 0;
-    constant EV_REPORTER_REPORT : natural := 0;
     function to_u1(b : boolean) return unsigned;
     function to_bool(u : unsigned) return boolean;
 end package pipeline_iface;
@@ -51,13 +45,10 @@ entity Counter is
         ev_valid : in std_logic;
         ev_id : in natural range 0 to 0;
         ev_args : in std_logic_vector(7 downto 0);
-        snd_valid : out std_logic;
-        snd_sig : out natural;
-        snd_payload : out std_logic_vector(7 downto 0);
-        loc_valid : out std_logic;
-        loc_inst : out natural;
-        loc_ev : out natural;
-        loc_args : out std_logic_vector(7 downto 0)
+        -- one send slot per send statement, in document order
+        -- send_valid(0): reporter.Report (SIG_REPORTER_REPORT)
+        send_valid : out std_logic_vector(0 downto 0);
+        send_args : out std_logic_vector(7 downto 0)
     );
 end entity Counter;
 
@@ -68,34 +59,25 @@ architecture rtl of Counter is
 begin
     step : process (clk)
         variable v_total : unsigned(7 downto 0);
-        variable v_snd : std_logic_vector(7 downto 0);
-        variable v_loc : std_logic_vector(7 downto 0);
     begin
         if rising_edge(clk) then
             if rst = '1' then
                 state <= ST_COUNTING;
                 r_total <= to_unsigned(0, 8);
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
+                send_args <= (others => '0');
             else
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
                 if ev_valid = '1' then
                     v_total := r_total;
-                    v_snd := (others => '0');
-                    v_loc := (others => '0');
                     case state is
                         when ST_COUNTING =>
                             case ev_id is
                                 when EV_COUNTER_BUMP =>
                                     v_total := (v_total + unsigned(ev_args(7 downto 0)));
                                     if to_bool(to_u1(v_total >= to_unsigned(3, 8))) then
-                                        -- send reporter.Report (cross-boundary)
-                                        v_snd := (others => '0');
-                                        v_snd(7 downto 0) := std_logic_vector(v_total);
-                                        snd_valid <= '1';
-                                        snd_sig <= SIG_REPORTER_REPORT;
-                                        snd_payload <= v_snd;
+                                        send_args(7 downto 0) <= std_logic_vector(v_total);
+                                        send_valid(0) <= '1';
                                     end if;
                                     state <= ST_COUNTING;
                                 when others =>

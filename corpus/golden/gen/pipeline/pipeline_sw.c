@@ -170,6 +170,9 @@ void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id,
     }
     switch (sig_id) {
     case SIG_REPORTER_REPORT: {
+        if (inst_id != SWI_REPORTER) {
+            break;
+        }
         args[0] = get_bits(payload, 0u, 8u);
         pipeline_inject(inst_id, REPORTER_EV_REPORT, args, 1u);
         break;

@@ -9,14 +9,8 @@ package race_iface is
     -- Boundary signal ids and payload widths
     constant SIG_RECORDER_PUT : natural := 0;
     constant SIG_RECORDER_PUT_BITS : natural := 8;
-    -- Instance ids (model population, document order)
-    constant INST_A : natural := 0;
-    constant INST_B : natural := 1;
-    constant INST_REC : natural := 2;
-    -- Class-local event ids
-    constant EV_ALPHA_KICK : natural := 0;
+    -- Class-local event ids of the hardware classes
     constant EV_BETA_KICK : natural := 0;
-    constant EV_RECORDER_PUT : natural := 0;
     function to_u1(b : boolean) return unsigned;
     function to_bool(u : unsigned) return boolean;
 end package race_iface;
@@ -49,13 +43,10 @@ entity Beta is
         ev_valid : in std_logic;
         ev_id : in natural range 0 to 0;
         ev_args : in std_logic_vector(0 downto 0);
-        snd_valid : out std_logic;
-        snd_sig : out natural;
-        snd_payload : out std_logic_vector(7 downto 0);
-        loc_valid : out std_logic;
-        loc_inst : out natural;
-        loc_ev : out natural;
-        loc_args : out std_logic_vector(7 downto 0)
+        -- one send slot per send statement, in document order
+        -- send_valid(0): rec.Put (SIG_RECORDER_PUT)
+        send_valid : out std_logic_vector(0 downto 0);
+        send_args : out std_logic_vector(7 downto 0)
     );
 end entity Beta;
 
@@ -64,30 +55,21 @@ architecture rtl of Beta is
     signal state : state_t;
 begin
     step : process (clk)
-        variable v_snd : std_logic_vector(7 downto 0);
-        variable v_loc : std_logic_vector(7 downto 0);
     begin
         if rising_edge(clk) then
             if rst = '1' then
                 state <= ST_RUN;
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
+                send_args <= (others => '0');
             else
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
                 if ev_valid = '1' then
-                    v_snd := (others => '0');
-                    v_loc := (others => '0');
                     case state is
                         when ST_RUN =>
                             case ev_id is
                                 when EV_BETA_KICK =>
-                                    -- send rec.Put (cross-boundary)
-                                    v_snd := (others => '0');
-                                    v_snd(7 downto 0) := std_logic_vector(to_unsigned(2, 8));
-                                    snd_valid <= '1';
-                                    snd_sig <= SIG_RECORDER_PUT;
-                                    snd_payload <= v_snd;
+                                    send_args(7 downto 0) <= std_logic_vector(to_unsigned(2, 8));
+                                    send_valid(0) <= '1';
                                     state <= ST_RUN;
                                 when others =>
                                     null; -- unhandled in this state: dropped

@@ -156,6 +156,9 @@ void race_bus_deliver(uint32_t inst_id, uint32_t sig_id,
     }
     switch (sig_id) {
     case SIG_RECORDER_PUT: {
+        if (inst_id != SWI_REC) {
+            break;
+        }
         args[0] = get_bits(payload, 0u, 8u);
         race_inject(inst_id, RECORDER_EV_PUT, args, 1u);
         break;

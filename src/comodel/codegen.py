@@ -29,10 +29,14 @@ order, and a split half, as the SW island of a cosim, in `cosim`'s.
 Outbound boundary sends go through the platform's `bus_send`.
 The VHDL rule gives each hardware class an entity with clock/reset and
 event input ports and a synchronous process implementing the same
-transition table over unsigned registers. All arithmetic wraps at the
-declared widths in both targets. Tests run the C half against the
-interpreter, all-SW and split across the bus, so C matches it bit for
-bit; the VHDL is printed by the same rules, but no test evaluates it.
+transition table over unsigned registers; each send statement raises its
+own output slot, so every send of a step leaves on one clock edge. Its
+package names only the boundary signals and the hardware classes' events.
+All arithmetic wraps at the declared widths in both targets. Tests run
+the C half against the interpreter, all-SW and split across the bus, so
+C matches it bit for bit; a test-only evaluator runs each entity one
+clock edge at a time against the interpreter's step, so each VHDL
+transition matches it too. Nothing instantiates the entities.
 
 Each rule's fixed text lives in module-level templates (`_Template`) whose
 `${hole}`s take text that is already rendered; only the action walker
@@ -643,7 +647,11 @@ class _CEmitter(_Emitter):
                       f"        {cls.name}_dispatch(&{var}, ev, args);", "        break;"]
         deliver = []
         for s in inbound:
-            deliver.append(f"    case {mangle(s.receiver_class, s.signal)}: {{")
+            # an event id is unique only within its class: another instance would misread it
+            swis = [_c_swi(i) for i, cls in self.instances if cls.name == s.receiver_class]
+            deliver += [f"    case {mangle(s.receiver_class, s.signal)}: {{",
+                        f"        if ({' && '.join(f'inst_id != {x}' for x in swis)}) {{",
+                        "            break;", "        }"]
             deliver += [f"        args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);"
                         for i, f in enumerate(s.payload)]
             ev = _c_event(s.receiver_class, s.signal)
@@ -763,10 +771,6 @@ def _v_event(cls: str, signal: str) -> str:
     return f"EV_{cls.upper()}_{signal.upper()}"
 
 
-def _v_inst(inst: str) -> str:
-    return f"INST_{inst.upper()}"
-
-
 # the binary operators that VHDL spells otherwise
 _VHDL_OPS = {"&&": "and", "||": "or", "==": "=", "!=": "/="}
 
@@ -811,8 +815,7 @@ use ieee.numeric_std.all;
 
 package ${iface} is
     -- Boundary signal ids and payload widths
-${constants}    -- Instance ids (model population, document order)
-${instances}    -- Class-local event ids
+${constants}    -- Class-local event ids of the hardware classes
 ${events}    function to_u1(b : boolean) return unsigned;
     function to_bool(u : unsigned) return boolean;
 end package ${iface};
@@ -847,13 +850,9 @@ entity ${entity} is
         ev_valid : in std_logic;
         ev_id : in natural range 0 to ${ev_max};
         ev_args : in std_logic_vector(${ev_high} downto 0);
-        snd_valid : out std_logic;
-        snd_sig : out natural;
-        snd_payload : out std_logic_vector(${snd_high} downto 0);
-        loc_valid : out std_logic;
-        loc_inst : out natural;
-        loc_ev : out natural;
-        loc_args : out std_logic_vector(${loc_high} downto 0)
+        -- one send slot per send statement, in document order
+${slots}        send_valid : out std_logic_vector(${valid_high} downto 0);
+        send_args : out std_logic_vector(${args_high} downto 0)
     );
 end entity ${entity};
 
@@ -862,21 +861,16 @@ architecture rtl of ${entity} is
     signal state : state_t;
 ${registers}begin
     step : process (clk)
-${variables}        variable v_snd : std_logic_vector(${snd_high} downto 0);
-        variable v_loc : std_logic_vector(${loc_high} downto 0);
-    begin
+${variables}    begin
         if rising_edge(clk) then
             if rst = '1' then
                 state <= ${initial};
-${resets}                snd_valid <= '0';
-                loc_valid <= '0';
+${resets}                send_valid <= (others => '0');
+                send_args <= (others => '0');
             else
-                snd_valid <= '0';
-                loc_valid <= '0';
+                send_valid <= (others => '0');
                 if ev_valid = '1' then
-${loads}                    v_snd := (others => '0');
-                    v_loc := (others => '0');
-${case}${stores}                end if;
+${loads}${case}${stores}                end if;
             end if;
         end if;
     end process step;
@@ -905,9 +899,6 @@ class _VhdlEmitter(_Emitter):
         super().__init__(*args)
         self.pkg = _Scope("VHDL package", _VHDL_NAME, _VHDL_RESERVED, _VHDL_LIBRARY, fold=True)
         self.iface = self.pkg.declare(f"{self.name}_iface")
-        # the highest bit of the outbound and the local payload ports
-        self.snd_high = max([1] + [s.payload_total_bits for s in self.manifest.signals]) - 1
-        self.loc_high = max([1] + [_payload_bits(layout) for layout in self.layouts.values()]) - 1
 
     def _constant(self, name: str, value: int) -> str:
         return f"    constant {self.pkg.declare(name)} : natural := {value};\n"
@@ -918,12 +909,9 @@ class _VhdlEmitter(_Emitter):
             hash=self.manifest.model_hash,
             iface=self.iface,
             constants="".join(self._constant(name, value) for name, value in self.constants),
-            instances="".join(
-                self._constant(_v_inst(i), k) for k, i in enumerate(self.checked.instance_class)
-            ),
             events="".join(
                 self._constant(_v_event(cls.name, s.name), i)
-                for cls in self.checked.classes.values()
+                for cls in self.classes
                 for i, s in enumerate(cls.signals)
             ),
             entities="".join([self._entity(cls) for cls in self.classes]),
@@ -942,10 +930,14 @@ class _VhdlEmitter(_Emitter):
         resets = [f"{' ' * 16}{r} <= to_unsigned({int(a.default)}, {n});" for r, _, n, a in attrs]
         loads = [f"{' ' * 20}{v} := {r};" for r, v, _, _ in attrs]
         case: list[str] = []
+        # the walker's send slots: a port comment per slot, and the bits of their args
+        self.slots: list[str] = []
+        self.slot_bits = 0
         self._machine_case(case, " " * 20, cls)
         return _V_ENTITY(
             iface=self.iface, entity=entity, ev_max=max(1, len(cls.signals)) - 1,
-            ev_high=ev_bits - 1, snd_high=self.snd_high, loc_high=self.loc_high, states=states,
+            ev_high=ev_bits - 1, slots=_lines(self.slots), valid_high=max(1, len(self.slots)) - 1,
+            args_high=max(1, self.slot_bits) - 1, states=states,
             registers=_lines(registers), variables=_lines(variables),
             initial=_v_state(cls.machine.initial), resets=_lines(resets), loads=_lines(loads),
             case=_lines(case), stores=_lines([f"{' ' * 20}{r} <= {v};" for r, v, _, _ in attrs]),
@@ -969,22 +961,18 @@ class _VhdlEmitter(_Emitter):
         out.append(pad + "end case;")
 
     def send(self, out: list[str], pad: str, s: ir.Send, recv: str, params: _Params) -> None:
-        # an intra-hardware send uses the local event interconnect
-        local = self.partition.domain[recv] == part.HW
-        var = "v_loc" if local else "v_snd"
-        out += [f"{pad}-- send {s.instance}.{s.signal} ({'local' if local else 'cross-boundary'})",
-                f"{pad}{var} := (others => '0');"]
+        # slot k is the entity's k-th send statement; its args take the bits after the last slot's
+        k, base = len(self.slots), self.slot_bits
+        layout = self.layouts[(recv, s.signal)]
         out += [
-            f"{pad}{var}({f.bit_offset + f.width_bits - 1} downto {f.bit_offset}) :="
-            f" std_logic_vector({_v_expr(a, params)});"
-            for f, a in zip(self.layouts[(recv, s.signal)], s.args)
+            f"{pad}send_args({base + f.bit_offset + f.width_bits - 1} downto {base + f.bit_offset})"
+            f" <= std_logic_vector({_v_expr(a, params)});"
+            for f, a in zip(layout, s.args)
         ]
-        if local:
-            out += [pad + "loc_valid <= '1';", f"{pad}loc_inst <= {_v_inst(s.instance)};",
-                    f"{pad}loc_ev <= {_v_event(recv, s.signal)};", pad + "loc_args <= v_loc;"]
-        else:
-            out += [pad + "snd_valid <= '1';", f"{pad}snd_sig <= {mangle(recv, s.signal)};",
-                    pad + "snd_payload <= v_snd;"]
+        out.append(f"{pad}send_valid({k}) <= '1';")
+        self.slot_bits += _payload_bits(layout)
+        route = "local" if self.partition.domain[recv] == part.HW else mangle(recv, s.signal)
+        self.slots.append(f"        -- send_valid({k}): {s.instance}.{s.signal} ({route})")
 
 
 def emit_vhdl(

@@ -123,7 +123,7 @@ class ExecConfig:
             raise ValueError("max_steps must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SignalEnvelope:
     seq: int
     sender: str  # instance name, or $env for scenario injections

@@ -4,9 +4,9 @@ Each mutant is a one-line change of `src/comodel`, given as (file, old text,
 new text); the old text must occur exactly once. For each mutant the script
 copies the tree to a temporary directory, applies the mutant there, runs
 tier-1 and prints the failing tests, split into *semantic* tests (they run the
-interpreter or the compiled C half and compare what happens) and *text* tests
-(they compare bytes or substrings). A mutant that only text tests catch is a
-rule that no test checks by its behaviour.
+interpreter, the compiled C half or the evaluated VHDL and compare what
+happens) and *text* tests (they compare bytes or substrings). A mutant that
+only text tests catch is a rule that no test checks by its behaviour.
 
 Run it with the names of the mutants to apply, or none for all of them;
 each costs one tier-1 run:
@@ -67,19 +67,26 @@ MUTANTS = {
     "vhdl-reset-loads-zero": (
         CODEGEN, "<= to_unsigned({int(a.default)}, {n});", "<= to_unsigned(0, {n});",
     ),
+    # the one-port bug class: every send of a step drives one output
+    "vhdl-one-send-slot": (
+        CODEGEN, """out.append(f"{pad}send_valid({k}) <= '1';")""",
+        """out.append(f"{pad}send_valid(0) <= '1';")""",
+    ),
     # the control: a wrong interpreter rule, which semantic tests must catch
     "control-interpreter-less-as-less-equal": (
         "src/comodel/executor.py", '"<": "<",', '"<": "<=",',
     ),
 }
 
-# Tests that check behaviour: each runs the interpreter or the compiled C half
-# and compares what happens with an oracle. Every other test compares text.
+# Tests that check behaviour: each runs the interpreter, the compiled C half or
+# the evaluated VHDL and compares what happens with an oracle. Every other test
+# compares text.
 SEMANTIC = [
     "tests/test_executor.py::*",
     "tests/test_partition.py::*",
     "tests/test_compile.py::*",
     "tests/test_c_island.py::*",
+    "tests/test_vhdl_eval.py::*",
     "tests/test_printer.py::*",
     "tests/test_trace_render.py::*",
     "tests/test_acceptance.py::test_criterion_[1234679]_*",
@@ -87,6 +94,7 @@ SEMANTIC = [
     "tests/test_cli.py::test_cosim_*",
     "tests/test_codegen.py::test_generated_c_runs_like_the_interpreter*",
     "tests/test_codegen.py::test_out_of_range_instance_id_is_dropped",
+    "tests/test_codegen.py::test_bus_delivery_to_another_class_is_dropped",
 ]
 
 
