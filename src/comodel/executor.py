@@ -3,11 +3,11 @@
 Execution semantics
 -------------------
 Every in-flight signal is a `SignalEnvelope` carrying a globally unique,
-strictly increasing sequence number allocated at send time. Each
-instance owns a FIFO queue. One dispatch step is atomic: dequeue one
-envelope, execute the matching transition's actions in order (sends
-allocate fresh sequence numbers in statement order), then enter the
-target state. No other instance's data changes during a step.
+strictly increasing sequence number allocated at send time. One dispatch
+step is atomic: dequeue one envelope, execute the matching transition's
+actions in order (sends allocate fresh sequence numbers in statement
+order), then enter the target state. No other instance's data changes
+during a step.
 
 Scenario injections with `at N` are enqueued, in file order, before
 dispatch step N; injections that fall beyond quiescence are enqueued
@@ -19,21 +19,27 @@ checked once per validated model and kept on the scenario, so `run`,
 rules, the step limit and the outcome once. The loop knows islands,
 each a list of instances served in turn, and not the HW and SW domains:
 `cosim` turns its partition into two islands, and `run` is the
-one-island case, in which every send goes straight to its receiver's
-queue. A step's number is its index in the trace. The golden traces
-remain the independent oracle for that loop.
+one-island case. Each island keeps one FIFO of its pending envelopes in
+the order they reached it, whatever their receiver, the structure of the
+generated C's one event FIFO; a receiver's envelopes keep their order in
+it. A step's number is its index in the trace. The golden traces remain
+the independent oracle for that loop.
 
-The scheduler only picks *which* nonempty queue dispatches next:
+The scheduler only picks *which* pending envelope of an island
+dispatches next:
 
-* ``global-fifo`` - the envelope that reached the island first (the
-  deterministic reference order), which is always the head of its
-  receiver's queue. In `run` every envelope reaches the one island in
-  seq order, so this is seq order; in `cosim` a bus delivery is served
-  after the envelopes that reached its island before it, as the
-  generated C's one FIFO serves it;
-* ``random`` - a uniformly chosen nonempty receiver under a seeded RNG,
-  then that receiver's oldest envelope. Per-receiver FIFO order is never
-  violated, so causality holds for every seed.
+* ``global-fifo`` - the head of the island's FIFO, the envelope that
+  reached the island first (the deterministic reference order). In
+  `run` every envelope reaches the one island in seq order, so this is
+  seq order; in `cosim` a bus delivery is served after the envelopes
+  that reached its island before it, as the generated C's one FIFO
+  serves it;
+* ``random`` - a uniformly chosen receiver with a pending envelope
+  under a seeded RNG, drawn over the island's instance order, then that
+  receiver's first envelope in the FIFO, which is its oldest.
+  Per-receiver FIFO order is never violated, so causality holds for
+  every seed. A draw scans the island's pending envelopes and its
+  instances.
 
 Arithmetic wraps modulo 2^width of the expression's resolved type, so
 software and hardware translations of the same action are bit-equal.
@@ -135,16 +141,18 @@ class SignalEnvelope:
 @dataclass
 class SystemState:
     """Mutable execution state: instance states and attribute valuations,
-    pending per-instance queues, and the next sequence number. The number
+    the pending envelopes, and the next sequence number. `pending` holds
+    one FIFO per island of the dispatch loop, each in the order its
+    envelopes reached it: one in `run`, SW then HW in `cosim`. The number
     of steps run is the length of the trace's events."""
 
     states: dict[str, str]
     attrs: dict[str, dict[str, int]]
-    pending: dict[str, deque[SignalEnvelope]]
+    pending: list[deque[SignalEnvelope]] = field(default_factory=list)
     next_seq: int = 0
 
     def quiescent(self) -> bool:
-        return not any(self.pending.values())
+        return not any(self.pending)
 
 
 @dataclass(slots=True)
@@ -216,12 +224,10 @@ class Machine:
     def initial_state(self) -> SystemState:
         states = {}
         attrs = {}
-        pending = {}
         for name, cls in self.instance_class.items():
             states[name] = cls.machine.initial
             attrs[name] = {a.name: int(a.default) for a in cls.attributes}
-            pending[name] = deque()
-        return SystemState(states=states, attrs=attrs, pending=pending)
+        return SystemState(states=states, attrs=attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -464,44 +470,6 @@ def check_expectations(state: SystemState, scenario: ir.Scenario) -> list[Expect
 # ---------------------------------------------------------------------------
 
 
-class Island:
-    """The scheduler over some instances' queues in `state.pending`, which
-    stay the state of record; `count` is their number of pending envelopes.
-
-    Under global-fifo the island serves envelopes in the order they reach
-    it: `arrivals` holds every pending envelope in that order, and its
-    head is always the head of its receiver's queue. In `run` every
-    envelope reaches the one island in seq order. In cosim a bus delivery
-    can reach an island after a younger envelope, and then it is served
-    after it, as the generated C's one FIFO serves it. The random
-    scheduler draws over the nonempty receivers in `names` order. The
-    queues start empty.
-    """
-
-    def __init__(self, state: SystemState, names: list[str], rng: random.Random | None):
-        self.pending = state.pending
-        self.names = names
-        self.rng = rng
-        self.arrivals: deque[SignalEnvelope] = deque()
-        self.count = 0
-
-    def push(self, env: SignalEnvelope) -> None:
-        self.pending[env.receiver].append(env)
-        if self.rng is None:
-            self.arrivals.append(env)
-        self.count += 1
-
-    def pop(self) -> SignalEnvelope:
-        """Dequeue the next envelope to dispatch; `count` must be nonzero."""
-        self.count -= 1
-        if self.rng is not None:
-            nonempty = [name for name in self.names if self.pending[name]]
-            return self.pending[nonempty[self.rng.randrange(len(nonempty))]].popleft()
-        env = self.arrivals.popleft()
-        self.pending[env.receiver].popleft()
-        return env
-
-
 def _dispatch(
     machine: Machine,
     scenario: ir.Scenario,
@@ -512,13 +480,15 @@ def _dispatch(
     """The one dispatch loop, shared by `run` and `partition.cosim`.
 
     `islands` lists each island's instance names in round order; None
-    means one island holding every instance (the `run` case). A round
-    gives every island, even an empty one, its turn for at most one step,
-    then a bus tick. A send to another island rides the bus and is
-    delivered once `latency` rounds have passed since its enqueue round.
-    Every step builds the same `TraceEvent`, whatever its island, and a
-    step's number is the count of events before it. Returns the trace and
-    the bus map `seq -> enqueue round` of the envelopes that rode the bus.
+    means one island holding every instance (the `run` case). Each
+    island's pending envelopes are one deque in `state.pending`, in the
+    order they reached it. A round gives every island, even an empty one,
+    its turn for at most one step, then a bus tick. A send to another
+    island rides the bus and reaches its island once `latency` rounds
+    have passed since its enqueue round. Every step builds the same
+    `TraceEvent`, whatever its island, and a step's number is the count
+    of events before it. Returns the trace and the bus map `seq ->
+    enqueue round` of the envelopes that rode the bus.
     """
     groups = deque(_injections(machine.checked, scenario))  # a copy: popped as injected
     state = machine.initial_state()
@@ -529,27 +499,43 @@ def _dispatch(
     bus_rounds: dict[int, int] = {}
     round_no = 0
 
-    order = [Island(state, names, rng) for names in islands or [list(machine.instance_class)]]
-    island_of = {name: island for island in order for name in island.names}
+    names_of = islands or [list(machine.instance_class)]
+    state.pending = [deque() for _ in names_of]
+    queue_of = {name: queue for queue, names in zip(state.pending, names_of) for name in names}
 
-    def make_deliver(local: Island):
-        if len(local.names) == len(island_of):  # every receiver is local
-            return local.push
+    def draw(queue: deque[SignalEnvelope], names: list[str]) -> SignalEnvelope:
+        """Remove and return the first envelope in `queue` of a receiver
+        drawn uniformly, in `names` order, from those with one pending."""
+        waiting = {env.receiver for env in queue}
+        nonempty = [name for name in names if name in waiting]
+        receiver = nonempty[rng.randrange(len(nonempty))]
+        i = next(i for i, env in enumerate(queue) if env.receiver == receiver)
+        env = queue[i]
+        del queue[i]
+        return env
+
+    def make_deliver(local: deque[SignalEnvelope], names: list[str]):
+        if len(names) == len(queue_of):  # every receiver is local
+            return local.append
 
         def deliver(env: SignalEnvelope) -> None:
-            if island_of[env.receiver] is local:
-                local.push(env)
+            if queue_of[env.receiver] is local:
+                local.append(env)
             else:
                 bus.append(env)
                 bus_rounds[env.seq] = round_no
         return deliver
 
-    turns = [(island, make_deliver(island)) for island in order]
+    turns = [
+        (queue, queue.popleft if rng is None else functools.partial(draw, queue, names),
+         make_deliver(queue, names))
+        for queue, names in zip(state.pending, names_of)
+    ]
 
     def inject_next() -> None:
         for instance, signal, args in groups.popleft()[1]:
-            env = SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args)
-            island_of[instance].push(env)
+            queue_of[instance].append(
+                SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args))
             state.next_seq += 1
 
     events: list[TraceEvent] = []
@@ -557,18 +543,18 @@ def _dispatch(
     while outcome is None:
         while bus and bus_rounds[bus[0].seq] + latency <= round_no:
             env = bus.popleft()
-            island_of[env.receiver].push(env)
+            queue_of[env.receiver].append(env)
         steps_before = len(events)
-        for island, deliver in turns:
+        for queue, pop, deliver in turns:
             # the injections `at N` are enqueued, in file order, before step N
             if groups and groups[0][0] == len(events):
                 inject_next()
-            if not island.count:
+            if not queue:
                 continue
             if len(events) >= config.max_steps:
                 outcome = Outcome(STEP_LIMIT)
                 break
-            env = island.pop()
+            env = pop()
             ev = execute_rtc_step(machine, state, env, deliver, config.mode)
             if ev is None:
                 outcome = Outcome(

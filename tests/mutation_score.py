@@ -1,12 +1,14 @@
 """Mutation score of the printers: which tests fail when a mapping rule is wrong.
 
 Each mutant is a one-line change of `src/comodel`, given as (file, old text,
-new text); the old text must occur exactly once. For each mutant the script
-copies the tree to a temporary directory, applies the mutant there, runs
-tier-1 and prints the failing tests, split into *semantic* tests (they run the
-interpreter, the compiled C half or the evaluated VHDL and compare what
-happens) and *text* tests (they compare bytes or substrings). A mutant that
-only text tests catch is a rule that no test checks by its behaviour.
+new text); the old text must occur exactly once. The script copies the tree
+to a temporary directory once, so every mutant sees one version of it, even
+if the tree is edited while the script runs. For each mutant it copies that
+snapshot, applies the mutant there, runs tier-1 and prints the failing tests,
+split into *semantic* tests (they run the interpreter, the compiled C half
+or the evaluated VHDL and compare what happens) and *text* tests (they
+compare bytes or substrings). A mutant that only text tests catch is a rule
+that no test checks by its behaviour.
 
 Run it with the names of the mutants to apply, or none for all of them;
 each costs one tier-1 run:
@@ -124,15 +126,18 @@ def by_function(tests: list[str]) -> str:
 
 
 def main(names: list[str]) -> None:
-    for name in names or MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = Path(tmp) / "snapshot"
+        shutil.copytree(ROOT, snapshot, ignore=COPY_IGNORE)
+        for name in names or MUTANTS:
             tree = Path(tmp) / "tree"
-            shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+            shutil.copytree(snapshot, tree)
             mutate(tree, *MUTANTS[name])
             failed = failing_tests(tree)
-        semantic = [t for t in failed if any(fnmatch.fnmatch(t, p) for p in SEMANTIC)]
-        text = [t for t in failed if t not in semantic]
-        print(f"| {name} | {by_function(semantic)} | {by_function(text)} |", flush=True)
+            shutil.rmtree(tree)
+            semantic = [t for t in failed if any(fnmatch.fnmatch(t, p) for p in SEMANTIC)]
+            text = [t for t in failed if t not in semantic]
+            print(f"| {name} | {by_function(semantic)} | {by_function(text)} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 
 `partition.cosim` runs both islands in the interpreter. Here the SW island
 is the generated C half, built with a shim into a shared object and driven
-through `ctypes`; the HW island stays the interpreter's `Island` and
-`execute_rtc_step`. One loop mirrors the round of `executor._dispatch`: the
-due bus deliveries arrive, then the SW island and then the HW island each
-get the due injection group and at most one step, then the bus ticks. A
-SW->HW send leaves the C half through `<model>_bus_send` and is unpacked
-per the manifest; a HW->SW send is packed per the manifest and handed to
+through `ctypes`; the HW island is one deque, served in the order its
+envelopes reach it, and the interpreter's `execute_rtc_step`. One loop
+mirrors the round of `executor._dispatch`: the due bus deliveries arrive,
+then the SW island and then the HW island each get the due injection
+group and at most one step, then the bus ticks. A SW->HW send leaves the
+C half through `<model>_bus_send` and is unpacked per the manifest; a
+HW->SW send is packed per the manifest and handed to
 `<model>_bus_deliver`. So the C half's FIFO order, `put_bits`, `get_bits`
 and the manifest's payload layouts all run, and the dispatch order, the
 step count, every final attribute and every bus crossing must equal
@@ -89,7 +90,7 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
         if domain[s.receiver_class] == HW:
             (receiver_of[s.id],) = [i for i, c in class_of.items() if c.name == s.receiver_class]
     state = machine.initial_state()
-    hw = executor.Island(state, [inst for inst in class_of if inst not in swi], None)
+    hw: deque[executor.SignalEnvelope] = deque()  # the HW island, in arrival order
     inject = getattr(lib, f"{name}_inject")
     bus_deliver = getattr(lib, f"{name}_bus_deliver")
     step = getattr(lib, f"{name}_step")
@@ -109,7 +110,7 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
 
     def hw_deliver(env: executor.SignalEnvelope) -> None:
         if env.receiver not in swi:
-            hw.push(env)
+            hw.append(env)
             return
         s = by_key[class_of[env.receiver].name, env.signal]
         bits = _pack(s, env.args)
@@ -126,7 +127,7 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
                 inject(swi[inj.instance], signals.index(inj.signal),
                        (ctypes.c_uint32 * max(1, len(args)))(*args), len(args))
             else:
-                hw.push(executor.SignalEnvelope(
+                hw.append(executor.SignalEnvelope(
                     state.next_seq, executor.ENV_SENDER, inj.instance, inj.signal, args))
             state.next_seq += 1
 
@@ -153,10 +154,10 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
                     env = executor.SignalEnvelope(
                         state.next_seq, sender, receiver_of[sig_id], s.signal, args)
                     state.next_seq += 1
-                    bus.append((round_no, hw.push, (env,)))
+                    bus.append((round_no, hw.append, (env,)))
                 sent.clear()
-            elif not on_sw and hw.count:
-                env = hw.pop()
+            elif not on_sw and hw:
+                env = hw.popleft()
                 dispatched.append((env.receiver, env.signal))
                 assert executor.execute_rtc_step(
                     machine, state, env, hw_deliver, executor.STRICT) is not None

@@ -122,7 +122,7 @@ def test_step_limit():
     assert len(trace.events) == 10
     # the envelope the limit cut off stays queued in the final state
     assert not trace.final.quiescent()
-    assert sum(len(q) for q in trace.final.pending.values()) == 1
+    assert sum(len(q) for q in trace.final.pending) == 1
 
 
 def test_run_finishing_at_exactly_max_steps_is_quiescent(pingpong, pingpong_scenario):

@@ -316,6 +316,31 @@ def test_island_serves_envelopes_in_arrival_order(latency, order):
     ) == order
 
 
+@pytest.mark.parametrize("seed,orders", [
+    (0, ["h1 c2 a0 a3 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 a4 c3 a5"]),
+    (1, ["a0 a2 h1 a3 c4 a5", "a0 h1 c3 a2 a4 a5", "a0 h1 a2 a4 c3 a5", "a0 h1 a2 a4 c3 a5"]),
+    (2, ["a0 a2 a3 h1 a4 c5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 a4 a5 c3"]),
+    (3, ["a0 a2 h1 c4 a3 a5", "a0 h1 c3 a2 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 a4 a5 c3"]),
+    (4, ["a0 h1 a2 c3 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 c3 a4 a5", "a0 h1 a2 a4 c3 a5"]),
+])
+def test_random_order_of_a_late_bus_delivery_is_pinned(seed, orders):
+    # the (receiver, seq) order of `run` and of `cosim` at latencies 1-3;
+    # in cosim c.Put (seq 3) can reach the SW island behind a.Go 4, so the
+    # island's FIFO is not in seq order; each draw must still pick among
+    # the waiting receivers in instance order and take the drawn one's
+    # oldest envelope
+    model, scenario = parse_model(LATE_PUT[0]), parse_scenario(LATE_PUT[1])
+    p = derive_partition(model, parse_marks("mark isHardware on Kick;"))
+    config = ExecConfig(scheduler="random", seed=seed)
+    traces = [run(model, scenario, config)]
+    traces += [cosim(model, p, scenario, config, latency=latency) for latency in (1, 2, 3)]
+    assert all(trace.passed for trace in traces)
+    assert [
+        " ".join(f"{e.envelope.receiver}{e.envelope.seq}" for e in trace.events)
+        for trace in traces
+    ] == orders
+
+
 @pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS))
 def test_run_dispatches_in_seq_order(model_name, scn_name):
     # every envelope reaches run's one island in seq order, so serving in
@@ -367,6 +392,11 @@ def test_cosim_step_limit():
     trace = cosim(model, p, parse_scenario("at 0 send a.Go();"),
                   ExecConfig(max_steps=8))
     assert trace.outcome.kind == "step-limit"
+    assert len(trace.events) == 8
+    # the envelope the limit cut off, the last step's send, stays queued
+    assert not trace.final.quiescent()
+    assert [env.seq for queue in trace.final.pending for env in queue] == [8]
+    assert list(trace.events[-1].sent) == [8]
 
 
 def test_cosim_injections_beyond_quiescence_resume(pingpong):
