@@ -9,24 +9,27 @@ it, so the two halves agree by construction; `check_interfaces`
 re-extracts the constants from the emitted texts and verifies them
 against the manifest, which also catches externally tampered files.
 
-One emitter skeleton serves both targets: it validates the model, lays
-out payloads and walks each transition's actions, and the `isHardware`
-mark picks the mapping rule that prints a class. Each rule spells every
-identifier it prints in its own naming code and declares it, as it prints
-it, in one scope of its target (see `_Scope`): so a model is rejected
-exactly when a printed name collides (`E_NAME_CLASH`) or is one the
-target reserves or cannot spell (`E_TARGET_NAME`). The C rule
-gives each software class a state enum, an event enum (in the header,
-so a platform can inject), an instance struct with exact-width unsigned
-attributes and a dispatch function mirroring the transition table. All
-software instances share one event FIFO of `{inst, ev, args}` slots,
-`QUEUE_CAP` = 64 per software instance, filled only by `<model>_inject`:
-local sends, bus deliveries (`bus_deliver`) and the platform all enqueue
-through it, and `<model>_step` dispatches the oldest slot. That is the
-interpreter's global-fifo rule, under which an island serves envelopes
-in the order they reach it. So an all-SW half serves events in `run`'s
-order, and a split half, as the SW island of a cosim, in `cosim`'s.
-Outbound boundary sends go through the platform's `bus_send`.
+`emit` derives what the halves share once per call, in one `EmitPlan`:
+the checked model, every payload layout, and each domain's classes and
+instances in document order. The manifest and both rules read it and
+derive none of it again. One emitter skeleton serves both targets: it
+walks each transition's actions, and the `isHardware` mark picks the
+mapping rule that prints a class. Each rule spells every identifier it
+prints in its own naming code and declares it, as it prints it, in one
+scope of its target (see `_Scope`): so a model is rejected exactly when
+a printed name collides (`E_NAME_CLASH`) or is one the target reserves
+or cannot spell (`E_TARGET_NAME`). The C rule gives each software class
+a state enum, an event enum (in the header, so a platform can inject),
+an instance struct with exact-width unsigned attributes and a dispatch
+function mirroring the transition table. All software instances share
+one event FIFO of `{inst, ev, args}` slots, `QUEUE_CAP` = 64 per
+software instance, filled only by `<model>_inject`: local sends, bus
+deliveries (`bus_deliver`) and the platform all enqueue through it, and
+`<model>_step` dispatches the oldest slot. That is the interpreter's
+global-fifo rule, under which an island serves envelopes in the order
+they reach it. So an all-SW half serves events in `run`'s order, and a
+split half, as the SW island of a cosim, in `cosim`'s. Outbound boundary
+sends go through the platform's `bus_send`.
 The VHDL rule gives each hardware class an entity with clock/reset and
 event input ports and a synchronous process implementing the same
 transition table over unsigned registers; each send statement raises its
@@ -119,12 +122,35 @@ def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManifest:
-    """Derive the interface manifest for a (model, partition) pair."""
-    layouts = _payload_layouts(ir.ensure_valid(model))
+class EmitPlan:
+    """What one `emit` derives once: the checked record, the packed payload
+    of every (class, signal), and each domain's classes and (instance,
+    class) pairs in document order, so a SW instance's index is its `SWI_`
+    number. It lives for one call, not on the model."""
+
+    def __init__(self, model: ir.Model, partition: part.Partition, name: str):
+        self.model, self.partition, self.name = model, partition, name
+        self.checked = ir.ensure_valid(model)
+        self.layouts: dict[tuple[str, str], list[PayloadField]] = {}
+        for key, sig in self.checked.signals.items():
+            layout = self.layouts[key] = []
+            offset = 0
+            for p in sig.params:
+                layout.append(PayloadField(p.name, ir.WIDTHS[p.type], offset))
+                offset += ir.WIDTHS[p.type]
+        self.classes = {part.SW: [], part.HW: []}
+        for cls in self.checked.classes.values():
+            self.classes[partition.domain[cls.name]].append(cls)
+        self.instances = {part.SW: [], part.HW: []}
+        for inst, cls in self.checked.instance_class.items():
+            self.instances[partition.domain[cls.name]].append((inst, cls))
+
+
+def build_manifest(plan: EmitPlan) -> InterfaceManifest:
+    """Derive the interface manifest of a plan's (model, partition) pair."""
     signals = []
-    for idx, bs in enumerate(part.boundary(model, partition)):
-        payload = layouts[(bs.receiver_class, bs.signal)]
+    for idx, bs in enumerate(part.boundary(plan.model, plan.partition)):
+        payload = plan.layouts[(bs.receiver_class, bs.signal)]
         signals.append(
             ManifestSignal(
                 id=idx,
@@ -135,7 +161,9 @@ def build_manifest(model: ir.Model, partition: part.Partition) -> InterfaceManif
                 payload_total_bits=_payload_bits(payload),
             )
         )
-    return InterfaceManifest(model_hash=model_content_hash(model, partition), signals=signals)
+    return InterfaceManifest(
+        model_hash=model_content_hash(plan.model, plan.partition), signals=signals
+    )
 
 
 def manifest_to_json(manifest: InterfaceManifest) -> str:
@@ -296,20 +324,6 @@ def _words(text: str) -> frozenset[str]:
     return frozenset(w for w in words if "$" not in w and not w[0].isdigit())
 
 
-def _payload_layouts(checked: ir.Checked) -> dict[tuple[str, str], list[PayloadField]]:
-    """The packed payload of every (class, signal): its parameters in
-    declaration order, bit offsets ascending from 0."""
-    layouts = {}
-    for key, sig in checked.signals.items():
-        layout = []
-        offset = 0
-        for p in sig.params:
-            layout.append(PayloadField(p.name, ir.WIDTHS[p.type], offset))
-            offset += ir.WIDTHS[p.type]
-        layouts[key] = layout
-    return layouts
-
-
 def _payload_bits(layout: list[PayloadField]) -> int:
     return sum(f.width_bits for f in layout)
 
@@ -324,22 +338,14 @@ class _Emitter:
     printer, and its `send(out, pad, s, receiver class, params)`. The
     action walker appends lines to `out`, each starting with `pad`."""
 
-    def __init__(
-        self,
-        model: ir.Model,
-        partition: part.Partition,
-        manifest: InterfaceManifest,
-        name: str,
-    ):
-        self.checked = ir.ensure_valid(model)
-        self.constants = _constants(manifest)
-        self.layouts = _payload_layouts(self.checked)
-        self.partition = partition
+    def __init__(self, plan: EmitPlan, manifest: InterfaceManifest):
+        self.plan = plan
+        self.name = plan.name
         self.manifest = manifest
-        self.name = name
-        mine = {cls: d == self.DOMAIN for cls, d in partition.domain.items()}
-        self.classes = [c for c in self.checked.classes.values() if mine[c.name]]
-        self.instances = [(n, c) for n, c in self.checked.instance_class.items() if mine[c.name]]
+        self.constants = _constants(manifest)
+        self.layouts = plan.layouts
+        self.classes = plan.classes[self.DOMAIN]
+        self.instances = plan.instances[self.DOMAIN]
 
     def _params(self, cls: ir.ClassDef, tr: ir.TransitionDef) -> _Params:
         return {f.name: (i, f) for i, f in enumerate(self.layouts[(cls.name, tr.signal)])}
@@ -349,7 +355,7 @@ class _Emitter:
             if isinstance(s, ir.Assign):
                 out.append(pad + self.assign(s.attr, self.expr(s.value, params)))
             elif isinstance(s, ir.Send):
-                self.send(out, pad, s, self.checked.instance_class[s.instance].name, params)
+                self.send(out, pad, s, self.plan.checked.instance_class[s.instance].name, params)
             elif isinstance(s, ir.If):
                 out.append(pad + self.if_(self.expr(s.cond, params)))
                 self._stmts(out, pad + "    ", s.then, params)
@@ -637,7 +643,8 @@ class _CEmitter(_Emitter):
         inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
         # names are declared in print order: classes, storage, dispatch functions
         classes = "".join([self._class_decl(cls) for cls in self.classes])
-        storage, reset, cases = [], [], []
+        # each SW class's delivery guard: the id is none of the class's instances
+        storage, reset, cases, guards = [], [], [], {}
         for inst, cls in self.instances:
             var = self.file.declare(_c_storage(inst))
             storage.append(f"static {cls.name}_t {var};")
@@ -645,12 +652,12 @@ class _CEmitter(_Emitter):
             reset += [f"    {var}.{a.name} = {int(a.default)}u;" for a in cls.attributes]
             cases += [f"    case {_c_swi(inst)}:",
                       f"        {cls.name}_dispatch(&{var}, ev, args);", "        break;"]
+            guards.setdefault(cls.name, []).append(f"inst_id != {_c_swi(inst)}")
         deliver = []
         for s in inbound:
             # an event id is unique only within its class: another instance would misread it
-            swis = [_c_swi(i) for i, cls in self.instances if cls.name == s.receiver_class]
             deliver += [f"    case {mangle(s.receiver_class, s.signal)}: {{",
-                        f"        if ({' && '.join(f'inst_id != {x}' for x in swis)}) {{",
+                        f"        if ({' && '.join(guards[s.receiver_class])}) {{",
                         "            break;", "        }"]
             deliver += [f"        args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);"
                         for i, f in enumerate(s.payload)]
@@ -687,7 +694,7 @@ class _CEmitter(_Emitter):
 
     def send(self, out: list[str], pad: str, s: ir.Send, recv: str, params: _Params) -> None:
         inner = pad + "    "
-        if self.partition.domain[recv] == part.SW:
+        if self.plan.partition.domain[recv] == part.SW:
             inject = f"{self.name}_inject({_c_swi(s.instance)}, {_c_event(recv, s.signal)}"
             if not s.args:
                 out.append(f"{pad}{inject}, 0, 0u);")
@@ -735,14 +742,9 @@ class _CEmitter(_Emitter):
         out.append(pad + "}")
 
 
-def emit_c(
-    model: ir.Model,
-    partition: part.Partition,
-    manifest: InterfaceManifest,
-    name: str = "model",
-) -> tuple[str, str]:
+def emit_c(plan: EmitPlan, manifest: InterfaceManifest) -> tuple[str, str]:
     """Emit the software half; returns (c_source, c_header)."""
-    emitter = _CEmitter(model, partition, manifest, name)
+    emitter = _CEmitter(plan, manifest)
     header = emitter.header()
     return emitter.source(), header
 
@@ -971,18 +973,13 @@ class _VhdlEmitter(_Emitter):
         ]
         out.append(f"{pad}send_valid({k}) <= '1';")
         self.slot_bits += _payload_bits(layout)
-        route = "local" if self.partition.domain[recv] == part.HW else mangle(recv, s.signal)
+        route = "local" if self.plan.partition.domain[recv] == part.HW else mangle(recv, s.signal)
         self.slots.append(f"        -- send_valid({k}): {s.instance}.{s.signal} ({route})")
 
 
-def emit_vhdl(
-    model: ir.Model,
-    partition: part.Partition,
-    manifest: InterfaceManifest,
-    name: str = "model",
-) -> str:
+def emit_vhdl(plan: EmitPlan, manifest: InterfaceManifest) -> str:
     """Emit the hardware half as one VHDL text."""
-    return _VhdlEmitter(model, partition, manifest, name).emit()
+    return _VhdlEmitter(plan, manifest).emit()
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +998,10 @@ class EmitOutput:
 def emit(
     model: ir.Model, partition: part.Partition, name: str = "model"
 ) -> EmitOutput:
-    manifest = build_manifest(model, partition)
-    c_source, c_header = emit_c(model, partition, manifest, name)
-    vhdl_source = emit_vhdl(model, partition, manifest, name)
+    plan = EmitPlan(model, partition, name)
+    manifest = build_manifest(plan)
+    c_source, c_header = emit_c(plan, manifest)
+    vhdl_source = emit_vhdl(plan, manifest)
     return EmitOutput(c_source, c_header, vhdl_source, manifest)
 
 

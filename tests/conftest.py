@@ -46,6 +46,22 @@ class Kick { signal Kick(); statemachine { initial S;
 instance a: Loop; instance c: Sink; instance h: Kick;
 """, "at 0 send a.Go(); at 0 send h.Kick(); expect c.got == 7; expect a.n == 4; confluent;\n")
 
+# (model, scenario) text of one SW receiver class with two instances fed from
+# HW: with `Kick` in HW, each `Put` crosses the bus to `x` or `y`, so the C
+# half's bus delivery must accept either instance of `Sink`
+TWO_SINKS = ("""
+class Sink { attr got: u8; signal Put(v: u8); statemachine { initial S;
+  state S { on Put -> S { got = got + $v; } } } }
+class Kick { attr n: u8; signal Kick(); statemachine { initial S;
+  state S { on Kick -> S { n = n + 1; send x.Put(n); send y.Put(n + 10);
+    if (n < 3) { send h.Kick(); } } } } }
+instance x: Sink; instance y: Sink; instance h: Kick;
+""", "at 0 send h.Kick(); at 1 send x.Put(100); expect x.got == 106; expect y.got == 36;\n"
+    "confluent;\n")
+
+# the inline (model, scenario) texts, by name
+INLINE = {"late_put": LATE_PUT, "two_sinks": TWO_SINKS}
+
 CORPUS_MARKS = {
     "pingpong": "pingpong_pong_hw",
     "pipeline": "pipeline_counter_hw",

@@ -1,9 +1,11 @@
 """Mutation score of the printers: which tests fail when a mapping rule is wrong.
 
 Each mutant is a one-line change of `src/comodel`, given as (file, old text,
-new text); the old text must occur exactly once. The script copies the tree
-to a temporary directory once, so every mutant sees one version of it, even
-if the tree is edited while the script runs. For each mutant it copies that
+new text); the old text must occur exactly once, which tier-1 checks
+(`tests/test_mutation_anchors.py`, skipped in the mutants' runs, as each
+mutant removes its own anchor). The script copies the tree to a temporary
+directory once, so every mutant sees one version of it, even if the tree is
+edited while the script runs. For each mutant it copies that
 snapshot, applies the mutant there, runs tier-1 and prints the failing tests,
 split into *semantic* tests (they run the interpreter, the compiled C half
 or the evaluated VHDL and compare what happens) and *text* tests (they
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CODEGEN = "src/comodel/codegen.py"
+ANCHORS = "tests/test_mutation_anchors.py"
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", ".bench_out", ".hypothesis", ".pytest_cache", "__pycache__"
 )
@@ -54,6 +57,11 @@ MUTANTS = {
     ),
     "c-not-as-complement": (
         CODEGEN, 'return f"(uint8_t)(!{inner})"', 'return f"(uint8_t)(~{inner})"',
+    ),
+    # a bus delivery to any instance but the first of its SW class is dropped
+    "c-deliver-guard-one-instance": (
+        CODEGEN, "' && '.join(guards[s.receiver_class])",
+        "' && '.join(guards[s.receiver_class][:1])",
     ),
     "vhdl-product-without-resize": (
         CODEGEN, 'return f"resize({l} * {r}, {ir.WIDTHS[e.ty]})"', 'return f"({l} * {r})"',
@@ -113,7 +121,7 @@ def failing_tests(tree: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", f"--ignore={ANCHORS}"],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     return re.findall(r"^(?:FAILED|ERROR) (\S+)", result.stdout, re.M)

@@ -22,7 +22,7 @@ import subprocess
 from collections import deque
 
 import pytest
-from conftest import CORPUS_MODELS, CORPUS_PAIRS, LATE_PUT, load_model, load_scenario
+from conftest import CORPUS_MODELS, CORPUS_PAIRS, INLINE, load_model, load_scenario
 
 from comodel import executor, ir
 from comodel.codegen import ManifestSignal, emit
@@ -37,14 +37,14 @@ BUS_SEND = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.POINTER(ctypes.c_uint8
 
 def _mixed_partitions() -> list:
     """(model, HW classes) of every mixed partition of the corpus models,
-    and of `LATE_PUT` with `Kick` in HW."""
+    and of each `INLINE` model with `Kick` in HW."""
     cases = []
     for name in CORPUS_MODELS:
         for p in all_partitions(load_model(name)):
             hw = tuple(cls for cls, d in p.domain.items() if d == HW)
             if hw and len(hw) < len(p.domain):
                 cases.append(pytest.param(name, hw, id=f"{name}-{'+'.join(hw)}"))
-    return cases + [pytest.param("late_put", ("Kick",), id="late_put-Kick")]
+    return cases + [pytest.param(name, ("Kick",), id=f"{name}-Kick") for name in INLINE]
 
 
 def _shim(name: str, attrs: list[tuple[str, str]]) -> str:
@@ -179,9 +179,9 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
 
 @pytest.mark.parametrize("name,hw", _mixed_partitions())
 def test_c_half_runs_as_the_sw_island(tmp_path, name, hw):
-    if name == "late_put":
-        model = parse_model(LATE_PUT[0])
-        scenarios = {"late_put": parse_scenario(LATE_PUT[1])}
+    if name in INLINE:
+        model = parse_model(INLINE[name][0])
+        scenarios = {name: parse_scenario(INLINE[name][1])}
     else:
         model = load_model(name)
         scenarios = {scn: load_scenario(scn) for m, scn in CORPUS_PAIRS if m == name}

@@ -22,6 +22,7 @@ from comodel import codegen, executor, frontend, ir
 from comodel.cli import main
 from comodel.codegen import (
     CodegenError,
+    EmitPlan,
     build_manifest,
     check_interfaces,
     emit,
@@ -90,7 +91,7 @@ def pingpong_hw(model):
 
 
 def test_pingpong_manifest(pingpong):
-    m = build_manifest(pingpong, pingpong_hw(pingpong))
+    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
     assert len(m.signals) == 1
     s = m.signals[0]
     assert (s.id, s.receiver_class, s.signal, s.direction) == (0, "Pong", "Hit", "sw_to_hw")
@@ -99,14 +100,14 @@ def test_pingpong_manifest(pingpong):
 
 
 def test_all_sw_manifest_empty(pingpong):
-    m = build_manifest(pingpong, Partition(domain={"Ping": SW, "Pong": SW}))
+    m = build_manifest(EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model"))
     assert m.signals == []
 
 
 def test_manifest_id_assignment_ascending():
     model = parse_model(ALARM)
     p = Partition(domain={"Driver": SW, "Alarm": HW, "Pong": HW})
-    m = build_manifest(model, p)
+    m = build_manifest(EmitPlan(model, p, "model"))
     assert [(s.id, s.receiver_class, s.signal) for s in m.signals] == [
         (0, "Alarm", "Raise"),
         (1, "Pong", "Hit"),
@@ -121,7 +122,7 @@ def test_manifest_id_assignment_ascending():
 def test_manifest_payload_packing_multi_param():
     model = load_model("widths")
     p = Partition(domain={"Gadget": SW, "Sink": HW})
-    m = build_manifest(model, p)
+    m = build_manifest(EmitPlan(model, p, "model"))
     stash = m.signals[0]
     assert stash.signal == "Stash"
     assert [(f.name, f.width_bits, f.bit_offset) for f in stash.payload] == [
@@ -132,18 +133,18 @@ def test_manifest_payload_packing_multi_param():
 
 
 def test_manifest_hash_tracks_partition(pingpong):
-    a = build_manifest(pingpong, Partition(domain={"Ping": SW, "Pong": SW}))
-    b = build_manifest(pingpong, pingpong_hw(pingpong))
+    a = build_manifest(EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model"))
+    b = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
     assert a.model_hash != b.model_hash
 
 
 def test_manifest_json_round_trip(pingpong):
-    m = build_manifest(pingpong, pingpong_hw(pingpong))
+    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
     assert manifest_from_json(manifest_to_json(m)) == m
 
 
 def test_manifest_json_is_canonical(pingpong):
-    m = build_manifest(pingpong, pingpong_hw(pingpong))
+    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
     assert manifest_to_json(m) == manifest_to_json(manifest_from_json(manifest_to_json(m)))
 
 
@@ -290,14 +291,14 @@ def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver
     # Pong.Hit mangles to SIG_PONG_HIT and SIG_PONG_HIT_BITS, and the added
     # signal repeats one of those names
     p = pingpong_hw(pingpong)
-    obj = json.loads(manifest_to_json(build_manifest(pingpong, p)))
+    obj = json.loads(manifest_to_json(build_manifest(EmitPlan(pingpong, p, "pingpong"))))
     obj["signals"].append(
         {"id": 1, "receiver_class": receiver, "signal": signal, "direction": "sw_to_hw",
          "payload": [], "payload_total_bits": 0}
     )
     manifest = manifest_from_json(json.dumps(obj))
     with pytest.raises(CodegenError) as exc:
-        emitter(pingpong, p, manifest, name="pingpong")
+        emitter(EmitPlan(pingpong, p, "pingpong"), manifest)
     assert exc.value.code == "E_NAME_CLASH"
 
 
@@ -306,16 +307,18 @@ def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver
 
 def test_c_header_macros(pingpong):
     p = pingpong_hw(pingpong)
-    manifest = build_manifest(pingpong, p)
-    _, header = emit_c(pingpong, p, manifest, name="pingpong")
+    plan = EmitPlan(pingpong, p, "pingpong")
+    manifest = build_manifest(plan)
+    _, header = emit_c(plan, manifest)
     defines = re.findall(r"#define (SIG_\w+) (\d+)", header)
     assert defines == [("SIG_PONG_HIT", "0"), ("SIG_PONG_HIT_BITS", "0")]
 
 
 def test_c_source_contains_only_sw_dispatch(pingpong):
     p = pingpong_hw(pingpong)
-    manifest = build_manifest(pingpong, p)
-    source, _ = emit_c(pingpong, p, manifest, name="pingpong")
+    plan = EmitPlan(pingpong, p, "pingpong")
+    manifest = build_manifest(plan)
+    source, _ = emit_c(plan, manifest)
     assert "Ping_dispatch" in source
     assert "Pong_dispatch" not in source
     assert "pingpong_bus_send(SIG_PONG_HIT" in source
@@ -323,8 +326,9 @@ def test_c_source_contains_only_sw_dispatch(pingpong):
 
 def test_c_all_hw_only_glue(pingpong):
     p = Partition(domain={"Ping": HW, "Pong": HW})
-    manifest = build_manifest(pingpong, p)
-    source, header = emit_c(pingpong, p, manifest, name="pingpong")
+    plan = EmitPlan(pingpong, p, "pingpong")
+    manifest = build_manifest(plan)
+    source, header = emit_c(plan, manifest)
     assert "_dispatch" not in source.replace("sw_dispatch", "")
     assert "pingpong_bus_deliver" in source
     assert "pingpong_inject" in source
@@ -332,8 +336,9 @@ def test_c_all_hw_only_glue(pingpong):
 
 def test_c_emission_deterministic(pingpong):
     p = pingpong_hw(pingpong)
-    manifest = build_manifest(pingpong, p)
-    assert emit_c(pingpong, p, manifest, "x") == emit_c(pingpong, p, manifest, "x")
+    plan = EmitPlan(pingpong, p, "x")
+    manifest = build_manifest(plan)
+    assert emit_c(plan, manifest) == emit_c(plan, manifest)
 
 
 # --- VHDL emission ---
@@ -341,8 +346,9 @@ def test_c_emission_deterministic(pingpong):
 
 def test_vhdl_constants_and_entity(pingpong):
     p = pingpong_hw(pingpong)
-    manifest = build_manifest(pingpong, p)
-    vhdl = emit_vhdl(pingpong, p, manifest, name="pingpong")
+    plan = EmitPlan(pingpong, p, "pingpong")
+    manifest = build_manifest(plan)
+    vhdl = emit_vhdl(plan, manifest)
     assert "constant SIG_PONG_HIT : natural := 0;" in vhdl
     assert "constant SIG_PONG_HIT_BITS : natural := 0;" in vhdl
     assert "entity Pong is" in vhdl
@@ -351,8 +357,9 @@ def test_vhdl_constants_and_entity(pingpong):
 
 def test_vhdl_all_sw_no_entities(pingpong):
     p = Partition(domain={"Ping": SW, "Pong": SW})
-    manifest = build_manifest(pingpong, p)
-    vhdl = emit_vhdl(pingpong, p, manifest, name="pingpong")
+    plan = EmitPlan(pingpong, p, "pingpong")
+    manifest = build_manifest(plan)
+    vhdl = emit_vhdl(plan, manifest)
     assert "entity" not in vhdl
     assert "constant SIG_" not in vhdl
 
@@ -360,8 +367,9 @@ def test_vhdl_all_sw_no_entities(pingpong):
 def test_vhdl_payload_field_slice():
     model = parse_model(ALARM)
     p = Partition(domain={"Driver": HW, "Alarm": SW, "Pong": SW})
-    manifest = build_manifest(model, p)
-    vhdl = emit_vhdl(model, p, manifest, name="alarm")
+    plan = EmitPlan(model, p, "alarm")
+    manifest = build_manifest(plan)
+    vhdl = emit_vhdl(plan, manifest)
     # Alarm.Raise(level: u8) payload: level occupies bits 7 downto 0
     assert "send_args(7 downto 0)" in vhdl
     assert "constant SIG_ALARM_RAISE_BITS : natural := 8;" in vhdl
@@ -370,8 +378,9 @@ def test_vhdl_payload_field_slice():
 def test_vhdl_wrapping_arithmetic_forms():
     model = load_model("widths")
     p = Partition(domain={"Gadget": HW, "Sink": SW})
-    manifest = build_manifest(model, p)
-    vhdl = emit_vhdl(model, p, manifest, name="widths")
+    plan = EmitPlan(model, p, "widths")
+    manifest = build_manifest(plan)
+    vhdl = emit_vhdl(plan, manifest)
     assert "resize(" in vhdl  # multiplication truncates back to width
     assert "unsigned(ev_args(" in vhdl  # parameter field access
 
@@ -395,8 +404,9 @@ def test_vhdl_reset_loads_each_attribute_default(name):
 
 def test_vhdl_emission_deterministic(pingpong):
     p = pingpong_hw(pingpong)
-    manifest = build_manifest(pingpong, p)
-    assert emit_vhdl(pingpong, p, manifest, "x") == emit_vhdl(pingpong, p, manifest, "x")
+    plan = EmitPlan(pingpong, p, "x")
+    manifest = build_manifest(plan)
+    assert emit_vhdl(plan, manifest) == emit_vhdl(plan, manifest)
 
 
 # --- check_interfaces ---
