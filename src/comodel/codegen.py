@@ -10,36 +10,37 @@ re-extracts the constants from the emitted texts and verifies them
 against the manifest, which also catches externally tampered files.
 
 `emit` derives what the halves share once per call, in one `EmitPlan`:
-the checked model, every payload layout, and each domain's classes and
-instances in document order. The manifest and both rules read it and
-derive none of it again. One emitter skeleton serves both targets: it
-walks each transition's actions, and the `isHardware` mark picks the
-mapping rule that prints a class. Each rule spells every identifier it
-prints in its own naming code and declares it, as it prints it, in one
-scope of its target (see `_Scope`): so a model is rejected exactly when
-a printed name collides (`E_NAME_CLASH`) or is one the target reserves
-or cannot spell (`E_TARGET_NAME`). The C rule gives each software class
-a state enum, an event enum (in the header, so a platform can inject),
-an instance struct with exact-width unsigned attributes and a dispatch
-function mirroring the transition table. All software instances share
-one event FIFO of `{inst, ev, args}` slots, `QUEUE_CAP` = 64 per
-software instance, filled only by `<model>_inject`: local sends, bus
-deliveries (`bus_deliver`) and the platform all enqueue through it, and
-`<model>_step` dispatches the oldest slot. That is the interpreter's
-global-fifo rule, under which an island serves envelopes in the order
-they reach it. So an all-SW half serves events in `run`'s order, and a
-split half, as the SW island of a cosim, in `cosim`'s. Outbound boundary
-sends go through the platform's `bus_send`.
-The VHDL rule gives each hardware class an entity with clock/reset and
-event input ports and a synchronous process implementing the same
-transition table over unsigned registers; each send statement raises its
-own output slot, so every send of a step leaves on one clock edge. Its
-package names only the boundary signals and the hardware classes' events.
-All arithmetic wraps at the declared widths in both targets. Tests run
-the C half against the interpreter, all-SW and split across the bus, so
-C matches it bit for bit; a test-only evaluator runs each entity one
-clock edge at a time against the interpreter's step, so each VHDL
-transition matches it too. Nothing instantiates the entities.
+the checked model, every payload layout, each domain's classes and
+instances in document order, and the manifest. Both rules take only the
+plan and derive none of it again. One emitter skeleton serves both
+targets: it walks each transition's actions, and the `isHardware` mark
+picks the mapping rule that prints a class. Each rule spells every
+identifier it prints in its own naming code and declares it, as it
+prints it, in one scope of its target (see `_Scope`): so a model is
+rejected exactly when a printed name collides (`E_NAME_CLASH`) or is one
+the target reserves or cannot spell (`E_TARGET_NAME`). The C rule gives
+each software class a state enum, an event enum (in the header, so a
+platform can inject), an instance struct with exact-width unsigned
+attributes and a dispatch function mirroring the transition table. All
+software instances share one event FIFO of `{inst, ev, args}` slots,
+`QUEUE_CAP` = 64 per software instance, filled only by `<model>_inject`:
+local sends, bus deliveries (`bus_deliver`) and the platform all enqueue
+through it, and `<model>_step` dispatches the oldest slot. That is the
+interpreter's global-fifo rule, under which an island serves envelopes
+in the order they reach it. So an all-SW half serves events in `run`'s
+order, and a split half, as the SW island of a cosim, in `cosim`'s.
+Outbound boundary sends go through the platform's `bus_send`. The VHDL
+rule gives each hardware class an entity with clock/reset and event
+input ports and a synchronous process implementing the same transition
+table over unsigned registers; each send statement raises its own output
+slot, so every send of a step leaves on one clock edge. Its package
+names only the boundary signals and the hardware classes' events. All
+arithmetic wraps at the declared widths in both targets. One test runner
+drives the C half, built with UBSan, as the SW island beside the
+interpreter on every corpus partition and on two heavy rings, all-SW and
+split, so C matches it bit for bit; a test-only evaluator runs each
+entity one clock edge at a time against the interpreter's step, so each
+VHDL transition matches it too. Nothing instantiates the entities.
 
 Each rule's fixed text lives in module-level templates (`_Template`) whose
 `${hole}`s take text that is already rendered; only the action walker
@@ -124,9 +125,9 @@ def model_content_hash(model: ir.Model, partition: part.Partition) -> str:
 
 class EmitPlan:
     """What one `emit` derives once: the checked record, the packed payload
-    of every (class, signal), and each domain's classes and (instance,
-    class) pairs in document order, so a SW instance's index is its `SWI_`
-    number. It lives for one call, not on the model."""
+    of every (class, signal), each domain's classes and (instance, class)
+    pairs in document order, so a SW instance's index is its `SWI_` number,
+    and the manifest. It lives for one call, not on the model."""
 
     def __init__(self, model: ir.Model, partition: part.Partition, name: str):
         self.model, self.partition, self.name = model, partition, name
@@ -144,6 +145,7 @@ class EmitPlan:
         self.instances = {part.SW: [], part.HW: []}
         for inst, cls in self.checked.instance_class.items():
             self.instances[partition.domain[cls.name]].append((inst, cls))
+        self.manifest = build_manifest(self)  # a global: the traced run's span wraps it
 
 
 def build_manifest(plan: EmitPlan) -> InterfaceManifest:
@@ -338,11 +340,11 @@ class _Emitter:
     printer, and its `send(out, pad, s, receiver class, params)`. The
     action walker appends lines to `out`, each starting with `pad`."""
 
-    def __init__(self, plan: EmitPlan, manifest: InterfaceManifest):
+    def __init__(self, plan: EmitPlan):
         self.plan = plan
         self.name = plan.name
-        self.manifest = manifest
-        self.constants = _constants(manifest)
+        self.manifest = plan.manifest
+        self.constants = _constants(plan.manifest)
         self.layouts = plan.layouts
         self.classes = plan.classes[self.DOMAIN]
         self.instances = plan.instances[self.DOMAIN]
@@ -742,9 +744,9 @@ class _CEmitter(_Emitter):
         out.append(pad + "}")
 
 
-def emit_c(plan: EmitPlan, manifest: InterfaceManifest) -> tuple[str, str]:
+def emit_c(plan: EmitPlan) -> tuple[str, str]:
     """Emit the software half; returns (c_source, c_header)."""
-    emitter = _CEmitter(plan, manifest)
+    emitter = _CEmitter(plan)
     header = emitter.header()
     return emitter.source(), header
 
@@ -977,9 +979,9 @@ class _VhdlEmitter(_Emitter):
         self.slots.append(f"        -- send_valid({k}): {s.instance}.{s.signal} ({route})")
 
 
-def emit_vhdl(plan: EmitPlan, manifest: InterfaceManifest) -> str:
+def emit_vhdl(plan: EmitPlan) -> str:
     """Emit the hardware half as one VHDL text."""
-    return _VhdlEmitter(plan, manifest).emit()
+    return _VhdlEmitter(plan).emit()
 
 
 # ---------------------------------------------------------------------------
@@ -999,10 +1001,8 @@ def emit(
     model: ir.Model, partition: part.Partition, name: str = "model"
 ) -> EmitOutput:
     plan = EmitPlan(model, partition, name)
-    manifest = build_manifest(plan)
-    c_source, c_header = emit_c(plan, manifest)
-    vhdl_source = emit_vhdl(plan, manifest)
-    return EmitOutput(c_source, c_header, vhdl_source, manifest)
+    c_source, c_header = emit_c(plan)
+    return EmitOutput(c_source, c_header, emit_vhdl(plan), plan.manifest)
 
 
 @dataclass

@@ -107,11 +107,12 @@ def load_ringgen():
     return sys.modules[name]
 
 
-def load_ring(model_name: str, scn_name: str) -> tuple[ir.Model, ir.Scenario]:
-    """The model and scenario of the ring `C_RINGS` names."""
+def load_ring(model_name: str, scn_name: str) -> tuple[ir.Model, ir.Scenario, ir.MarkSet]:
+    """The model, scenario and marks of the ring `C_RINGS` names."""
     ringgen = load_ringgen()
     ring = ringgen.generate(ringgen.RingSpec(*C_RINGS[model_name, scn_name], body="heavy"), 7)
-    return frontend.parse_model(ring.model_text), frontend.parse_scenario(ring.scenario_text)
+    return (frontend.parse_model(ring.model_text), frontend.parse_scenario(ring.scenario_text),
+            frontend.parse_marks(ring.marks_text))
 
 
 @pytest.fixture

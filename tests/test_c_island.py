@@ -1,18 +1,23 @@
 """The compiled C half as the SW island of a co-simulation.
 
-`partition.cosim` runs both islands in the interpreter. Here the SW island
-is the generated C half, built with a shim into a shared object and driven
-through `ctypes`; the HW island is one deque, served in the order its
-envelopes reach it, and the interpreter's `execute_rtc_step`. One loop
-mirrors the round of `executor._dispatch`: the due bus deliveries arrive,
-then the SW island and then the HW island each get the due injection
-group and at most one step, then the bus ticks. A SW->HW send leaves the
-C half through `<model>_bus_send` and is unpacked per the manifest; a
-HW->SW send is packed per the manifest and handed to
-`<model>_bus_deliver`. So the C half's FIFO order, `put_bits`, `get_bits`
-and the manifest's payload layouts all run, and the dispatch order, the
-step count, every final attribute and every bus crossing must equal
-`cosim`'s.
+This is the one runner of the generated C in tests. `partition.cosim`
+runs both islands in the interpreter. Here the SW island is the generated C
+half, built with a shim into a shared object and driven through `ctypes`;
+the HW island is one deque, served in the order its envelopes reach it, and
+the interpreter's `execute_rtc_step`. One loop mirrors the round of
+`executor._dispatch`: the due bus deliveries arrive, then the SW island and
+then the HW island each get the due injection group and at most one step,
+then the bus tick. A SW->HW send leaves the C half through
+`<model>_bus_send` and is unpacked per the manifest; a HW->SW send is
+packed per the manifest and handed to `<model>_bus_deliver`. So the C
+half's FIFO order, `put_bits`, `get_bits` and the manifest's payload
+layouts all run, and the dispatch order, the step count, every final
+attribute and every bus crossing must equal `cosim`'s.
+
+The shared object is built with `-std=c99 -Wall -Wextra` and UBSan in its
+default recover mode, so undefined behaviour prints a report to stderr and
+the run goes on (a trap would end the test process). Every case requires an
+empty build stderr and an empty stderr from the run.
 """
 
 import ctypes
@@ -22,29 +27,75 @@ import subprocess
 from collections import deque
 
 import pytest
-from conftest import CORPUS_MODELS, CORPUS_PAIRS, INLINE, load_model, load_scenario
+from conftest import (
+    C_RINGS,
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    INLINE,
+    load_marks,
+    load_model,
+    load_ring,
+    load_scenario,
+)
 
 from comodel import executor, ir
 from comodel.codegen import ManifestSignal, emit
 from comodel.frontend import parse_model, parse_scenario
-from comodel.partition import HW, SW, Partition, all_partitions, cosim
+from comodel.partition import HW, SW, Partition, all_partitions, cosim, derive_partition
 
 pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 # the platform's outbound transport: (sig id, payload, payload bits)
 BUS_SEND = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.POINTER(ctypes.c_uint8), ctypes.c_uint32)
 
+# a model the corpus lacks, as (model, scenario) text: it applies `!` to a
+# bool attribute in an assignment and in an `if`, taking 8 steps
+FLIP = ("""
+class Flip { attr lit: bool = true; attr n: u8; signal Go(); statemachine { initial S;
+  state S { on Go -> S { lit = !lit; if (!lit) { n = n + 1; } else { n = n + 10; }
+    if (n < 40) { send f.Go(); } } } } }
+instance f: Flip;
+""", "at 0 send f.Go();\n")
 
-def _mixed_partitions() -> list:
-    """(model, HW classes) of every mixed partition of the corpus models,
-    and of each `INLINE` model with `Kick` in HW."""
+# the (model, scenario) texts by name, and each ring's scenario by model name
+TEXTS = {**INLINE, "flip": FLIP}
+RINGS = dict(C_RINGS.keys())
+
+
+def _load(name: str) -> tuple[ir.Model, dict[str, ir.Scenario]]:
+    """A model and its scenarios by name: a corpus model, one of `TEXTS`, or
+    a `C_RINGS` ring."""
+    if name in TEXTS:
+        return parse_model(TEXTS[name][0]), {name: parse_scenario(TEXTS[name][1])}
+    if name in RINGS:
+        model, scenario, _ = load_ring(name, RINGS[name])
+        return model, {RINGS[name]: scenario}
+    return load_model(name), {scn: load_scenario(scn) for m, scn in CORPUS_PAIRS if m == name}
+
+
+def _case(name: str, hw: tuple[str, ...]):
+    return pytest.param(name, hw, id=f"{name}-{'+'.join(hw) or 'all-sw'}")
+
+
+def _cases() -> list:
+    """(model, HW classes) of every partition of each corpus model, of each
+    `INLINE` model with `Kick` in HW, of `flip` all-SW, and of each
+    `C_RINGS` ring all-SW and under its own marks."""
     cases = []
     for name in CORPUS_MODELS:
         for p in all_partitions(load_model(name)):
-            hw = tuple(cls for cls, d in p.domain.items() if d == HW)
-            if hw and len(hw) < len(p.domain):
-                cases.append(pytest.param(name, hw, id=f"{name}-{'+'.join(hw)}"))
-    return cases + [pytest.param(name, ("Kick",), id=f"{name}-Kick") for name in INLINE]
+            cases.append(_case(name, tuple(cls for cls, d in p.domain.items() if d == HW)))
+    cases += [_case(name, ("Kick",)) for name in INLINE] + [_case("flip", ())]
+    for name, scn in RINGS.items():
+        model, _, marks = load_ring(name, scn)
+        p = derive_partition(model, marks)
+        cases += [_case(name, ()), _case(name, tuple(c for c, d in p.domain.items() if d == HW))]
+    return cases
+
+
+def _sw_instances(machine: executor.Machine, domain: dict[str, str]) -> list[str]:
+    """The SW instances in document order: the k-th is `SWI_` number k."""
+    return [inst for inst, cls in machine.instance_class.items() if domain[cls.name] == SW]
 
 
 def _shim(name: str, attrs: list[tuple[str, str]]) -> str:
@@ -69,18 +120,48 @@ def _shim(name: str, attrs: list[tuple[str, str]]) -> str:
     ])
 
 
+def _build(tmp_path, name: str, out, machine: executor.Machine, domain: dict[str, str]):
+    """Build the C half `out` and its shim into a shared object and load it.
+    Returns the library and a function that reads every SW instance's
+    attributes from it, as {instance: {attribute: value}}."""
+    sw = _sw_instances(machine, domain)
+    attrs = [(inst, a.name) for inst in sw for a in machine.instance_class[inst].attributes]
+    (tmp_path / f"{name}_sw.c").write_text(out.c_source)
+    (tmp_path / f"{name}_sw.h").write_text(out.c_header)
+    (tmp_path / "shim.c").write_text(_shim(name, attrs))
+    build = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsanitize=undefined", "-shared", "-fPIC",
+         "shim.c", "-o", "shim.so"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert build.returncode == 0 and build.stderr == "", build.stderr
+    lib = ctypes.CDLL(str(tmp_path / "shim.so"))
+    readers = [getattr(lib, f"shim_attr_{k}") for k in range(len(attrs))]
+    for fn in [lib.shim_queue_count, lib.shim_head_inst, lib.shim_head_ev, *readers]:
+        fn.restype = ctypes.c_uint32
+    getattr(lib, f"{name}_step").restype = ctypes.c_int
+
+    def read_attrs() -> dict[str, dict[str, int]]:
+        values = {inst: {} for inst in sw}
+        for (inst, attr), read in zip(attrs, readers):
+            values[inst][attr] = read()
+        return values
+
+    return lib, read_attrs
+
+
 def _pack(s: ManifestSignal, args: tuple[int, ...]) -> int:
     return sum(a << f.bit_offset for a, f in zip(args, s.payload))
 
 
-def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, str],
-              scenario: ir.Scenario, latency: int):
+def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
+              domain: dict[str, str], scenario: ir.Scenario, latency: int):
     """Co-simulate the C half `lib` as the SW island and the interpreter as
     the HW island. Returns the dispatched (receiver, signal) pairs, the
     final attributes and the bus crossings as (sig id, payload bits), in
     the order they were sent."""
     class_of = machine.instance_class
-    sw = [inst for inst, cls in class_of.items() if domain[cls.name] == SW]
+    sw = _sw_instances(machine, domain)
     swi = {inst: k for k, inst in enumerate(sw)}
     by_id = {s.id: s for s in out.manifest.signals}
     by_key = {(s.receiver_class, s.signal): s for s in out.manifest.signals}
@@ -142,9 +223,9 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
             if groups and groups[0][0] == len(dispatched):
                 inject_group(groups.popleft()[1])
             if on_sw and lib.shim_queue_count():
-                sender = sw[lib.shim_head_inst()]
-                signal = class_of[sender].signals[lib.shim_head_ev()].name
-                dispatched.append((sender, signal))
+                inst = sw[lib.shim_head_inst()]
+                signal = class_of[inst].signals[lib.shim_head_ev()].name
+                dispatched.append((inst, signal))
                 assert step() == 1
                 for sig_id, bits in sent:
                     s = by_id[sig_id]
@@ -152,7 +233,7 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
                     args = tuple((bits >> f.bit_offset) & ((1 << f.width_bits) - 1)
                                  for f in s.payload)
                     env = executor.SignalEnvelope(
-                        state.next_seq, sender, receiver_of[sig_id], s.signal, args)
+                        state.next_seq, inst, receiver_of[sig_id], s.signal, args)
                     state.next_seq += 1
                     bus.append((round_no, hw.append, (env,)))
                 sent.clear()
@@ -170,45 +251,23 @@ def _c_island(lib, name: str, machine: executor.Machine, out, domain: dict[str, 
         round_no += 1
 
     attrs = {inst: dict(values) for inst, values in state.attrs.items() if inst not in swi}
-    k = itertools.count()
-    for inst in sw:
-        attrs[inst] = {a.name: getattr(lib, f"shim_attr_{next(k)}")()
-                       for a in class_of[inst].attributes}
-    return dispatched, attrs, crossings
+    return dispatched, {**attrs, **read_attrs()}, crossings
 
 
-@pytest.mark.parametrize("name,hw", _mixed_partitions())
-def test_c_half_runs_as_the_sw_island(tmp_path, name, hw):
-    if name in INLINE:
-        model = parse_model(INLINE[name][0])
-        scenarios = {name: parse_scenario(INLINE[name][1])}
-    else:
-        model = load_model(name)
-        scenarios = {scn: load_scenario(scn) for m, scn in CORPUS_PAIRS if m == name}
+@pytest.mark.parametrize("name,hw", _cases())
+def test_c_half_runs_as_the_sw_island(tmp_path, capfd, name, hw):
+    model, scenarios = _load(name)
     domain = {cls.name: HW if cls.name in hw else SW for cls in model.classes}
     p = Partition(domain=domain)
     out = emit(model, p, name=name)
     machine = executor.Machine(model)
-    sw_attrs = [(inst, a.name) for inst, cls in machine.instance_class.items()
-                if domain[cls.name] == SW for a in cls.attributes]
-    (tmp_path / f"{name}_sw.c").write_text(out.c_source)
-    (tmp_path / f"{name}_sw.h").write_text(out.c_header)
-    (tmp_path / "shim.c").write_text(_shim(name, sw_attrs))
-    build = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-shared", "-fPIC", "shim.c", "-o", "shim.so"],
-        cwd=tmp_path, capture_output=True, text=True,
-    )
-    assert build.returncode == 0 and build.stderr == "", build.stderr
-    lib = ctypes.CDLL(str(tmp_path / "shim.so"))
-    for fn in ("shim_queue_count", "shim_head_inst", "shim_head_ev"):
-        getattr(lib, fn).restype = ctypes.c_uint32
-    for k in range(len(sw_attrs)):
-        getattr(lib, f"shim_attr_{k}").restype = ctypes.c_uint32
-    getattr(lib, f"{name}_step").restype = ctypes.c_int
+    lib, read_attrs = _build(tmp_path, name, out, machine, domain)
 
     by_key = {(s.receiver_class, s.signal): s for s in out.manifest.signals}
+    # with no boundary signal, nothing rides the bus and the latency changes nothing
+    latencies = (1, 2, 3) if out.manifest.signals else (1,)
     mismatches = []
-    for (scn, scenario), latency in itertools.product(scenarios.items(), (1, 2, 3)):
+    for (scn, scenario), latency in itertools.product(scenarios.items(), latencies):
         trace = cosim(model, p, scenario, latency=latency)
         assert trace.outcome.kind == executor.QUIESCENT
         crossings = []
@@ -221,8 +280,48 @@ def test_c_half_runs_as_the_sw_island(tmp_path, name, hw):
             "final attributes": trace.final.attrs,
             "bus crossings": crossings,
         }
-        got = dict(zip(want, _c_island(lib, name, machine, out, domain, scenario, latency)))
+        got = dict(zip(want, _c_island(lib, read_attrs, name, machine, out, domain, scenario,
+                                       latency)))
         # the step count is the length of the dispatch order
         mismatches += [(scn, latency, key, got[key], want[key]) for key in want
                        if got[key] != want[key]]
     assert mismatches == []
+    assert capfd.readouterr().err == ""
+
+
+def test_out_of_range_instance_id_is_dropped(tmp_path, capfd, pingpong):
+    domain = {"Ping": SW, "Pong": SW}
+    out = emit(pingpong, Partition(domain=domain), name="pingpong")
+    machine = executor.Machine(pingpong)
+    lib, read_attrs = _build(tmp_path, "pingpong", out, machine, domain)
+    lib.pingpong_reset()
+    before = read_attrs()
+    # `SW_INSTANCE_COUNT + 3u` and `PING_EV_HIT`: dispatched, Ping's `Hit` would
+    # count a hit and send `pong.Hit()`
+    lib.pingpong_inject(len(machine.instance_class) + 3, 0, None, 0)
+    while lib.pingpong_step():
+        pass
+    assert read_attrs() == before and lib.shim_queue_count() == 0
+    assert capfd.readouterr().err == ""
+
+
+def test_bus_delivery_to_another_class_is_dropped(tmp_path, capfd):
+    # event ids are per class (`ALPHA_EV_KICK` and `RECORDER_EV_PUT` are both 0), so
+    # `Put` delivered to `a` must not run `a`'s `Kick`, which would send `rec.Put(1)`
+    model = load_model("race")
+    p = derive_partition(model, load_marks("race_beta_hw"))
+    out = emit(model, p, name="race")
+    machine = executor.Machine(model)
+    lib, read_attrs = _build(tmp_path, "race", out, machine, p.domain)
+    swi = {inst: k for k, inst in enumerate(_sw_instances(machine, p.domain))}
+    (put,) = [s.id for s in out.manifest.signals if (s.receiver_class, s.signal) == ("Recorder", "Put")]
+    lib.race_reset()
+    got = []
+    for inst in ("a", "rec"):
+        lib.race_bus_deliver(swi[inst], put, (ctypes.c_uint8 * 1)(2))
+        steps = 0
+        while lib.race_step():
+            steps += 1
+        got.append((steps, read_attrs()["rec"]["last"]))
+    assert got == [(0, 0), (1, 2)]
+    assert capfd.readouterr().err == ""

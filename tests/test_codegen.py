@@ -1,38 +1,25 @@
 """Manifest derivation, C/VHDL emission, interface cross-checking."""
 
-import json
 import re
 import shutil
 import subprocess
 
 import pytest
-from conftest import (
-    C_RINGS,
-    CORPUS_MARKS,
-    CORPUS_MODELS,
-    CORPUS_PAIRS,
-    GOLDEN,
-    load_marks,
-    load_model,
-    load_ring,
-    load_scenario,
-)
+from conftest import CORPUS_MARKS, CORPUS_MODELS, GOLDEN, load_marks, load_model
 
-from comodel import codegen, executor, frontend, ir
+from comodel import codegen, frontend, ir
 from comodel.cli import main
 from comodel.codegen import (
     CodegenError,
     EmitPlan,
-    build_manifest,
     check_interfaces,
     emit,
     emit_c,
     emit_vhdl,
     manifest_from_json,
     manifest_to_json,
-    mangle,
 )
-from comodel.frontend import parse_model, parse_scenario
+from comodel.frontend import parse_model
 from comodel.partition import HW, SW, Partition, all_partitions, derive_partition
 
 ALARM = """
@@ -91,7 +78,7 @@ def pingpong_hw(model):
 
 
 def test_pingpong_manifest(pingpong):
-    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
+    m = EmitPlan(pingpong, pingpong_hw(pingpong), "model").manifest
     assert len(m.signals) == 1
     s = m.signals[0]
     assert (s.id, s.receiver_class, s.signal, s.direction) == (0, "Pong", "Hit", "sw_to_hw")
@@ -100,14 +87,14 @@ def test_pingpong_manifest(pingpong):
 
 
 def test_all_sw_manifest_empty(pingpong):
-    m = build_manifest(EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model"))
+    m = EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model").manifest
     assert m.signals == []
 
 
 def test_manifest_id_assignment_ascending():
     model = parse_model(ALARM)
     p = Partition(domain={"Driver": SW, "Alarm": HW, "Pong": HW})
-    m = build_manifest(EmitPlan(model, p, "model"))
+    m = EmitPlan(model, p, "model").manifest
     assert [(s.id, s.receiver_class, s.signal) for s in m.signals] == [
         (0, "Alarm", "Raise"),
         (1, "Pong", "Hit"),
@@ -122,7 +109,7 @@ def test_manifest_id_assignment_ascending():
 def test_manifest_payload_packing_multi_param():
     model = load_model("widths")
     p = Partition(domain={"Gadget": SW, "Sink": HW})
-    m = build_manifest(EmitPlan(model, p, "model"))
+    m = EmitPlan(model, p, "model").manifest
     stash = m.signals[0]
     assert stash.signal == "Stash"
     assert [(f.name, f.width_bits, f.bit_offset) for f in stash.payload] == [
@@ -133,33 +120,48 @@ def test_manifest_payload_packing_multi_param():
 
 
 def test_manifest_hash_tracks_partition(pingpong):
-    a = build_manifest(EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model"))
-    b = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
+    a = EmitPlan(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), "model").manifest
+    b = EmitPlan(pingpong, pingpong_hw(pingpong), "model").manifest
     assert a.model_hash != b.model_hash
 
 
 def test_manifest_json_round_trip(pingpong):
-    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
+    m = EmitPlan(pingpong, pingpong_hw(pingpong), "model").manifest
     assert manifest_from_json(manifest_to_json(m)) == m
 
 
 def test_manifest_json_is_canonical(pingpong):
-    m = build_manifest(EmitPlan(pingpong, pingpong_hw(pingpong), "model"))
+    m = EmitPlan(pingpong, pingpong_hw(pingpong), "model").manifest
     assert manifest_to_json(m) == manifest_to_json(manifest_from_json(manifest_to_json(m)))
+
+
+# (model, HW classes) whose two boundary signals `A_B.C` and `A.B_C` both
+# print `SIG_A_B_C`
+MANGLED_SIGNAL = (
+    "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
+    "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
+    "class D { signal Go(); statemachine { initial I;"
+    " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
+    "instance x: A_B; instance y: A; instance d: D;",
+    {"A_B", "A"},
+)
+
+# (model, HW classes) whose boundary signals `Pong.Hit` and `Pong.Hit_BITS`
+# print `SIG_PONG_HIT_BITS` twice: the first's payload width, the second's id
+HIT_BITS = (
+    "class Ping { signal Go(); statemachine { initial I;"
+    " state I { on Go -> I { send pong.Hit(); send pong.Hit_BITS(); } } } }"
+    "class Pong { signal Hit(); signal Hit_BITS(); statemachine { initial I;"
+    " state I { on Hit -> I {} on Hit_BITS -> I {} } } }"
+    "instance ping: Ping; instance pong: Pong;",
+    {"Pong"},
+)
 
 
 @pytest.mark.parametrize(
     "source,hw",
     [
-        pytest.param(
-            "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
-            "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
-            "class D { signal Go(); statemachine { initial I;"
-            " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
-            "instance x: A_B; instance y: A; instance d: D;",
-            {"A_B", "A"},
-            id="mangled-signal",
-        ),
+        pytest.param(*MANGLED_SIGNAL, id="mangled-signal"),
         # both would be `#define SWI_X` in C
         pytest.param(
             "class A { statemachine { initial S; state S {} } }"
@@ -285,20 +287,16 @@ def test_seed_tables_hold_every_name_of_the_fixed_text():
 
 
 @pytest.mark.parametrize("emitter", [emit_c, emit_vhdl])
-@pytest.mark.parametrize("receiver,signal", [("pong", "hit"), ("Pong", "Hit_BITS")])
-def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver, signal):
-    # a manifest read from disk never went through build_manifest's check:
-    # Pong.Hit mangles to SIG_PONG_HIT and SIG_PONG_HIT_BITS, and the added
-    # signal repeats one of those names
-    p = pingpong_hw(pingpong)
-    obj = json.loads(manifest_to_json(build_manifest(EmitPlan(pingpong, p, "pingpong"))))
-    obj["signals"].append(
-        {"id": 1, "receiver_class": receiver, "signal": signal, "direction": "sw_to_hw",
-         "payload": [], "payload_total_bits": 0}
-    )
-    manifest = manifest_from_json(json.dumps(obj))
+@pytest.mark.parametrize(
+    "source,hw",
+    [pytest.param(*MANGLED_SIGNAL, id="mangled-signal"), pytest.param(*HIT_BITS, id="hit-bits")],
+)
+def test_emitters_reject_a_boundary_name_clash(emitter, source, hw):
+    # each emitter declares the manifest's names in its own target scope
+    model = parse_model(source)
+    p = Partition(domain={c.name: HW if c.name in hw else SW for c in model.classes})
     with pytest.raises(CodegenError) as exc:
-        emitter(EmitPlan(pingpong, p, "pingpong"), manifest)
+        emitter(EmitPlan(model, p, "model"))
     assert exc.value.code == "E_NAME_CLASH"
 
 
@@ -308,8 +306,7 @@ def test_emitters_reject_a_clashing_foreign_manifest(pingpong, emitter, receiver
 def test_c_header_macros(pingpong):
     p = pingpong_hw(pingpong)
     plan = EmitPlan(pingpong, p, "pingpong")
-    manifest = build_manifest(plan)
-    _, header = emit_c(plan, manifest)
+    _, header = emit_c(plan)
     defines = re.findall(r"#define (SIG_\w+) (\d+)", header)
     assert defines == [("SIG_PONG_HIT", "0"), ("SIG_PONG_HIT_BITS", "0")]
 
@@ -317,8 +314,7 @@ def test_c_header_macros(pingpong):
 def test_c_source_contains_only_sw_dispatch(pingpong):
     p = pingpong_hw(pingpong)
     plan = EmitPlan(pingpong, p, "pingpong")
-    manifest = build_manifest(plan)
-    source, _ = emit_c(plan, manifest)
+    source, _ = emit_c(plan)
     assert "Ping_dispatch" in source
     assert "Pong_dispatch" not in source
     assert "pingpong_bus_send(SIG_PONG_HIT" in source
@@ -327,8 +323,7 @@ def test_c_source_contains_only_sw_dispatch(pingpong):
 def test_c_all_hw_only_glue(pingpong):
     p = Partition(domain={"Ping": HW, "Pong": HW})
     plan = EmitPlan(pingpong, p, "pingpong")
-    manifest = build_manifest(plan)
-    source, header = emit_c(plan, manifest)
+    source, header = emit_c(plan)
     assert "_dispatch" not in source.replace("sw_dispatch", "")
     assert "pingpong_bus_deliver" in source
     assert "pingpong_inject" in source
@@ -337,8 +332,7 @@ def test_c_all_hw_only_glue(pingpong):
 def test_c_emission_deterministic(pingpong):
     p = pingpong_hw(pingpong)
     plan = EmitPlan(pingpong, p, "x")
-    manifest = build_manifest(plan)
-    assert emit_c(plan, manifest) == emit_c(plan, manifest)
+    assert emit_c(plan) == emit_c(plan)
 
 
 # --- VHDL emission ---
@@ -347,8 +341,7 @@ def test_c_emission_deterministic(pingpong):
 def test_vhdl_constants_and_entity(pingpong):
     p = pingpong_hw(pingpong)
     plan = EmitPlan(pingpong, p, "pingpong")
-    manifest = build_manifest(plan)
-    vhdl = emit_vhdl(plan, manifest)
+    vhdl = emit_vhdl(plan)
     assert "constant SIG_PONG_HIT : natural := 0;" in vhdl
     assert "constant SIG_PONG_HIT_BITS : natural := 0;" in vhdl
     assert "entity Pong is" in vhdl
@@ -358,8 +351,7 @@ def test_vhdl_constants_and_entity(pingpong):
 def test_vhdl_all_sw_no_entities(pingpong):
     p = Partition(domain={"Ping": SW, "Pong": SW})
     plan = EmitPlan(pingpong, p, "pingpong")
-    manifest = build_manifest(plan)
-    vhdl = emit_vhdl(plan, manifest)
+    vhdl = emit_vhdl(plan)
     assert "entity" not in vhdl
     assert "constant SIG_" not in vhdl
 
@@ -368,8 +360,7 @@ def test_vhdl_payload_field_slice():
     model = parse_model(ALARM)
     p = Partition(domain={"Driver": HW, "Alarm": SW, "Pong": SW})
     plan = EmitPlan(model, p, "alarm")
-    manifest = build_manifest(plan)
-    vhdl = emit_vhdl(plan, manifest)
+    vhdl = emit_vhdl(plan)
     # Alarm.Raise(level: u8) payload: level occupies bits 7 downto 0
     assert "send_args(7 downto 0)" in vhdl
     assert "constant SIG_ALARM_RAISE_BITS : natural := 8;" in vhdl
@@ -379,8 +370,7 @@ def test_vhdl_wrapping_arithmetic_forms():
     model = load_model("widths")
     p = Partition(domain={"Gadget": HW, "Sink": SW})
     plan = EmitPlan(model, p, "widths")
-    manifest = build_manifest(plan)
-    vhdl = emit_vhdl(plan, manifest)
+    vhdl = emit_vhdl(plan)
     assert "resize(" in vhdl  # multiplication truncates back to width
     assert "unsigned(ev_args(" in vhdl  # parameter field access
 
@@ -405,8 +395,7 @@ def test_vhdl_reset_loads_each_attribute_default(name):
 def test_vhdl_emission_deterministic(pingpong):
     p = pingpong_hw(pingpong)
     plan = EmitPlan(pingpong, p, "x")
-    manifest = build_manifest(plan)
-    assert emit_vhdl(plan, manifest) == emit_vhdl(plan, manifest)
+    assert emit_vhdl(plan) == emit_vhdl(plan)
 
 
 # --- check_interfaces ---
@@ -502,49 +491,23 @@ def test_every_class_in_exactly_one_target(name):
 # --- optional: compile the generated C ---
 
 
+# the models with no scenario; `tests/test_c_island.py` builds every corpus partition
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 @pytest.mark.parametrize(
     "name,domain_map",
     [
-        ("pingpong", {"Ping": SW, "Pong": HW}),
-        ("pingpong", {"Ping": HW, "Pong": SW}),
-        ("widths", {"Gadget": SW, "Sink": HW}),
-        ("widths", {"Gadget": HW, "Sink": SW}),
-        ("chain", {"Bouncer": SW, "Mirror": HW}),
-        ("narrow_mul", {"Mul": SW}),
-        ("unary", UNARY_DOMAINS),
-        ("case_attrs", {"K": SW}),
+        pytest.param("narrow_mul", {"Mul": SW}, id="narrow_mul"),
+        pytest.param("unary", UNARY_DOMAINS, id="unary"),
+        pytest.param("case_attrs", {"K": SW}, id="case_attrs"),
     ],
 )
 def test_generated_c_compiles(tmp_path, name, domain_map):
-    model = parse_model(INLINE_MODELS[name]) if name in INLINE_MODELS else load_model(name)
-    out = emit(model, Partition(domain=dict(domain_map)), name=name)
+    out = emit(parse_model(INLINE_MODELS[name]), Partition(domain=dict(domain_map)), name=name)
     (tmp_path / f"{name}_sw.c").write_text(out.c_source)
     (tmp_path / f"{name}_sw.h").write_text(out.c_header)
     result = subprocess.run(
         ["cc", "-std=c99", "-Wall", "-Wextra", "-c", f"{name}_sw.c"],
         cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == "", result.stderr
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_every_corpus_partition_compiles_warning_free(tmp_path):
-    sources = []
-    for name in CORPUS_MODELS:
-        model = load_model(name)
-        for k, p in enumerate(all_partitions(model)):
-            out = emit(model, p, name=name)
-            d = tmp_path / f"{name}_{k}"
-            d.mkdir()
-            (d / f"{name}_sw.c").write_text(out.c_source)
-            (d / f"{name}_sw.h").write_text(out.c_header)
-            sources.append(str(d / f"{name}_sw.c"))
-    result = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsyntax-only", *sources],
         capture_output=True,
         text=True,
     )
@@ -599,177 +562,6 @@ def test_adversarial_names_are_rejected_or_compile(tmp_path, capsys):
     for driver in drivers:
         _, err = driver.communicate()
         assert driver.returncode == 0 and err == "", err
-
-
-def _harness(name: str, model: ir.Model, scenario: ir.Scenario) -> str:
-    """A `main` for the all-SW C half that replays `scenario` as `executor.run`
-    does: the `at N` group is injected before step N, and when a step finds
-    the queue empty with groups left, the next group is injected. Before each
-    step that dispatches it prints the head slot's `inst` and `ev` on one
-    line; at the end it prints the step count and then every
-    `inst_<name>.<attr>`, one per line."""
-    class_of = ir.ensure_valid(model).instance_class
-    injs = sorted(scenario.injections, key=lambda inj: inj.at)  # stable: file order in a group
-    rows = [
-        f"    {{{inj.at}ul, SWI_{inj.instance.upper()},"
-        f" {class_of[inj.instance].name.upper()}_EV_{inj.signal.upper()}, {len(inj.args)}u,"
-        f" {{{', '.join(f'{int(a)}u' for a in inj.args) or '0u'}}}}},"
-        for inj in injs
-    ]
-    prints = [
-        f'    printf("%lu\\n", (unsigned long)inst_{inst}.{a.name});'
-        for inst, cls in class_of.items()
-        for a in cls.attributes
-    ]
-    return "\n".join([
-        f'#include "{name}_sw.c"',
-        "#include <stdio.h>",
-        f"void {name}_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits) {{",
-        "    (void)sig_id; (void)payload; (void)nbits;",
-        "}",
-        "static const struct {",
-        "    unsigned long at; uint32_t inst, ev, nargs, args[MAX_ARGS];",
-        "} injs[] = {", *rows, "};",
-        f"static const unsigned long n = {len(injs)}ul;",
-        "static unsigned long k = 0;",
-        "static void inject_group(void) {",
-        "    unsigned long at = injs[k].at;",
-        "    for (; k < n && injs[k].at == at; k++) {",
-        f"        {name}_inject(injs[k].inst, injs[k].ev, injs[k].args, injs[k].nargs);",
-        "    }",
-        "}",
-        "int main(void) {",
-        "    unsigned long steps = 0;",
-        f"    {name}_reset();",
-        "    for (;;) {",
-        "        if (k < n && injs[k].at == steps) {",
-        "            inject_group();",
-        "        }",
-        "        if (queue_count > 0u) {",
-        '            printf("%lu %lu\\n", (unsigned long)queue[queue_head].inst,',
-        "                   (unsigned long)queue[queue_head].ev);",
-        "        }",
-        f"        if ({name}_step()) {{",
-        "            steps++;",
-        "        } else if (k < n) {",
-        "            inject_group();",
-        "        } else {",
-        "            break;",
-        "        }",
-        "    }",
-        '    printf("%lu\\n", steps);',
-        *prints,
-        "    return 0;",
-        "}",
-        "",
-    ])
-
-
-# models the corpus lacks, as (model, scenario) text: `flip` applies `!` to a
-# bool attribute in an assignment and in an `if`, taking 8 steps
-C_MODELS = {
-    ("flip", "flip_go"): ("""
-class Flip { attr lit: bool = true; attr n: u8; signal Go(); statemachine { initial S;
-  state S { on Go -> S { lit = !lit; if (!lit) { n = n + 1; } else { n = n + 10; }
-    if (n < 40) { send f.Go(); } } } } }
-instance f: Flip;
-""", "at 0 send f.Go();\n"),
-}
-
-
-def _ubsan_run(tmp_path, name: str, out, main_text: str) -> str:
-    """Build `main_text` (which includes `<name>_sw.c`) with UBSan, run it, and
-    return its stdout; the build and the run must be silent on stderr."""
-    (tmp_path / f"{name}_sw.c").write_text(out.c_source)
-    (tmp_path / f"{name}_sw.h").write_text(out.c_header)
-    (tmp_path / "harness.c").write_text(main_text)
-    build = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-fsanitize=undefined",
-         "-fno-sanitize-recover=all", "harness.c", "-o", "harness"],
-        cwd=tmp_path, capture_output=True, text=True,
-    )
-    assert build.returncode == 0 and build.stderr == "", build.stderr
-    result = subprocess.run([str(tmp_path / "harness")], capture_output=True, text=True)
-    assert result.returncode == 0 and result.stderr == "", result.stderr
-    return result.stdout
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("model_name,scn_name", CORPUS_PAIRS + list(C_RINGS) + list(C_MODELS))
-def test_generated_c_runs_like_the_interpreter(tmp_path, model_name, scn_name):
-    if (model_name, scn_name) in C_RINGS:
-        model, scenario = load_ring(model_name, scn_name)
-    elif (model_name, scn_name) in C_MODELS:
-        model_text, scn_text = C_MODELS[model_name, scn_name]
-        model, scenario = parse_model(model_text), parse_scenario(scn_text)
-    else:
-        model, scenario = load_model(model_name), load_scenario(scn_name)
-    trace = executor.run(model, scenario)
-    assert trace.outcome.kind == executor.QUIESCENT
-    out = emit(model, derive_partition(model, ir.MarkSet()), name=model_name)
-    harness = _harness(model_name, model, scenario)
-    lines = _ubsan_run(tmp_path, model_name, out, harness).splitlines()
-    class_of = ir.ensure_valid(model).instance_class
-    # all SW: the C instance ids are the instances in document order
-    swi = {inst: k for k, inst in enumerate(class_of)}
-    dispatched = [
-        (swi[ev.envelope.receiver],
-         [s.name for s in class_of[ev.envelope.receiver].signals].index(ev.envelope.signal))
-        for ev in trace.events
-    ]
-    assert [tuple(map(int, line.split())) for line in lines if " " in line] == dispatched
-    attrs = [int(trace.final.attrs[inst][a.name]) for inst, cls in class_of.items()
-             for a in cls.attributes]
-    assert [int(line) for line in lines if " " not in line] == [len(trace.events), *attrs]
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_out_of_range_instance_id_is_dropped(tmp_path, pingpong):
-    out = emit(pingpong, Partition(domain={"Ping": SW, "Pong": SW}), name="pingpong")
-    assert _ubsan_run(tmp_path, "pingpong", out, "\n".join([
-        '#include "pingpong_sw.c"',
-        "void pingpong_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits) {",
-        "    (void)sig_id; (void)payload; (void)nbits;",
-        "}",
-        "int main(void) {",
-        "    pingpong_reset();",
-        "    pingpong_inject(SW_INSTANCE_COUNT + 3u, PING_EV_HIT, 0, 0u);",
-        "    while (pingpong_step()) {",
-        "    }",
-        "    return 0;",
-        "}",
-        "",
-    ])) == ""
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_bus_delivery_to_another_class_is_dropped(tmp_path):
-    # event ids are per class (`ALPHA_EV_KICK` and `RECORDER_EV_PUT` are both 0), so
-    # `Put` delivered to `a` must not run `a`'s `Kick`, which would send `rec.Put(1)`
-    model = load_model("race")
-    out = emit(model, derive_partition(model, load_marks("race_beta_hw")), name="race")
-
-    def deliver_and_step(inst: str) -> list[str]:
-        return [f"    race_bus_deliver({inst}, SIG_RECORDER_PUT, payload);",
-                "    for (steps = 0; race_step(); steps++) {", "    }",
-                '    printf("%lu %lu\\n", steps, (unsigned long)inst_rec.last);']
-
-    assert _ubsan_run(tmp_path, "race", out, "\n".join([
-        '#include "race_sw.c"',
-        "#include <stdio.h>",
-        "void race_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits) {",
-        "    (void)sig_id; (void)payload; (void)nbits;",
-        "}",
-        "int main(void) {",
-        "    const uint8_t payload[1] = {2u};",
-        "    unsigned long steps;",
-        "    race_reset();",
-        *deliver_and_step("SWI_A"),
-        *deliver_and_step("SWI_REC"),
-        "    return 0;",
-        "}",
-        "",
-    ])) == "0 0\n1 2\n"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

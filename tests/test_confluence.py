@@ -10,20 +10,25 @@ reach. The injections `at N` enter, in file order, before step N, or as
 soon as nothing is pending.
 
 `explore` is that search, depth first, over `executor.execute_rtc_step`
-on copied states. It memoises each state on the instance states, the
-attributes, the pair channels, the injections made, and the step count
-while injections remain (after the last one, the count no longer changes
-what can happen).
+on copied states. The pending envelopes of an island or of the bus are
+some of those of a state it reaches, so its largest count of pending
+envelopes bounds every island's backlog, such as the C half's FIFO. It
+memoises each state on the instance states, the attributes, the pair
+channels, the injections made, and the step count while injections
+remain (after the last one, the count no longer changes what can
+happen).
 """
 
 import itertools
+import re
 
 import pytest
 from conftest import CORPUS_PAIRS, INLINE, load_model, load_scenario
 
 from comodel import executor
+from comodel.codegen import EmitPlan, emit_c
 from comodel.frontend import parse_model, parse_scenario
-from comodel.partition import all_partitions, cosim
+from comodel.partition import SW, all_partitions, cosim
 
 CASES = [pytest.param(m, s, id=s) for m, s in CORPUS_PAIRS] + [
     pytest.param(name, name, id=name) for name in INLINE
@@ -41,9 +46,10 @@ def _valuation(attrs: dict[str, dict[str, int]]) -> tuple:
     return tuple((inst, tuple(values.items())) for inst, values in attrs.items())
 
 
-def explore(model, scenario) -> tuple[set[tuple], bool]:
-    """The final valuations of every schedule, and whether some schedule
-    hits an unhandled signal (a strict-mode runtime error, no final)."""
+def explore(model, scenario) -> tuple[set[tuple], bool, int]:
+    """The final valuations of every schedule, whether some schedule hits an
+    unhandled signal (a strict-mode runtime error, no final), and the
+    largest number of pending envelopes in any state, injections included."""
     machine = executor.Machine(model)
     by_at = sorted(scenario.injections, key=lambda inj: inj.at)  # stable: file order
     groups = [(at, [(inj.instance, inj.signal, tuple(int(a) for a in inj.args)) for inj in g])
@@ -51,7 +57,7 @@ def explore(model, scenario) -> tuple[set[tuple], bool]:
     init = machine.initial_state()
     # (instance states, attributes, pair -> pending (signal, args)s, steps, groups injected)
     stack = [(init.states, init.attrs, {}, 0, 0)]
-    seen, finals, unhandled = set(), set(), False
+    seen, finals, unhandled, backlog = set(), set(), False, 0
     while stack:
         states, attrs, channels, steps, g = stack.pop()
         while g < len(groups) and (groups[g][0] == steps or not channels):
@@ -60,6 +66,7 @@ def explore(model, scenario) -> tuple[set[tuple], bool]:
                 pair = (executor.ENV_SENDER, inst)
                 channels[pair] = channels.get(pair, ()) + ((signal, args),)
             g += 1
+        backlog = max(backlog, sum(map(len, channels.values())))
         key = (tuple(states.values()), _valuation(attrs), frozenset(channels.items()), g,
                steps if g < len(groups) else None)
         if key in seen:
@@ -83,13 +90,13 @@ def explore(model, scenario) -> tuple[set[tuple], bool]:
                 unhandled = True
                 continue
             stack.append((state.states, state.attrs, rest, steps + 1, g))
-    return finals, unhandled
+    return finals, unhandled, backlog
 
 
 @pytest.mark.parametrize("model_name,scn_name", CASES)
 def test_confluent_flag_is_one_reachable_final_valuation(model_name, scn_name):
     model, scenario = _load(model_name, scn_name)
-    finals, unhandled = explore(model, scenario)
+    finals, unhandled, _ = explore(model, scenario)
     assert not unhandled
     assert scenario.confluent == (len(finals) == 1), finals
 
@@ -97,7 +104,7 @@ def test_confluent_flag_is_one_reachable_final_valuation(model_name, scn_name):
 @pytest.mark.parametrize("model_name,scn_name", CASES)
 def test_every_cosim_and_random_run_final_is_explored(model_name, scn_name):
     model, scenario = _load(model_name, scn_name)
-    finals, _ = explore(model, scenario)
+    finals, _, _ = explore(model, scenario)
     traces = [cosim(model, p, scenario, latency=latency)
               for p in all_partitions(model) for latency in (1, 2, 3)]
     traces += [executor.run(model, scenario, executor.ExecConfig(scheduler=executor.RANDOM,
@@ -106,3 +113,16 @@ def test_every_cosim_and_random_run_final_is_explored(model_name, scn_name):
     for trace in traces:
         assert trace.outcome.kind == executor.QUIESCENT
         assert _valuation(trace.final.attrs) in finals
+
+
+@pytest.mark.parametrize("model_name,scn_name", CASES)
+def test_every_backlog_fits_the_c_fifo(model_name, scn_name):
+    # the C half drops an event that finds its FIFO full; only its rule is
+    # printed, as `late_put`'s class `Loop` has no VHDL name
+    model, scenario = _load(model_name, scn_name)
+    _, _, backlog = explore(model, scenario)
+    for p in all_partitions(model):
+        if SW in p.domain.values():
+            source, _ = emit_c(EmitPlan(model, p, "model"))
+            (cap,) = re.findall(r"#define QUEUE_CAP (\d+)u", source)
+            assert backlog <= int(cap), p.domain

@@ -346,7 +346,7 @@ def test_run_dispatches_in_seq_order(model_name, scn_name):
     # every envelope reaches run's one island in seq order, so serving in
     # arrival order is serving in seq order
     if (model_name, scn_name) in C_RINGS:
-        model, scenario = load_ring(model_name, scn_name)
+        model, scenario, _ = load_ring(model_name, scn_name)
     else:
         model, scenario = load_model(model_name), load_scenario(scn_name)
     seqs = [e.envelope.seq for e in run(model, scenario).events]
