@@ -102,6 +102,9 @@ SEMANTIC = [
     "tests/test_acceptance.py::test_criterion_[1234679]_*",
     "tests/test_cli.py::test_run_*",
     "tests/test_cli.py::test_cosim_*",
+    "tests/test_codegen.py::test_generated_c_runs_like_the_interpreter*",
+    "tests/test_codegen.py::test_out_of_range_instance_id_is_dropped",
+    "tests/test_codegen.py::test_bus_delivery_to_another_class_is_dropped",
 ]
 
 

@@ -1,6 +1,8 @@
 """The compiled C half as the SW island of a co-simulation.
 
-This is the one runner of the generated C in tests. `partition.cosim`
+This is the one runner of the generated C in tests: here it runs every
+partition with a HW class, and `tests/test_codegen.py` runs each all-SW half
+through it against `executor.run`. `partition.cosim`
 runs both islands in the interpreter. Here the SW island is the generated C
 half, built with a shim into a shared object and driven through `ctypes`;
 the HW island is one deque, served in the order its envelopes reach it, and
@@ -32,7 +34,6 @@ from conftest import (
     CORPUS_MODELS,
     CORPUS_PAIRS,
     INLINE,
-    load_marks,
     load_model,
     load_ring,
     load_scenario,
@@ -48,25 +49,15 @@ pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compile
 # the platform's outbound transport: (sig id, payload, payload bits)
 BUS_SEND = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.POINTER(ctypes.c_uint8), ctypes.c_uint32)
 
-# a model the corpus lacks, as (model, scenario) text: it applies `!` to a
-# bool attribute in an assignment and in an `if`, taking 8 steps
-FLIP = ("""
-class Flip { attr lit: bool = true; attr n: u8; signal Go(); statemachine { initial S;
-  state S { on Go -> S { lit = !lit; if (!lit) { n = n + 1; } else { n = n + 10; }
-    if (n < 40) { send f.Go(); } } } } }
-instance f: Flip;
-""", "at 0 send f.Go();\n")
-
-# the (model, scenario) texts by name, and each ring's scenario by model name
-TEXTS = {**INLINE, "flip": FLIP}
+# each ring's scenario by model name
 RINGS = dict(C_RINGS.keys())
 
 
 def _load(name: str) -> tuple[ir.Model, dict[str, ir.Scenario]]:
-    """A model and its scenarios by name: a corpus model, one of `TEXTS`, or
+    """A model and its scenarios by name: a corpus model, one of `INLINE`, or
     a `C_RINGS` ring."""
-    if name in TEXTS:
-        return parse_model(TEXTS[name][0]), {name: parse_scenario(TEXTS[name][1])}
+    if name in INLINE:
+        return parse_model(INLINE[name][0]), {name: parse_scenario(INLINE[name][1])}
     if name in RINGS:
         model, scenario, _ = load_ring(name, RINGS[name])
         return model, {RINGS[name]: scenario}
@@ -74,22 +65,25 @@ def _load(name: str) -> tuple[ir.Model, dict[str, ir.Scenario]]:
 
 
 def _case(name: str, hw: tuple[str, ...]):
-    return pytest.param(name, hw, id=f"{name}-{'+'.join(hw) or 'all-sw'}")
+    return pytest.param(name, hw, id=f"{name}-{'+'.join(hw)}")
 
 
 def _cases() -> list:
-    """(model, HW classes) of every partition of each corpus model, of each
-    `INLINE` model with `Kick` in HW, of `flip` all-SW, and of each
-    `C_RINGS` ring all-SW and under its own marks."""
+    """(model, HW classes) of every partition with a HW class of each corpus
+    model, of each `INLINE` model with `Kick` in HW, and of each `C_RINGS`
+    ring under its own marks. Each all-SW half is run against `executor.run`
+    by `tests/test_codegen.py`."""
     cases = []
     for name in CORPUS_MODELS:
         for p in all_partitions(load_model(name)):
-            cases.append(_case(name, tuple(cls for cls, d in p.domain.items() if d == HW)))
-    cases += [_case(name, ("Kick",)) for name in INLINE] + [_case("flip", ())]
+            hw = tuple(cls for cls, d in p.domain.items() if d == HW)
+            if hw:
+                cases.append(_case(name, hw))
+    cases += [_case(name, ("Kick",)) for name in INLINE]
     for name, scn in RINGS.items():
         model, _, marks = load_ring(name, scn)
         p = derive_partition(model, marks)
-        cases += [_case(name, ()), _case(name, tuple(c for c, d in p.domain.items() if d == HW))]
+        cases.append(_case(name, tuple(c for c, d in p.domain.items() if d == HW)))
     return cases
 
 
@@ -286,42 +280,4 @@ def test_c_half_runs_as_the_sw_island(tmp_path, capfd, name, hw):
         mismatches += [(scn, latency, key, got[key], want[key]) for key in want
                        if got[key] != want[key]]
     assert mismatches == []
-    assert capfd.readouterr().err == ""
-
-
-def test_out_of_range_instance_id_is_dropped(tmp_path, capfd, pingpong):
-    domain = {"Ping": SW, "Pong": SW}
-    out = emit(pingpong, Partition(domain=domain), name="pingpong")
-    machine = executor.Machine(pingpong)
-    lib, read_attrs = _build(tmp_path, "pingpong", out, machine, domain)
-    lib.pingpong_reset()
-    before = read_attrs()
-    # `SW_INSTANCE_COUNT + 3u` and `PING_EV_HIT`: dispatched, Ping's `Hit` would
-    # count a hit and send `pong.Hit()`
-    lib.pingpong_inject(len(machine.instance_class) + 3, 0, None, 0)
-    while lib.pingpong_step():
-        pass
-    assert read_attrs() == before and lib.shim_queue_count() == 0
-    assert capfd.readouterr().err == ""
-
-
-def test_bus_delivery_to_another_class_is_dropped(tmp_path, capfd):
-    # event ids are per class (`ALPHA_EV_KICK` and `RECORDER_EV_PUT` are both 0), so
-    # `Put` delivered to `a` must not run `a`'s `Kick`, which would send `rec.Put(1)`
-    model = load_model("race")
-    p = derive_partition(model, load_marks("race_beta_hw"))
-    out = emit(model, p, name="race")
-    machine = executor.Machine(model)
-    lib, read_attrs = _build(tmp_path, "race", out, machine, p.domain)
-    swi = {inst: k for k, inst in enumerate(_sw_instances(machine, p.domain))}
-    (put,) = [s.id for s in out.manifest.signals if (s.receiver_class, s.signal) == ("Recorder", "Put")]
-    lib.race_reset()
-    got = []
-    for inst in ("a", "rec"):
-        lib.race_bus_deliver(swi[inst], put, (ctypes.c_uint8 * 1)(2))
-        steps = 0
-        while lib.race_step():
-            steps += 1
-        got.append((steps, read_attrs()["rec"]["last"]))
-    assert got == [(0, 0), (1, 2)]
     assert capfd.readouterr().err == ""

@@ -1,13 +1,25 @@
 """Manifest derivation, C/VHDL emission, interface cross-checking."""
 
+import ctypes
 import re
 import shutil
 import subprocess
 
 import pytest
-from conftest import CORPUS_MARKS, CORPUS_MODELS, GOLDEN, load_marks, load_model
+from conftest import (
+    C_RINGS,
+    CORPUS_MARKS,
+    CORPUS_MODELS,
+    CORPUS_PAIRS,
+    GOLDEN,
+    load_marks,
+    load_model,
+    load_ring,
+    load_scenario,
+)
+from test_c_island import _build, _c_island, _sw_instances
 
-from comodel import codegen, frontend, ir
+from comodel import codegen, executor, frontend, ir
 from comodel.cli import main
 from comodel.codegen import (
     CodegenError,
@@ -19,7 +31,7 @@ from comodel.codegen import (
     manifest_from_json,
     manifest_to_json,
 )
-from comodel.frontend import parse_model
+from comodel.frontend import parse_model, parse_scenario
 from comodel.partition import HW, SW, Partition, all_partitions, derive_partition
 
 ALARM = """
@@ -491,18 +503,23 @@ def test_every_class_in_exactly_one_target(name):
 # --- optional: compile the generated C ---
 
 
-# the models with no scenario; `tests/test_c_island.py` builds every corpus partition
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 @pytest.mark.parametrize(
     "name,domain_map",
     [
-        pytest.param("narrow_mul", {"Mul": SW}, id="narrow_mul"),
-        pytest.param("unary", UNARY_DOMAINS, id="unary"),
-        pytest.param("case_attrs", {"K": SW}, id="case_attrs"),
+        ("pingpong", {"Ping": SW, "Pong": HW}),
+        ("pingpong", {"Ping": HW, "Pong": SW}),
+        ("widths", {"Gadget": SW, "Sink": HW}),
+        ("widths", {"Gadget": HW, "Sink": SW}),
+        ("chain", {"Bouncer": SW, "Mirror": HW}),
+        ("narrow_mul", {"Mul": SW}),
+        ("unary", UNARY_DOMAINS),
+        ("case_attrs", {"K": SW}),
     ],
 )
 def test_generated_c_compiles(tmp_path, name, domain_map):
-    out = emit(parse_model(INLINE_MODELS[name]), Partition(domain=dict(domain_map)), name=name)
+    model = parse_model(INLINE_MODELS[name]) if name in INLINE_MODELS else load_model(name)
+    out = emit(model, Partition(domain=dict(domain_map)), name=name)
     (tmp_path / f"{name}_sw.c").write_text(out.c_source)
     (tmp_path / f"{name}_sw.h").write_text(out.c_header)
     result = subprocess.run(
@@ -562,6 +579,83 @@ def test_adversarial_names_are_rejected_or_compile(tmp_path, capsys):
     for driver in drivers:
         _, err = driver.communicate()
         assert driver.returncode == 0 and err == "", err
+
+
+# a model the corpus lacks, as (model, scenario) text: it applies `!` to a
+# bool attribute in an assignment and in an `if`, taking 8 steps
+FLIP = ("""
+class Flip { attr lit: bool = true; attr n: u8; signal Go(); statemachine { initial S;
+  state S { on Go -> S { lit = !lit; if (!lit) { n = n + 1; } else { n = n + 10; }
+    if (n < 40) { send f.Go(); } } } } }
+instance f: Flip;
+""", "at 0 send f.Go();\n")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize(
+    "model_name,scn_name", CORPUS_PAIRS + list(C_RINGS) + [("flip", "flip_go")]
+)
+def test_generated_c_runs_like_the_interpreter(tmp_path, capfd, model_name, scn_name):
+    # the all-SW half, run by the one C runner: no bus, one island
+    if (model_name, scn_name) in C_RINGS:
+        model, scenario, _ = load_ring(model_name, scn_name)
+    elif model_name == "flip":
+        model, scenario = parse_model(FLIP[0]), parse_scenario(FLIP[1])
+    else:
+        model, scenario = load_model(model_name), load_scenario(scn_name)
+    trace = executor.run(model, scenario)
+    assert trace.outcome.kind == executor.QUIESCENT
+    domain = {cls.name: SW for cls in model.classes}
+    out = emit(model, Partition(domain=domain), name=model_name)
+    machine = executor.Machine(model)
+    lib, read_attrs = _build(tmp_path, model_name, out, machine, domain)
+    dispatched, attrs, crossings = _c_island(
+        lib, read_attrs, model_name, machine, out, domain, scenario, 1)
+    # the step count is the length of the dispatch order
+    assert dispatched == [(ev.envelope.receiver, ev.envelope.signal) for ev in trace.events]
+    assert attrs == trace.final.attrs
+    assert crossings == []
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_out_of_range_instance_id_is_dropped(tmp_path, capfd, pingpong):
+    domain = {"Ping": SW, "Pong": SW}
+    out = emit(pingpong, Partition(domain=domain), name="pingpong")
+    machine = executor.Machine(pingpong)
+    lib, read_attrs = _build(tmp_path, "pingpong", out, machine, domain)
+    lib.pingpong_reset()
+    before = read_attrs()
+    # `SW_INSTANCE_COUNT + 3u` and `PING_EV_HIT`: dispatched, Ping's `Hit` would
+    # count a hit and send `pong.Hit()`
+    lib.pingpong_inject(len(machine.instance_class) + 3, 0, None, 0)
+    while lib.pingpong_step():
+        pass
+    assert read_attrs() == before and lib.shim_queue_count() == 0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_bus_delivery_to_another_class_is_dropped(tmp_path, capfd):
+    # event ids are per class (`ALPHA_EV_KICK` and `RECORDER_EV_PUT` are both 0), so
+    # `Put` delivered to `a` must not run `a`'s `Kick`, which would send `rec.Put(1)`
+    model = load_model("race")
+    p = derive_partition(model, load_marks("race_beta_hw"))
+    out = emit(model, p, name="race")
+    machine = executor.Machine(model)
+    lib, read_attrs = _build(tmp_path, "race", out, machine, p.domain)
+    swi = {inst: k for k, inst in enumerate(_sw_instances(machine, p.domain))}
+    (put,) = [s.id for s in out.manifest.signals if (s.receiver_class, s.signal) == ("Recorder", "Put")]
+    lib.race_reset()
+    got = []
+    for inst in ("a", "rec"):
+        lib.race_bus_deliver(swi[inst], put, (ctypes.c_uint8 * 1)(2))
+        steps = 0
+        while lib.race_step():
+            steps += 1
+        got.append((steps, read_attrs()["rec"]["last"]))
+    assert got == [(0, 0), (1, 2)]
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
