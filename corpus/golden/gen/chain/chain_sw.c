@@ -100,9 +100,7 @@ int chain_step(void) {
     return 1;
 }
 
-void chain_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
-    (void)inst_id;
+void chain_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
     (void)sig_id;
     (void)payload;
 }

@@ -10,7 +10,7 @@
 #define SIG_MIRROR_ECHO 0
 #define SIG_MIRROR_ECHO_BITS 0
 
-/* Software instance ids (dispatch and bus addressing) */
+/* Software instance ids: the `inst_id` of chain_inject */
 #define SWI_ME 0u
 #define SW_INSTANCE_COUNT 1u
 
@@ -25,6 +25,6 @@ void chain_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 void chain_reset(void);
 int chain_step(void);
 void chain_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
-void chain_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+void chain_bus_deliver(uint32_t sig_id, const uint8_t *payload);
 
 #endif /* CHAIN_SW_H */

@@ -97,9 +97,7 @@ int pingpong_step(void) {
     return 1;
 }
 
-void pingpong_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
-    (void)inst_id;
+void pingpong_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
     (void)sig_id;
     (void)payload;
 }

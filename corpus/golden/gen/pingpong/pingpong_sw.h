@@ -10,7 +10,7 @@
 #define SIG_PONG_HIT 0
 #define SIG_PONG_HIT_BITS 0
 
-/* Software instance ids (dispatch and bus addressing) */
+/* Software instance ids: the `inst_id` of pingpong_inject */
 #define SWI_PING 0u
 #define SW_INSTANCE_COUNT 1u
 
@@ -25,6 +25,6 @@ void pingpong_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 void pingpong_reset(void);
 int pingpong_step(void);
 void pingpong_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
-void pingpong_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+void pingpong_bus_deliver(uint32_t sig_id, const uint8_t *payload);
 
 #endif /* PINGPONG_SW_H */

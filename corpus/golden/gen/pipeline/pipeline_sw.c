@@ -160,8 +160,7 @@ int pipeline_step(void) {
     return 1;
 }
 
-void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
+void pipeline_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
     uint32_t args[MAX_ARGS];
     uint32_t k;
     (void)payload;
@@ -170,11 +169,8 @@ void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id,
     }
     switch (sig_id) {
     case SIG_REPORTER_REPORT: {
-        if (inst_id != SWI_REPORTER) {
-            break;
-        }
         args[0] = get_bits(payload, 0u, 8u);
-        pipeline_inject(inst_id, REPORTER_EV_REPORT, args, 1u);
+        pipeline_inject(SWI_REPORTER, REPORTER_EV_REPORT, args, 1u);
         break;
     }
     default:

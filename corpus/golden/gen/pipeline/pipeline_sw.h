@@ -12,7 +12,7 @@
 #define SIG_REPORTER_REPORT 1
 #define SIG_REPORTER_REPORT_BITS 8
 
-/* Software instance ids (dispatch and bus addressing) */
+/* Software instance ids: the `inst_id` of pipeline_inject */
 #define SWI_TICKER 0u
 #define SWI_REPORTER 1u
 #define SW_INSTANCE_COUNT 2u
@@ -32,6 +32,6 @@ void pipeline_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 void pipeline_reset(void);
 int pipeline_step(void);
 void pipeline_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
-void pipeline_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+void pipeline_bus_deliver(uint32_t sig_id, const uint8_t *payload);
 
 #endif /* PIPELINE_SW_H */

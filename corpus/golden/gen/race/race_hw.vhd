@@ -7,8 +7,8 @@ use ieee.numeric_std.all;
 
 package race_iface is
     -- Boundary signal ids and payload widths
-    constant SIG_RECORDER_PUT : natural := 0;
-    constant SIG_RECORDER_PUT_BITS : natural := 8;
+    constant SIG_REC_PUT : natural := 0;
+    constant SIG_REC_PUT_BITS : natural := 8;
     -- Class-local event ids of the hardware classes
     constant EV_BETA_KICK : natural := 0;
     function to_u1(b : boolean) return unsigned;
@@ -44,7 +44,7 @@ entity Beta is
         ev_id : in natural range 0 to 0;
         ev_args : in std_logic_vector(0 downto 0);
         -- one send slot per send statement, in document order
-        -- send_valid(0): rec.Put (SIG_RECORDER_PUT)
+        -- send_valid(0): rec.Put (SIG_REC_PUT)
         send_valid : out std_logic_vector(0 downto 0);
         send_args : out std_logic_vector(7 downto 0)
     );

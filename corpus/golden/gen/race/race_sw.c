@@ -146,8 +146,7 @@ int race_step(void) {
     return 1;
 }
 
-void race_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
+void race_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
     uint32_t args[MAX_ARGS];
     uint32_t k;
     (void)payload;
@@ -155,12 +154,9 @@ void race_bus_deliver(uint32_t inst_id, uint32_t sig_id,
         args[k] = 0;
     }
     switch (sig_id) {
-    case SIG_RECORDER_PUT: {
-        if (inst_id != SWI_REC) {
-            break;
-        }
+    case SIG_REC_PUT: {
         args[0] = get_bits(payload, 0u, 8u);
-        race_inject(inst_id, RECORDER_EV_PUT, args, 1u);
+        race_inject(SWI_REC, RECORDER_EV_PUT, args, 1u);
         break;
     }
     default:

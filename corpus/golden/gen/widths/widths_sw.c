@@ -135,9 +135,7 @@ int widths_step(void) {
     return 1;
 }
 
-void widths_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
-    (void)inst_id;
+void widths_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
     (void)sig_id;
     (void)payload;
 }

@@ -10,7 +10,7 @@
 #define SIG_SINK_STASH 0
 #define SIG_SINK_STASH_BITS 33
 
-/* Software instance ids (dispatch and bus addressing) */
+/* Software instance ids: the `inst_id` of widths_inject */
 #define SWI_GADGET 0u
 #define SW_INSTANCE_COUNT 1u
 
@@ -26,6 +26,6 @@ void widths_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 void widths_reset(void);
 int widths_step(void);
 void widths_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
-void widths_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+void widths_bus_deliver(uint32_t sig_id, const uint8_t *payload);
 
 #endif /* WIDTHS_SW_H */

@@ -138,7 +138,7 @@ def cmd_partition(args) -> int:
     for cls in model.classes:
         print(f"{cls.name} {p.domain[cls.name]}")
     for bs in part.boundary(model, p):
-        print(f"{bs.receiver_class}.{bs.signal} {bs.direction}")
+        print(f"{bs.receiver}.{bs.signal} {bs.direction}")
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Code generation: one interface manifest, two target texts.
 
 The manifest is the single description of every cross-boundary signal:
-a dense 0-based id (assigned in ascending (receiver class, signal name)
-order), a direction, and a packed payload layout (parameters in
+a dense 0-based id (assigned in ascending (receiver instance, signal
+name) order), a direction, and a packed payload layout (parameters in
 declaration order, bit offsets ascending from 0, bit 0 least
 significant). Both emitted targets derive their boundary constants from
 it, so the two halves agree by construction; `check_interfaces`
@@ -29,7 +29,9 @@ through it, and `<model>_step` dispatches the oldest slot. That is the
 interpreter's global-fifo rule, under which an island serves envelopes
 in the order they reach it. So an all-SW half serves events in `run`'s
 order, and a split half, as the SW island of a cosim, in `cosim`'s.
-Outbound boundary sends go through the platform's `bus_send`. The VHDL
+Routing is static, so each boundary id names one receiver instance:
+an outbound send passes its id to the platform's `bus_send`, and
+`bus_deliver` injects each inbound id into its own instance. The VHDL
 rule gives each hardware class an entity with clock/reset and event
 input ports and a synchronous process implementing the same transition
 table over unsigned registers; each send statement raises its own output
@@ -85,7 +87,7 @@ class PayloadField:
 @dataclass
 class ManifestSignal:
     id: int
-    receiver_class: str
+    receiver: str  # an instance
     signal: str
     direction: str
     payload: list[PayloadField] = field(default_factory=list)
@@ -98,8 +100,8 @@ class InterfaceManifest:
     signals: list[ManifestSignal] = field(default_factory=list)
 
 
-def mangle(receiver_class: str, signal: str) -> str:
-    return f"SIG_{receiver_class.upper()}_{signal.upper()}"
+def mangle(receiver: str, signal: str) -> str:
+    return f"SIG_{receiver.upper()}_{signal.upper()}"
 
 
 def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
@@ -107,7 +109,7 @@ def _constants(manifest: InterfaceManifest) -> list[tuple[str, int]]:
     its payload width (`<name>_BITS`). Both targets print exactly these."""
     constants = []
     for s in manifest.signals:
-        base = mangle(s.receiver_class, s.signal)
+        base = mangle(s.receiver, s.signal)
         constants.append((base, s.id))
         constants.append((base + "_BITS", s.payload_total_bits))
     return constants
@@ -152,11 +154,11 @@ def build_manifest(plan: EmitPlan) -> InterfaceManifest:
     """Derive the interface manifest of a plan's (model, partition) pair."""
     signals = []
     for idx, bs in enumerate(part.boundary(plan.model, plan.partition)):
-        payload = plan.layouts[(bs.receiver_class, bs.signal)]
+        payload = plan.layouts[(plan.checked.instance_class[bs.receiver].name, bs.signal)]
         signals.append(
             ManifestSignal(
                 id=idx,
-                receiver_class=bs.receiver_class,
+                receiver=bs.receiver,
                 signal=bs.signal,
                 direction=bs.direction,
                 payload=payload,
@@ -187,8 +189,29 @@ def _manifest_field(obj: object, key: str, ty: type):
     return value
 
 
+def _packed(s: ManifestSignal) -> ManifestSignal:
+    """`s` if its direction is one of the two and its fields tile
+    `payload_total_bits` from bit 0, each at a scalar width; else E_MANIFEST."""
+    def bad(what: str) -> CodegenError:
+        return CodegenError("E_MANIFEST", f"{s.receiver}.{s.signal}{what}")
+
+    if s.direction not in (part.SW_TO_HW, part.HW_TO_SW):
+        raise bad(f": unknown direction {s.direction!r}")
+    offset = 0
+    for f in s.payload:
+        if f.width_bits not in ir.WIDTHS.values():
+            raise bad(f".{f.name}: no type is {f.width_bits} bits wide")
+        if f.bit_offset != offset:
+            raise bad(f".{f.name}: at bit {f.bit_offset}, not {offset}")
+        offset += f.width_bits
+    if s.payload_total_bits != offset:
+        raise bad(f": payload_total_bits {s.payload_total_bits}, not {offset}")
+    return s
+
+
 def manifest_from_json(text: str) -> InterfaceManifest:
-    """Inverse of `manifest_to_json`; a malformed manifest raises E_MANIFEST."""
+    """Inverse of `manifest_to_json`; a malformed manifest, or one whose
+    payloads are not packed, raises E_MANIFEST."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -196,9 +219,9 @@ def manifest_from_json(text: str) -> InterfaceManifest:
     return InterfaceManifest(
         model_hash=_manifest_field(obj, "model_hash", str),
         signals=[
-            ManifestSignal(
+            _packed(ManifestSignal(
                 id=_manifest_field(s, "id", int),
-                receiver_class=_manifest_field(s, "receiver_class", str),
+                receiver=_manifest_field(s, "receiver", str),
                 signal=_manifest_field(s, "signal", str),
                 direction=_manifest_field(s, "direction", str),
                 payload=[
@@ -210,7 +233,7 @@ def manifest_from_json(text: str) -> InterfaceManifest:
                     for f in _manifest_field(s, "payload", list)
                 ],
                 payload_total_bits=_manifest_field(s, "payload_total_bits", int),
-            )
+            ))
             for s in _manifest_field(obj, "signals", list)
         ],
     )
@@ -436,7 +459,7 @@ _C_HEADER = _Template("""\
 
 /* Boundary signal ids and payload widths */
 ${constants}
-/* Software instance ids (dispatch and bus addressing) */
+/* Software instance ids: the `inst_id` of ${model}_inject */
 ${swi}#define SW_INSTANCE_COUNT ${count}u
 
 ${events}/* Provided by the platform: outbound boundary transport. */
@@ -445,7 +468,7 @@ void ${model}_bus_send(uint32_t sig_id, const uint8_t *payload, uint32_t nbits);
 void ${model}_reset(void);
 int ${model}_step(void);
 void ${model}_inject(uint32_t inst_id, uint32_t ev, const uint32_t *args, uint32_t nargs);
-void ${model}_bus_deliver(uint32_t inst_id, uint32_t sig_id, const uint8_t *payload);
+void ${model}_bus_deliver(uint32_t sig_id, const uint8_t *payload);
 
 #endif /* ${guard} */
 """)
@@ -514,8 +537,7 @@ int ${model}_step(void) {
     return 1;
 }
 
-void ${model}_bus_deliver(uint32_t inst_id, uint32_t sig_id,
-        const uint8_t *payload) {
+void ${model}_bus_deliver(uint32_t sig_id, const uint8_t *payload) {
 ${bus_deliver}}
 """)
 _C_PUT_BITS = _Template("""\
@@ -582,7 +604,7 @@ ${cases}    default:
 # the body of a function with nothing to do marks its parameters unused
 _C_DISPATCH_IDLE = _Template("    (void)self;\n    (void)ev;\n")
 _C_SW_IDLE = _Template("    (void)inst_id;\n    (void)ev;\n    (void)args;\n")
-_C_DELIVER_IDLE = _Template("    (void)inst_id;\n    (void)sig_id;\n    (void)payload;\n")
+_C_DELIVER_IDLE = _Template("    (void)sig_id;\n    (void)payload;\n")
 _C_FIXED = _fixed_text(r'/\*.*?\*/|"[^"]*"|<stdint\.h>', _C_HEADER, _C_EVENTS, _C_ENUM, _C_SOURCE,
                        _C_PUT_BITS, _C_GET_BITS, _C_CLASS, _C_DISPATCH, _C_DISPATCH_IDLE,
                        _C_SW_SWITCH, _C_SW_IDLE, _C_DELIVER_SWITCH, _C_DELIVER_IDLE)
@@ -645,8 +667,7 @@ class _CEmitter(_Emitter):
         inbound = [s for s in self.manifest.signals if s.direction == part.HW_TO_SW]
         # names are declared in print order: classes, storage, dispatch functions
         classes = "".join([self._class_decl(cls) for cls in self.classes])
-        # each SW class's delivery guard: the id is none of the class's instances
-        storage, reset, cases, guards = [], [], [], {}
+        storage, reset, cases = [], [], []
         for inst, cls in self.instances:
             var = self.file.declare(_c_storage(inst))
             storage.append(f"static {cls.name}_t {var};")
@@ -654,18 +675,14 @@ class _CEmitter(_Emitter):
             reset += [f"    {var}.{a.name} = {int(a.default)}u;" for a in cls.attributes]
             cases += [f"    case {_c_swi(inst)}:",
                       f"        {cls.name}_dispatch(&{var}, ev, args);", "        break;"]
-            guards.setdefault(cls.name, []).append(f"inst_id != {_c_swi(inst)}")
         deliver = []
         for s in inbound:
-            # an event id is unique only within its class: another instance would misread it
-            deliver += [f"    case {mangle(s.receiver_class, s.signal)}: {{",
-                        f"        if ({' && '.join(guards[s.receiver_class])}) {{",
-                        "            break;", "        }"]
+            deliver.append(f"    case {mangle(s.receiver, s.signal)}: {{")
             deliver += [f"        args[{i}] = get_bits(payload, {f.bit_offset}u, {f.width_bits}u);"
                         for i, f in enumerate(s.payload)]
-            ev = _c_event(s.receiver_class, s.signal)
-            deliver += [f"        {self.name}_inject(inst_id, {ev}, args, {len(s.payload)}u);",
-                        "        break;", "    }"]
+            ev = _c_event(self.plan.checked.instance_class[s.receiver].name, s.signal)
+            deliver += [f"        {self.name}_inject({_c_swi(s.receiver)}, {ev}, args,"
+                        f" {len(s.payload)}u);", "        break;", "    }"]
         return _C_SOURCE(
             model=self.name,
             queue_cap=64 * max(1, len(self.instances)),
@@ -706,7 +723,7 @@ class _CEmitter(_Emitter):
                     for i, a in enumerate(s.args)]
             out += [f"{inner}{inject}, sargs, {len(s.args)}u);", pad + "}"]
         else:
-            macro = mangle(recv, s.signal)
+            macro = mangle(s.instance, s.signal)
             layout = self.layouts[(recv, s.signal)]
             out += [
                 f"{pad}{{ /* send {s.instance}.{s.signal}: cross-boundary */",
@@ -975,7 +992,8 @@ class _VhdlEmitter(_Emitter):
         ]
         out.append(f"{pad}send_valid({k}) <= '1';")
         self.slot_bits += _payload_bits(layout)
-        route = "local" if self.plan.partition.domain[recv] == part.HW else mangle(recv, s.signal)
+        local = self.plan.partition.domain[recv] == part.HW
+        route = "local" if local else mangle(s.instance, s.signal)
         self.slots.append(f"        -- send_valid({k}): {s.instance}.{s.signal} ({route})")
 
 

@@ -151,9 +151,6 @@ class SystemState:
     pending: list[deque[SignalEnvelope]] = field(default_factory=list)
     next_seq: int = 0
 
-    def quiescent(self) -> bool:
-        return not any(self.pending)
-
 
 @dataclass(slots=True)
 class TraceEvent:

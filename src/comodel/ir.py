@@ -334,8 +334,8 @@ class Checked:
     Each maps a name to the IR node that defines it: `classes` by class
     name, `instance_class` by instance name (document order), `signals`
     by (class, signal) and `transitions` by (class, state, signal).
-    `sends` holds one (sender class, receiver class, signal) triple per
-    send statement of every transition, in document order.
+    `sends` holds one (sender class, receiver instance, signal) triple
+    per send statement of every transition, in document order.
     `compiled` is the executor's cache of transitions compiled into
     Python functions, under the same keys; it starts empty and is filled
     as transitions first fire. Transitions of one shape share one code
@@ -601,7 +601,7 @@ class _Validator:
                     )
                 else:
                     types = [p.type for p in sig.params]
-                    self.sends.append((cls.name, recv_cls.name, stmt.signal))
+                    self.sends.append((cls.name, stmt.instance, stmt.signal))
             for a, t in zip(stmt.args, types):
                 self.check_expr(cls, attrs, params, a, t)
         elif isinstance(stmt, If):

@@ -5,10 +5,10 @@ entirely from marks: classes default to SW and flip to HW under a
 boolean `isHardware` mark on the class path. Marks never touch the model
 file, so repartitioning is only ever a marks-file edit.
 
-The boundary is the set of signals that some class sends to an instance
-of a class in the other domain. The rule is on classes, not instances:
-a send in a class with no instances still counts. The generated
-interface consists of exactly these signals.
+The boundary is the set of (receiver instance, signal) pairs that some
+class sends to, where the receiver's class is in the other domain. The
+sender rule is on classes: a send in a class with no instances still
+counts. The generated interface consists of exactly these pairs.
 
 `cosim` runs the dispatch loop of `executor.run` with two islands, SW
 and HW, where `run` has one; the partition only decides which island an
@@ -74,7 +74,7 @@ class Partition:
 
 @dataclass
 class BoundarySignal:
-    receiver_class: str
+    receiver: str  # an instance
     signal: str
     direction: str  # sw_to_hw | hw_to_sw
 
@@ -118,23 +118,22 @@ def derive_partition(model: ir.Model, marks: ir.MarkSet) -> Partition:
 
 
 def boundary(model: ir.Model, partition: Partition) -> list[BoundarySignal]:
-    """Boundary signals, sorted ascending by (receiver class, signal).
+    """Boundary signals, sorted ascending by (receiver instance, signal).
 
-    A signal is on the boundary when some class sends it to an instance
-    of a class in the other domain. The rule is on classes, read from
-    the validated model's `sends`: a sender class with no instances
-    still puts its signal on the boundary.
+    A (receiver, signal) pair is on the boundary when some class sends
+    the signal to the receiver instance and the receiver's class is in
+    the other domain, which also gives the direction. The sender rule is
+    on classes, read from the validated model's `sends`: a sender class
+    with no instances still puts its pair on the boundary.
     """
-    domain = partition.domain
-    crossing = {
-        (receiver, signal)
-        for sender, receiver, signal in ir.ensure_valid(model).sends
-        if domain[sender] != domain[receiver]
-    }
-    return [
-        BoundarySignal(receiver, signal, SW_TO_HW if domain[receiver] == HW else HW_TO_SW)
-        for receiver, signal in sorted(crossing)
-    ]
+    checked = ir.ensure_valid(model)
+    domain, instance_class = partition.domain, checked.instance_class
+    crossing = {}
+    for sender, receiver, signal in checked.sends:
+        to = domain[instance_class[receiver].name]
+        if domain[sender] != to:
+            crossing[receiver, signal] = SW_TO_HW if to == HW else HW_TO_SW
+    return [BoundarySignal(r, s, crossing[r, s]) for r, s in sorted(crossing)]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ instance a: Loop; instance c: Sink; instance h: Kick;
 """, "at 0 send a.Go(); at 0 send h.Kick(); expect c.got == 7; expect a.n == 4; confluent;\n")
 
 # (model, scenario) text of one SW receiver class with two instances fed from
-# HW: with `Kick` in HW, each `Put` crosses the bus to `x` or `y`, so the C
-# half's bus delivery must accept either instance of `Sink`
+# HW: with `Kick` in HW, each `Put` crosses the bus to `x` or `y` under its
+# own id, so the C half's bus delivery must inject into the right `Sink`
 TWO_SINKS = ("""
 class Sink { attr got: u8; signal Put(v: u8); statemachine { initial S;
   state S { on Put -> S { got = got + $v; } } } }
@@ -59,8 +59,19 @@ instance x: Sink; instance y: Sink; instance h: Kick;
 """, "at 0 send h.Kick(); at 1 send x.Put(100); expect x.got == 106; expect y.got == 36;\n"
     "confluent;\n")
 
+# (model, scenario) text of one HW receiver class with two instances fed from
+# SW: with `Kick` in HW, `x.Hit` and `y.Hit` each cross the bus under their
+# own id, so the outbound wire names the receiving instance
+TWO_HITS = ("""
+class S { attr n: u8; signal Go(); statemachine { initial I;
+  state I { on Go -> I { n = n + 1; send x.Hit(n); send y.Hit(n + 10); } } } }
+class Kick { attr got: u8; signal Hit(v: u8); statemachine { initial I;
+  state I { on Hit -> I { got = got + $v; } } } }
+instance s: S; instance x: Kick; instance y: Kick;
+""", "at 0 send s.Go(); at 1 send s.Go(); expect x.got == 3; expect y.got == 23; confluent;\n")
+
 # the inline (model, scenario) texts, by name
-INLINE = {"late_put": LATE_PUT, "two_sinks": TWO_SINKS}
+INLINE = {"late_put": LATE_PUT, "two_sinks": TWO_SINKS, "two_hits": TWO_HITS}
 
 CORPUS_MARKS = {
     "pingpong": "pingpong_pong_hw",

@@ -58,10 +58,17 @@ MUTANTS = {
     "c-not-as-complement": (
         CODEGEN, 'return f"(uint8_t)(!{inner})"', 'return f"(uint8_t)(~{inner})"',
     ),
-    # a bus delivery to any instance but the first of its SW class is dropped
-    "c-deliver-guard-one-instance": (
-        CODEGEN, "' && '.join(guards[s.receiver_class])",
-        "' && '.join(guards[s.receiver_class][:1])",
+    # every SW->HW send names its class's first instance, whichever it sends to
+    "c-send-first-instance": (
+        CODEGEN, "macro = mangle(s.instance, s.signal)",
+        "macro = mangle(next(i for i, c in self.plan.checked.instance_class.items()"
+        " if c.name == recv), s.signal)",
+    ),
+    # each bus delivery reaches its class's first SW instance, whichever it names
+    "c-deliver-first-instance": (
+        CODEGEN, "_inject({_c_swi(s.receiver)}, {ev}",
+        "_inject({_c_swi(next(i for i, c in self.instances"
+        " if c is self.plan.checked.instance_class[s.receiver]))}, {ev}",
     ),
     "vhdl-product-without-resize": (
         CODEGEN, 'return f"resize({l} * {r}, {ir.WIDTHS[e.ty]})"', 'return f"({l} * {r})"',
@@ -104,7 +111,6 @@ SEMANTIC = [
     "tests/test_cli.py::test_cosim_*",
     "tests/test_codegen.py::test_generated_c_runs_like_the_interpreter*",
     "tests/test_codegen.py::test_out_of_range_instance_id_is_dropped",
-    "tests/test_codegen.py::test_bus_delivery_to_another_class_is_dropped",
 ]
 
 

@@ -158,12 +158,7 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
     sw = _sw_instances(machine, domain)
     swi = {inst: k for k, inst in enumerate(sw)}
     by_id = {s.id: s for s in out.manifest.signals}
-    by_key = {(s.receiver_class, s.signal): s for s in out.manifest.signals}
-    # the outbound wire carries no instance id: each SW->HW receiver class has one
-    receiver_of = {}
-    for s in out.manifest.signals:
-        if domain[s.receiver_class] == HW:
-            (receiver_of[s.id],) = [i for i, c in class_of.items() if c.name == s.receiver_class]
+    by_key = {(s.receiver, s.signal): s for s in out.manifest.signals}
     state = machine.initial_state()
     hw: deque[executor.SignalEnvelope] = deque()  # the HW island, in arrival order
     inject = getattr(lib, f"{name}_inject")
@@ -187,12 +182,12 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
         if env.receiver not in swi:
             hw.append(env)
             return
-        s = by_key[class_of[env.receiver].name, env.signal]
+        s = by_key[env.receiver, env.signal]
         bits = _pack(s, env.args)
         crossings.append((s.id, bits))
         nbytes = max(1, (s.payload_total_bits + 7) // 8)
         payload = (ctypes.c_uint8 * nbytes).from_buffer_copy(bits.to_bytes(nbytes, "little"))
-        bus.append((round_no, bus_deliver, (swi[env.receiver], s.id, payload)))
+        bus.append((round_no, bus_deliver, (s.id, payload)))
 
     def inject_group(group) -> None:
         for inj in group:
@@ -227,7 +222,7 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
                     args = tuple((bits >> f.bit_offset) & ((1 << f.width_bits) - 1)
                                  for f in s.payload)
                     env = executor.SignalEnvelope(
-                        state.next_seq, inst, receiver_of[sig_id], s.signal, args)
+                        state.next_seq, inst, s.receiver, s.signal, args)
                     state.next_seq += 1
                     bus.append((round_no, hw.append, (env,)))
                 sent.clear()
@@ -257,7 +252,7 @@ def test_c_half_runs_as_the_sw_island(tmp_path, capfd, name, hw):
     machine = executor.Machine(model)
     lib, read_attrs = _build(tmp_path, name, out, machine, domain)
 
-    by_key = {(s.receiver_class, s.signal): s for s in out.manifest.signals}
+    by_key = {(s.receiver, s.signal): s for s in out.manifest.signals}
     # with no boundary signal, nothing rides the bus and the latency changes nothing
     latencies = (1, 2, 3) if out.manifest.signals else (1,)
     mismatches = []
@@ -267,7 +262,7 @@ def test_c_half_runs_as_the_sw_island(tmp_path, capfd, name, hw):
         crossings = []
         for ev in sorted(trace.events, key=lambda ev: ev.envelope.seq):
             if ev.envelope.seq in trace.bus:
-                s = by_key[machine.instance_class[ev.envelope.receiver].name, ev.envelope.signal]
+                s = by_key[ev.envelope.receiver, ev.envelope.signal]
                 crossings.append((s.id, _pack(s, ev.envelope.args)))
         want = {
             "dispatch order": [(ev.envelope.receiver, ev.envelope.signal) for ev in trace.events],

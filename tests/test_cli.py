@@ -129,7 +129,7 @@ def test_run_random_seed_reproducible(tmp_path):
 
 def test_partition_listing(capsys):
     assert main(["partition", PP, "--marks", PP_MARKS]) == 0
-    assert capsys.readouterr().out == "Ping SW\nPong HW\nPong.Hit sw_to_hw\n"
+    assert capsys.readouterr().out == "Ping SW\nPong HW\npong.Hit sw_to_hw\n"
 
 
 def test_partition_empty_marks(capsys):
@@ -217,22 +217,22 @@ def test_gen_repartition_needs_no_model_edit(tmp_path):
     flipped.write_text("mark isHardware on Ping;\n")
     assert main(["gen", PP, "--marks", str(flipped), "-o", str(tmp_path / "g")]) == 0
     manifest = json.loads((tmp_path / "g" / "pingpong_interface.json").read_text())
-    assert [(s["receiver_class"], s["direction"]) for s in manifest["signals"]] == [
-        ("Pong", "hw_to_sw")
+    assert [(s["receiver"], s["direction"]) for s in manifest["signals"]] == [
+        ("pong", "hw_to_sw")
     ]
     vhdl = (tmp_path / "g" / "pingpong_hw.vhd").read_text()
     assert "entity Ping is" in vhdl
 
 
 def test_gen_name_clash_exits_1(tmp_path, capsys):
-    # A_B.C and A.B_C both mangle to SIG_A_B_C
+    # a_b.C and a.B_C both mangle to SIG_A_B_C
     model = tmp_path / "clash.model"
     model.write_text(
         "class A_B { signal C(); statemachine { initial I; state I { on C -> I {} } } }"
         "class A { signal B_C(); statemachine { initial I; state I { on B_C -> I {} } } }"
         "class D { signal Go(); statemachine { initial I;"
-        " state I { on Go -> I { send x.C(); send y.B_C(); } } } }"
-        "instance x: A_B; instance y: A; instance d: D;"
+        " state I { on Go -> I { send a_b.C(); send a.B_C(); } } } }"
+        "instance a_b: A_B; instance a: A; instance d: D;"
     )
     marks = tmp_path / "clash.marks"
     marks.write_text("mark isHardware on A_B;\nmark isHardware on A;\n")
@@ -355,13 +355,24 @@ def test_checkgen_undecodable_generated_file_exits_1(tmp_path, capsys):
         (lambda t: t.replace('"direction"', '"directon"'), "E_MANIFEST: missing key 'direction'"),
         (lambda t: t.replace('"id": 0', '"id": "0"'), "E_MANIFEST: 'id' must be int, found str"),
         (lambda t: t.replace('"id": 0', '"id": x'), "E_MANIFEST: malformed JSON: "),
+        (lambda t: t.replace('"bit_offset": 32', '"bit_offset": 33'),
+         "E_MANIFEST: sink.Stash.ok: at bit 33, not 32\n"),
+        (lambda t: t.replace('"width_bits": 1', '"width_bits": 8'),
+         "E_MANIFEST: sink.Stash: payload_total_bits 33, not 40\n"),
+        (lambda t: t.replace('"width_bits": 32', '"width_bits": -32'),
+         "E_MANIFEST: sink.Stash.v: no type is -32 bits wide\n"),
+        (lambda t: t.replace('"sw_to_hw"', '"sideways"'),
+         "E_MANIFEST: sink.Stash: unknown direction 'sideways'\n"),
     ],
-    ids=["truncated", "missing_key", "string_for_int", "bare_word"],
+    ids=["truncated", "missing_key", "string_for_int", "bare_word", "moved_offset",
+         "changed_width", "negative_width", "unknown_direction"],
 )
 def test_checkgen_malformed_manifest_exits_3(tmp_path, capsys, tamper, message):
+    # `widths` under its marks: one signal, sink.Stash(v: u32, ok: bool)
     out_dir = tmp_path / "gen"
-    assert main(["gen", PP, "--marks", PP_MARKS, "-o", str(out_dir)]) == 0
-    manifest = out_dir / "pingpong_interface.json"
+    model, marks = model_path("widths"), marks_path("widths_sink_hw")
+    assert main(["gen", str(model), "--marks", str(marks), "-o", str(out_dir)]) == 0
+    manifest = out_dir / "widths_interface.json"
     manifest.write_text(tamper(manifest.read_text()))
     capsys.readouterr()
     assert main(["checkgen", str(out_dir)]) == 3

@@ -50,7 +50,7 @@ def test_init_pingpong(pingpong):
     assert state.states == {"ping": "Waiting", "pong": "Waiting"}
     assert state.attrs == {"ping": {"hits": 0}, "pong": {"hits": 0}}
     assert state.next_seq == 0
-    assert state.quiescent()
+    assert state.pending == []
 
 
 def test_init_zero_instances():
@@ -121,7 +121,6 @@ def test_step_limit():
     assert trace.outcome.kind == "step-limit"
     assert len(trace.events) == 10
     # the envelope the limit cut off stays queued in the final state
-    assert not trace.final.quiescent()
     assert sum(len(q) for q in trace.final.pending) == 1
 
 

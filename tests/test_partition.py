@@ -133,7 +133,7 @@ def test_pingpong_boundary(pingpong):
     b = boundary(pingpong, p)
     assert len(b) == 1
     bs = b[0]
-    assert (bs.receiver_class, bs.signal, bs.direction) == ("Pong", "Hit", "sw_to_hw")
+    assert (bs.receiver, bs.signal, bs.direction) == ("pong", "Hit", "sw_to_hw")
 
 
 @pytest.mark.parametrize("domain", [SW, HW])
@@ -146,10 +146,10 @@ def test_boundary_direction_hw_to_sw():
     model = load_model("race")
     p = Partition(domain={"Alpha": SW, "Beta": HW, "Recorder": SW})
     b = boundary(model, p)
-    assert [(x.receiver_class, x.signal, x.direction) for x in b] == [
-        ("Recorder", "Put", "hw_to_sw")
+    assert [(x.receiver, x.signal, x.direction) for x in b] == [
+        ("rec", "Put", "hw_to_sw")
     ]
-    # the rule is on classes: Beta's send crosses even with no Beta instance
+    # the sender rule is on classes: Beta's send crosses even with no Beta instance
     no_b = parse_model(model_path("race").read_text().replace("instance b: Beta;", ""))
     assert no_b.instance_by_name("b") is None
     assert boundary(no_b, p) == b
@@ -159,9 +159,9 @@ def test_boundary_sorted_and_grouped():
     model = load_model("pipeline")
     p = Partition(domain={"Ticker": SW, "Counter": HW, "Reporter": SW})
     b = boundary(model, p)
-    assert [(x.receiver_class, x.signal) for x in b] == [
-        ("Counter", "Bump"),
-        ("Reporter", "Report"),
+    assert [(x.receiver, x.signal) for x in b] == [
+        ("counter", "Bump"),
+        ("reporter", "Report"),
     ]
     assert [x.direction for x in b] == ["sw_to_hw", "hw_to_sw"]
 
@@ -394,7 +394,6 @@ def test_cosim_step_limit():
     assert trace.outcome.kind == "step-limit"
     assert len(trace.events) == 8
     # the envelope the limit cut off, the last step's send, stays queued
-    assert not trace.final.quiescent()
     assert [env.seq for queue in trace.final.pending for env in queue] == [8]
     assert list(trace.events[-1].sent) == [8]
 

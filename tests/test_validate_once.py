@@ -81,7 +81,7 @@ def test_record_indexes_the_model(pingpong):
     pong = checked.classes["Pong"]
     assert checked.signals[("Pong", "Hit")] is pong.signals[0]
     assert checked.transitions[("Pong", "Waiting", "Hit")] is pong.machine.states[0].transitions[0]
-    assert checked.sends == (("Ping", "Pong", "Hit"),)
+    assert checked.sends == (("Ping", "pong", "Hit"),)
 
 
 def test_record_lists_every_send_in_document_order():
@@ -94,7 +94,7 @@ def test_record_lists_every_send_in_document_order():
     )
     assert ir.validate(model).ok
     assert model.checked.sends == (
-        ("A", "B", "X"), ("A", "B", "Y"), ("A", "A", "Go"), ("A", "B", "X"),
+        ("A", "b", "X"), ("A", "b", "Y"), ("A", "a", "Go"), ("A", "b", "X"),
     )
 
 
