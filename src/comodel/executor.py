@@ -2,8 +2,9 @@
 
 Execution semantics
 -------------------
-Every in-flight signal is a `SignalEnvelope` carrying a globally unique,
-strictly increasing sequence number allocated at send time. One dispatch
+Every in-flight signal is an envelope, the tuple `(seq, sender, receiver,
+signal, args)`, whose seq is globally unique and strictly increasing,
+allocated at send time. One dispatch
 step is atomic: dequeue one envelope, execute the matching transition's
 actions in order (sends allocate fresh sequence numbers in statement
 order), then enter the target state. No other instance's data changes
@@ -45,30 +46,38 @@ Arithmetic wraps modulo 2^width of the expression's resolved type, so
 software and hardware translations of the same action are bit-equal.
 
 Each transition is compiled into one Python function the first time it
-fires. It is printed as the source of `f(a, p, writes, sends, k0, k1,
-...)` in three-address form, one line `tN = (x OP y) & kM` per operator
-node, and a parameter is read from the envelope's args `p` by position.
-Every value the model supplies (a literal, a width mask, an attribute
-name, a receiver, a signal, the target state) is a parameter `kI` whose
-default is that value, so no model text enters the source. The source
-depends only on the transition's shape: its statements, operators and
-operand kinds, and the positions of the parameters it reads. One bounded
-cache maps source to code object, so transitions of one shape share one
-code object and differ only in their defaults; a new shape costs one
-`compile`. The functions get no builtins as globals and read no global
+fires, the source of `f(a, p, writes, sends, k0, k1, ...)` in
+three-address form, one line `tN = (x OP y) & kM` per operator node, and
+a parameter is read from the envelope's args `p` by position. Every
+value the model supplies (a literal, a width mask, an attribute name, a
+receiver, a signal, the target state) is a parameter `kI` whose default
+is that value, so no model text enters the source. The source depends
+only on the transition's shape: its statements, operators and operand
+kinds, and the positions of the parameters it reads. At its first fire
+one walk over the transition's IR gives its shape key, a postfix tuple
+of those, and its constants in `kI` order. One bounded cache maps the
+key to a code object, printed from the key alone, so equal keys print
+equal source, and a shape is printed and compiled once per process;
+transitions of one shape share one code object and differ only in their
+defaults. The functions get no builtins as globals and read no global
 name. The compiled transitions are cached on the model's `ir.Checked`
 record, so `run`, `cosim` and repeated runs of one validated model share
-them, and a new validation starts from an empty cache. The golden
-traces, and a test that checks the functions against a tree-walking
-reference evaluator, are the oracle for that compiler.
+them, and a new validation walks each transition again at its first
+fire, but prints no shape it has seen. The golden traces, and a test
+that checks the functions against a tree-walking reference evaluator,
+are the oracle for that compiler.
 
-A step's trace record keeps only what the step did: its envelope, its
-states, its attribute writes as a tuple of (attr, value) pairs and its
-sent seqs, which are always contiguous, as a `range`. Its step number
-is its index in the trace, and what a cosim line adds is derived from
-the trace's maps when it renders. The collector never tracks a
-`range`; it untracks each pair the first time it passes over it, and
-the tuple on a later pass, so a long trace costs it little.
+A step's trace record keeps only what the step did: it is its envelope
+followed by its states, its attribute writes as a tuple of (attr, value)
+pairs, its sent seqs, which are always contiguous, as a `range`, and
+whether it dropped the envelope, one exact tuple in the order of the
+event line (`EVENT_KEYS`, whose positions `SEQ` to `DROPPED` name). Its
+step number is its index in the trace, and what a cosim line adds is
+derived from the trace's maps when it renders. The collector never
+tracks a `range`, and it untracks an exact tuple once the tuple's items
+are untracked: the pairs and args on its first pass over them, a
+`writes` tuple on the next and the record on the one after, so a long
+trace, and the envelopes still pending, cost it little.
 
 Traces serialize to JSON Lines (one object per event, then one summary
 object); that rendering is byte-deterministic and is the golden-file
@@ -129,13 +138,23 @@ class ExecConfig:
             raise ValueError("max_steps must be >= 1")
 
 
-@dataclass(slots=True)
-class SignalEnvelope:
-    seq: int
-    sender: str  # instance name, or $env for scenario injections
-    receiver: str
-    signal: str
-    args: tuple[int, ...]
+# The keys of an event line, in rendering order; `event_dict`, the line
+# template of `_render_trace` and the record positions below are all
+# derived from this tuple.
+EVENT_KEYS = ("step", "seq", "sender", "receiver", "signal", "args", "from", "to", "writes",
+              "sent", "dropped")
+# what a cosim line adds before its closing brace, read from the maps of
+# `partition.PartitionedTrace`
+COSIM_KEYS = ("domain", "bus_enqueue_step", "bus_deliver_step")
+
+# A step's record is an exact tuple of its event line's values after
+# `step`, in `EVENT_KEYS` order, and an envelope is its first `FROM`
+# fields: `(seq, sender, receiver, signal, args)`, the sender an
+# instance name or `ENV_SENDER`. These are the field positions.
+SEQ, SENDER, RECEIVER, SIGNAL, ARGS, FROM, TO, WRITES, SENT, DROPPED = range(len(EVENT_KEYS) - 1)
+Envelope = tuple[int, str, str, str, tuple[int, ...]]
+Event = tuple[int, str, str, str, tuple[int, ...], str, str, tuple[tuple[str, int], ...], range,
+              bool]
 
 
 @dataclass
@@ -148,20 +167,8 @@ class SystemState:
 
     states: dict[str, str]
     attrs: dict[str, dict[str, int]]
-    pending: list[deque[SignalEnvelope]] = field(default_factory=list)
+    pending: list[deque[Envelope]] = field(default_factory=list)
     next_seq: int = 0
-
-
-@dataclass(slots=True)
-class TraceEvent:
-    """One dispatch step. Its step number is its index in `Trace.events`."""
-
-    envelope: SignalEnvelope
-    from_state: str
-    to_state: str
-    writes: tuple[tuple[str, int], ...]
-    sent: range  # the seqs of the envelopes the step sent, always contiguous
-    dropped: bool = False
 
 
 @dataclass
@@ -185,7 +192,7 @@ class ExpectationResult:
 
 @dataclass
 class Trace:
-    events: list[TraceEvent]
+    events: list[Event]
     final: SystemState
     outcome: Outcome
     expectations: list[ExpectationResult] = field(default_factory=list)
@@ -249,146 +256,202 @@ _OPS = {
 _GLOBALS: dict = {"__builtins__": {}}
 
 
-class _Printer:
-    """Prints one function in three-address form, in source that depends
-    only on the shape (see the module docstring).
+def _shape(tr: ir.TransitionDef, sig: ir.SignalDef) -> tuple[tuple, tuple]:
+    """The shape key of a transition triggered by `sig`, and its constants.
 
-    Each model value becomes the next parameter `kI` and its default. The
-    only other names are `a`, the instance's attribute dict, `p`, the
-    envelope's args, read as `p[i]` with `params` mapping a parameter to
-    its position, `writes`, `sends` and the temps `tN`. Statements nest
-    one space per `if`, and no expression nests, so the deepest model
-    (`frontend.MAX_STMT_DEPTH` and `MAX_EXPR_DEPTH`) stays within the
-    Python parser's indent and parenthesis limits.
+    The key lists the transition's nodes in postfix order: `k` reads the
+    next constant, `a` the attribute the next constant names, an `int`
+    the parameter at that position; a unary `u-` or `u!`, or a binary
+    operator of `_OPS`, combines the values before it and takes the next
+    constant as its mask. Statements: `=` assigns its value to the
+    attribute the next constant names, `send` sends every value since the
+    last statement to the next two constants (receiver, signal); `if`
+    opens its then-block, `else` its else-block, `end` closes the `if`;
+    `pass` is an empty block and `return` returns the next constant.
+    This walk is the only place that orders the constants: the printer
+    numbers them `k0, k1, ...` as the key consumes them. It is made of
+    plain functions, not closures, so that it leaves no reference cycle
+    for the collector.
     """
+    key: list = []
+    consts: list = []
+    _shape_block(tr.actions, {p.name: i for i, p in enumerate(sig.params)}, key, consts)
+    key.append("return")
+    consts.append(tr.target)
+    return tuple(key), tuple(consts)
 
-    def __init__(self, params: dict[str, int]):
-        self.params = params
-        self.lines: list[str] = []
-        self.consts: list[object] = []
-        self.temps = 0
 
-    def const(self, value: object) -> str:
-        self.consts.append(value)
-        return f"k{len(self.consts) - 1}"
-
-    def temp(self, pad: str, value: str) -> str:
-        t = f"t{self.temps}"
-        self.temps += 1
-        self.lines.append(f"{pad}{t} = {value}")
-        return t
-
-    def expr(self, e: ir.Expr, pad: str) -> str:
-        """The text of `e`'s value: a leaf read, or the temp that holds it
-        after the lines printed for its nodes."""
-        if isinstance(e, (ir.IntLit, ir.BoolLit)):
-            return self.const(int(e.value))
-        if isinstance(e, ir.AttrRef):
-            return f"a[{self.const(e.name)}]"
-        if isinstance(e, ir.ParamRef):
-            return f"p[{self.params[e.name]}]"
-        if isinstance(e, ir.Unary):
-            y = self.expr(e.operand, pad)
-            value = f"-{y}" if e.op == "-" else f"1 - {y}"
-        elif isinstance(e, ir.Binary):
-            x = self.expr(e.left, pad)
-            value = f"{x} {_OPS[e.op]} {self.expr(e.right, pad)}"
+def _shape_block(stmts: list[ir.Stmt], params: dict[str, int], key: list, consts: list) -> None:
+    for s in stmts:
+        if isinstance(s, ir.Assign):
+            _shape_expr(s.value, params, key, consts)
+            key.append("=")
+            consts.append(s.attr)
+        elif isinstance(s, ir.Send):
+            for x in s.args:
+                _shape_expr(x, params, key, consts)
+            key.append("send")
+            consts.extend((s.instance, s.signal))
+        elif isinstance(s, ir.If):
+            _shape_expr(s.cond, params, key, consts)
+            key.append("if")
+            _shape_block(s.then, params, key, consts)
+            if s.orelse:
+                key.append("else")
+                _shape_block(s.orelse, params, key, consts)
+            key.append("end")
         else:
-            raise TypeError(f"unexpected expression node {e!r}")
-        return self.temp(pad, f"({value}) & {self.const(ir.mask_of(e.ty))}")
+            raise TypeError(f"unexpected statement {s!r}")
+    if not stmts:
+        key.append("pass")
 
-    def block(self, stmts: list[ir.Stmt], pad: str) -> None:
-        """Print `stmts` in order. An assignment stores its value and
-        appends `(attr, value)` to `writes`; a send appends `(receiver,
-        signal, args)` to `sends`."""
-        for s in stmts:
-            if isinstance(s, ir.Assign):
-                v = self.expr(s.value, pad)
-                if not v.isidentifier():  # an attribute or parameter read
-                    v = self.temp(pad, v)
-                k = self.const(s.attr)
-                self.lines += [f"{pad}a[{k}] = {v}", f"{pad}writes.append(({k}, {v}))"]
-            elif isinstance(s, ir.Send):
-                args = "".join(f"{self.expr(x, pad)}, " for x in s.args)
-                receiver, signal = self.const(s.instance), self.const(s.signal)
-                self.lines.append(f"{pad}sends.append(({receiver}, {signal}, ({args})))")
-            elif isinstance(s, ir.If):
-                self.lines.append(f"{pad}if {self.expr(s.cond, pad)}:")
-                self.block(s.then, pad + " ")
-                if s.orelse:
-                    self.lines.append(f"{pad}else:")
-                    self.block(s.orelse, pad + " ")
-            else:
-                raise TypeError(f"unexpected statement {s!r}")
-        if not stmts:
-            self.lines.append(f"{pad}pass")
 
-    def function(self, args: str):
-        """The function `f(args)` of the lines printed, with every `kI`
-        bound to its value."""
-        ks = "".join(f", k{i}" for i in range(len(self.consts)))
-        source = "\n".join([f"def f({args}{ks}):", *self.lines])
-        return FunctionType(_code(source), _GLOBALS, "f", tuple(self.consts))
+def _shape_expr(e: ir.Expr, params: dict[str, int], key: list, consts: list) -> None:
+    if isinstance(e, (ir.IntLit, ir.BoolLit)):
+        key.append("k")
+        consts.append(int(e.value))
+        return
+    if isinstance(e, ir.AttrRef):
+        key.append("a")
+        consts.append(e.name)
+        return
+    if isinstance(e, ir.ParamRef):
+        key.append(params[e.name])
+        return
+    if isinstance(e, ir.Unary):
+        _shape_expr(e.operand, params, key, consts)
+        key.append("u" + e.op)
+    elif isinstance(e, ir.Binary):
+        _shape_expr(e.left, params, key, consts)
+        _shape_expr(e.right, params, key, consts)
+        key.append(e.op)
+    else:
+        raise TypeError(f"unexpected expression node {e!r}")
+    consts.append(ir.mask_of(e.ty))
 
 
 @functools.lru_cache(maxsize=512)
-def _code(source: str) -> CodeType:
-    """The code object of the one function `source` defines. Sources are
-    shapes, so transitions of one shape share one code object."""
+def _code(key: tuple) -> CodeType:
+    """The code object of `f(a, p, writes, sends, k0, k1, ...)`, printed
+    from a shape key of `_shape` alone, so equal keys print equal source.
+
+    The only names are `a`, the instance's attribute dict, `p`, the
+    envelope's args, `writes`, `sends`, the constants `kI` and the temps
+    `tN`. Statements nest one space per `if`, and no expression nests, so
+    the deepest model (`frontend.MAX_STMT_DEPTH` and `MAX_EXPR_DEPTH`)
+    stays within the Python parser's indent and parenthesis limits.
+    """
+    lines: list[str] = []
+    values: list[str] = []  # the text of each value since the last statement
+    pad = " "
+    ks = temps = 0
+
+    def const() -> str:
+        nonlocal ks
+        ks += 1
+        return f"k{ks - 1}"
+
+    def temp(value: str) -> str:
+        nonlocal temps
+        t = f"t{temps}"
+        temps += 1
+        lines.append(f"{pad}{t} = {value}")
+        return t
+
+    for tag in key:
+        if type(tag) is int:
+            values.append(f"p[{tag}]")
+        elif tag == "k":
+            values.append(const())
+        elif tag == "a":
+            values.append(f"a[{const()}]")
+        elif tag in _OPS:
+            y = values.pop()
+            x = values.pop()
+            values.append(temp(f"({x} {_OPS[tag]} {y}) & {const()}"))
+        elif tag == "u-":
+            values.append(temp(f"(-{values.pop()}) & {const()}"))
+        elif tag == "u!":
+            values.append(temp(f"(1 - {values.pop()}) & {const()}"))
+        elif tag == "=":
+            v = values.pop()
+            if not v.isidentifier():  # an attribute or parameter read
+                v = temp(v)
+            k = const()
+            lines += [f"{pad}a[{k}] = {v}", f"{pad}writes.append(({k}, {v}))"]
+        elif tag == "send":
+            args = "".join(f"{x}, " for x in values)
+            values.clear()
+            receiver, signal = const(), const()
+            lines.append(f"{pad}sends.append(({receiver}, {signal}, ({args})))")
+        elif tag == "if":
+            lines.append(f"{pad}if {values.pop()}:")
+            pad += " "
+        elif tag == "else":
+            lines.append(f"{pad[:-1]}else:")
+        elif tag == "end":
+            pad = pad[:-1]
+        elif tag == "pass":
+            lines.append(f"{pad}pass")
+        elif tag == "return":
+            lines.append(f"{pad}return {const()}")
+        else:
+            raise ValueError(f"unexpected shape tag {tag!r}")
+    defaults = "".join(f", k{i}" for i in range(ks))
+    source = "\n".join([f"def f(a, p, writes, sends{defaults}):", *lines])
     module = compile(source, "<comodel transition>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 def _compile_transition(tr: ir.TransitionDef, sig: ir.SignalDef):
     """The function `f(attrs, args, writes, sends) -> target state` of a
-    transition triggered by `sig`, whose args it reads by position."""
-    printer = _Printer({p.name: i for i, p in enumerate(sig.params)})
-    printer.block(tr.actions, " ")
-    printer.lines.append(f" return {printer.const(tr.target)}")
-    return printer.function("a, p, writes, sends")
+    transition triggered by `sig`, whose args it reads by position. Its
+    code object is its shape's, and its constants are its defaults."""
+    key, consts = _shape(tr, sig)
+    return FunctionType(_code(key), _GLOBALS, "f", consts)
 
 
 def execute_rtc_step(
     machine: Machine,
     state: SystemState,
-    envelope: SignalEnvelope,
+    envelope: Envelope,
     deliver,
     mode: str,
-) -> TraceEvent | None:
+) -> Event | None:
     """Run one atomic dispatch step for `envelope`.
 
     `deliver(env)` routes each envelope the actions send (queue or bus),
-    in statement order. Returns the trace event, or None when the signal
-    is unhandled in strict mode (the caller turns that into a
+    in statement order. Returns the step's record, or None when the
+    signal is unhandled in strict mode (the caller turns that into a
     runtime-error outcome). Only the receiving instance's attributes are
     touched. The transition is compiled the first time it fires. The
-    event holds the writes as a tuple and the sent seqs as a `range`.
+    record holds the writes as a tuple and the sent seqs as a `range`.
     """
-    inst = envelope.receiver
+    inst = envelope[RECEIVER]
     cur = state.states[inst]
-    key = (machine.instance_class[inst].name, cur, envelope.signal)
+    key = (machine.instance_class[inst].name, cur, envelope[SIGNAL])
     transition = machine.compiled.get(key)
     if transition is None:
         tr = machine.checked.transitions.get(key)
         if tr is None:
             if mode == STRICT:
                 return None
-            return TraceEvent(envelope, cur, cur, (), range(0), True)
+            return envelope + (cur, cur, (), range(0), True)
         sig = machine.checked.signals[key[0], key[2]]
         transition = machine.compiled[key] = _compile_transition(tr, sig)
 
     writes: list[tuple[str, int]] = []
     sends: list[tuple[str, str, tuple[int, ...]]] = []
-    target = transition(state.attrs[inst], envelope.args, writes, sends)
+    target = transition(state.attrs[inst], envelope[ARGS], writes, sends)
     # no action reads a queue, so delivering after the body is the same
     # as delivering at each send
     first = seq = state.next_seq
     for receiver, signal, args in sends:
-        deliver(SignalEnvelope(seq, inst, receiver, signal, args))
+        deliver((seq, inst, receiver, signal, args))
         seq += 1
     state.next_seq = seq
     state.states[inst] = target
-    return TraceEvent(envelope, cur, target, tuple(writes), range(first, seq))
+    return envelope + (cur, target, tuple(writes), range(first, seq), False)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +545,18 @@ def _dispatch(
     order they reached it. A round gives every island, even an empty one,
     its turn for at most one step, then a bus tick. A send to another
     island rides the bus and reaches its island once `latency` rounds
-    have passed since its enqueue round. Every step builds the same
-    `TraceEvent`, whatever its island, and a step's number is the count
-    of events before it. Returns the trace and the bus map `seq ->
-    enqueue round` of the envelopes that rode the bus.
+    have passed since its enqueue round; rounds in which no island can
+    step are skipped at once. Every step builds the same record, whatever
+    its island, and a step's number is the count of events before it.
+    Returns the trace and the bus map `seq -> enqueue round` of the
+    envelopes that rode the bus.
     """
     groups = deque(_injections(machine.checked, scenario))  # a copy: popped as injected
     state = machine.initial_state()
     rng = random.Random(config.seed) if config.scheduler == RANDOM else None
     # latency is constant, so due rounds never decrease along the bus and
     # the due envelopes sit at its left
-    bus: deque[SignalEnvelope] = deque()
+    bus: deque[Envelope] = deque()
     bus_rounds: dict[int, int] = {}
     round_no = 0
 
@@ -500,27 +564,27 @@ def _dispatch(
     state.pending = [deque() for _ in names_of]
     queue_of = {name: queue for queue, names in zip(state.pending, names_of) for name in names}
 
-    def draw(queue: deque[SignalEnvelope], names: list[str]) -> SignalEnvelope:
+    def draw(queue: deque[Envelope], names: list[str]) -> Envelope:
         """Remove and return the first envelope in `queue` of a receiver
         drawn uniformly, in `names` order, from those with one pending."""
-        waiting = {env.receiver for env in queue}
+        waiting = {env[RECEIVER] for env in queue}
         nonempty = [name for name in names if name in waiting]
         receiver = nonempty[rng.randrange(len(nonempty))]
-        i = next(i for i, env in enumerate(queue) if env.receiver == receiver)
+        i = next(i for i, env in enumerate(queue) if env[RECEIVER] == receiver)
         env = queue[i]
         del queue[i]
         return env
 
-    def make_deliver(local: deque[SignalEnvelope], names: list[str]):
+    def make_deliver(local: deque[Envelope], names: list[str]):
         if len(names) == len(queue_of):  # every receiver is local
             return local.append
 
-        def deliver(env: SignalEnvelope) -> None:
-            if queue_of[env.receiver] is local:
+        def deliver(env: Envelope) -> None:
+            if queue_of[env[RECEIVER]] is local:
                 local.append(env)
             else:
                 bus.append(env)
-                bus_rounds[env.seq] = round_no
+                bus_rounds[env[SEQ]] = round_no
         return deliver
 
     turns = [
@@ -531,16 +595,15 @@ def _dispatch(
 
     def inject_next() -> None:
         for instance, signal, args in groups.popleft()[1]:
-            queue_of[instance].append(
-                SignalEnvelope(state.next_seq, ENV_SENDER, instance, signal, args))
+            queue_of[instance].append((state.next_seq, ENV_SENDER, instance, signal, args))
             state.next_seq += 1
 
-    events: list[TraceEvent] = []
+    events: list[Event] = []
     outcome: Outcome | None = None
     while outcome is None:
-        while bus and bus_rounds[bus[0].seq] + latency <= round_no:
+        while bus and bus_rounds[bus[0][SEQ]] + latency <= round_no:
             env = bus.popleft()
-            queue_of[env.receiver].append(env)
+            queue_of[env[RECEIVER]].append(env)
         steps_before = len(events)
         for queue, pop, deliver in turns:
             # the injections `at N` are enqueued, in file order, before step N
@@ -554,21 +617,23 @@ def _dispatch(
             env = pop()
             ev = execute_rtc_step(machine, state, env, deliver, config.mode)
             if ev is None:
+                receiver = env[RECEIVER]
                 outcome = Outcome(
                     RUNTIME_ERROR,
-                    f"E_UNHANDLED {env.receiver}.{env.signal} in state"
-                    f" {state.states[env.receiver]} at step {len(events)}",
+                    f"E_UNHANDLED {receiver}.{env[SIGNAL]} in state"
+                    f" {state.states[receiver]} at step {len(events)}",
                 )
                 break
             events.append(ev)
         else:
-            if len(events) == steps_before and not bus:  # every queue is empty
-                if not groups:
-                    outcome = Outcome(QUIESCENT)
-                    break
+            if len(events) > steps_before:
+                round_no += 1
+            elif bus:  # every queue is empty: nothing happens until the bus head is due
+                round_no = bus_rounds[bus[0][SEQ]] + latency
+            elif groups:
                 inject_next()  # injections beyond quiescence resume the run
-                continue
-            round_no += 1
+            else:
+                outcome = Outcome(QUIESCENT)
 
     expectations = check_expectations(state, scenario) if outcome.kind == QUIESCENT else []
     return Trace(events, state, outcome, expectations), bus_rounds
@@ -595,12 +660,12 @@ def check_causality(trace: Trace) -> bool:
     step (scenario injections are causal by construction)."""
     sent_at: dict[int, int] = {}
     for step, ev in enumerate(trace.events):
-        for seq in ev.sent:
+        for seq in ev[SENT]:
             sent_at[seq] = step
     for step, ev in enumerate(trace.events):
-        if ev.envelope.sender == ENV_SENDER:
+        if ev[SENDER] == ENV_SENDER:
             continue
-        origin = sent_at.get(ev.envelope.seq)
+        origin = sent_at.get(ev[SEQ])
         if origin is None or origin >= step:
             return False
     return True
@@ -611,10 +676,10 @@ def check_pair_fifo(trace: Trace) -> bool:
     ascending sequence order."""
     last: dict[tuple[str, str], int] = {}
     for ev in trace.events:
-        key = (ev.envelope.sender, ev.envelope.receiver)
-        if key in last and ev.envelope.seq <= last[key]:
+        key, seq = ev[SENDER:SIGNAL], ev[SEQ]  # (sender, receiver)
+        if key in last and seq <= last[key]:
             return False
-        last[key] = ev.envelope.seq
+        last[key] = seq
     return True
 
 
@@ -623,23 +688,13 @@ def check_pair_fifo(trace: Trace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# The keys of an event line, in rendering order; `event_dict` and the
-# line template of `_render_trace` are both built from this tuple.
-EVENT_KEYS = ("step", "seq", "sender", "receiver", "signal", "args", "from", "to", "writes",
-              "sent", "dropped")
-# what a cosim line adds before its closing brace, read from the maps of
-# `partition.PartitionedTrace`
-COSIM_KEYS = ("domain", "bus_enqueue_step", "bus_deliver_step")
-
-
-def event_dict(ev: TraceEvent, step: int) -> dict:
+def event_dict(ev: Event, step: int) -> dict:
     """The structural view of the line of `ev`, the trace's event number
     `step`: `json.dumps` of it is the line."""
-    env = ev.envelope
+    seq, sender, receiver, signal, args, frm, to, writes, sent, dropped = ev
     return dict(zip(EVENT_KEYS, (
-        step, env.seq, env.sender, env.receiver, env.signal, list(env.args),
-        ev.from_state, ev.to_state, [[name, value] for name, value in ev.writes],
-        list(ev.sent), ev.dropped,
+        step, seq, sender, receiver, signal, list(args), frm, to,
+        [[name, value] for name, value in writes], list(sent), dropped,
     )))
 
 
@@ -690,16 +745,16 @@ def _render_trace(
     quoted = _Quoted()
     lines = []
     for step, ev in enumerate(trace.events):
-        env = ev.envelope
+        seq, sender, receiver, signal, args, frm, to, writes, sent, dropped = ev
         values = (
-            step, env.seq, quoted[env.sender], quoted[env.receiver], quoted[env.signal],
-            list(env.args), quoted[ev.from_state], quoted[ev.to_state],
-            "[" + ", ".join([f"[{quoted[name]}, {value}]" for name, value in ev.writes]) + "]",
-            list(ev.sent), "true" if ev.dropped else "false",
+            step, seq, quoted[sender], quoted[receiver], quoted[signal], list(args),
+            quoted[frm], quoted[to],
+            "[" + ", ".join([f"[{quoted[name]}, {value}]" for name, value in writes]) + "]",
+            list(sent), "true" if dropped else "false",
         )
         if domain_of is not None:
-            enqueued = bus.get(env.seq)
-            values += (quoted[domain_of[env.receiver]],) + (
+            enqueued = bus.get(seq)
+            values += (quoted[domain_of[receiver]],) + (
                 ("null", "null") if enqueued is None else (enqueued, enqueued + latency)
             )
         lines.append(line % values)

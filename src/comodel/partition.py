@@ -44,7 +44,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import executor, ir
-from .executor import ExecConfig, Machine, Trace
+from .executor import FROM, SENDER, SIGNAL, ExecConfig, Machine, Trace
 
 HW = "HW"
 SW = "SW"
@@ -226,9 +226,8 @@ class EquivalenceReport:
 
 def _pair_streams(trace: Trace) -> dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]]:
     streams: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
-    for ev in trace.events:
-        key = (ev.envelope.sender, ev.envelope.receiver)
-        streams.setdefault(key, []).append((ev.envelope.signal, ev.envelope.args))
+    for ev in trace.events:  # (sender, receiver) -> its (signal, args) in dispatch order
+        streams.setdefault(ev[SENDER:SIGNAL], []).append(ev[SIGNAL:FROM])
     return streams
 
 

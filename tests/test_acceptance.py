@@ -22,6 +22,10 @@ from conftest import (
 from comodel.cli import main
 from comodel.codegen import check_interfaces, emit, manifest_to_json
 from comodel.executor import (
+    ARGS,
+    SENDER,
+    SENT,
+    SIGNAL,
     ExecConfig,
     check_causality,
     check_pair_fifo,
@@ -235,8 +239,8 @@ def test_criterion_9_golden_conformance():
     # pingpong: hand simulation is 2 dispatch steps ending at hits 1/1
     trace = run(load_model("pingpong"), load_scenario("pingpong_hit"))
     assert len(trace.events) == 2
-    assert trace.events[0].envelope.sender == "$env"
-    assert trace.events[0].sent == range(1, 2)
+    assert trace.events[0][SENDER] == "$env"
+    assert trace.events[0][SENT] == range(1, 2)
     assert trace.final.attrs == {"ping": {"hits": 1}, "pong": {"hits": 1}}
     golden = (GOLDEN / "pingpong_hit.trace.jsonl").read_text()
     assert serialize_trace(trace) == golden
@@ -244,10 +248,10 @@ def test_criterion_9_golden_conformance():
     # pipeline: three ticks, threshold report fires exactly once at total 3
     trace = run(load_model("pipeline"), load_scenario("pipeline_three"))
     assert len(trace.events) == 7
-    assert [e.envelope.signal for e in trace.events] == [
+    assert [e[SIGNAL] for e in trace.events] == [
         "Go", "Go", "Go", "Bump", "Bump", "Bump", "Report",
     ]
-    assert trace.events[6].envelope.args == (3,)
+    assert trace.events[6][ARGS] == (3,)
     assert trace.final.attrs == {
         "ticker": {"fired": 3},
         "counter": {"total": 3},

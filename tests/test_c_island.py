@@ -160,7 +160,7 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
     by_id = {s.id: s for s in out.manifest.signals}
     by_key = {(s.receiver, s.signal): s for s in out.manifest.signals}
     state = machine.initial_state()
-    hw: deque[executor.SignalEnvelope] = deque()  # the HW island, in arrival order
+    hw: deque[executor.Envelope] = deque()  # the HW island, in arrival order
     inject = getattr(lib, f"{name}_inject")
     bus_deliver = getattr(lib, f"{name}_bus_deliver")
     step = getattr(lib, f"{name}_step")
@@ -178,12 +178,13 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
     crossings, dispatched = [], []
     round_no = 0
 
-    def hw_deliver(env: executor.SignalEnvelope) -> None:
-        if env.receiver not in swi:
+    def hw_deliver(env: executor.Envelope) -> None:
+        _, _, receiver, signal, args = env
+        if receiver not in swi:
             hw.append(env)
             return
-        s = by_key[env.receiver, env.signal]
-        bits = _pack(s, env.args)
+        s = by_key[receiver, signal]
+        bits = _pack(s, args)
         crossings.append((s.id, bits))
         nbytes = max(1, (s.payload_total_bits + 7) // 8)
         payload = (ctypes.c_uint8 * nbytes).from_buffer_copy(bits.to_bytes(nbytes, "little"))
@@ -197,8 +198,7 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
                 inject(swi[inj.instance], signals.index(inj.signal),
                        (ctypes.c_uint32 * max(1, len(args)))(*args), len(args))
             else:
-                hw.append(executor.SignalEnvelope(
-                    state.next_seq, executor.ENV_SENDER, inj.instance, inj.signal, args))
+                hw.append((state.next_seq, executor.ENV_SENDER, inj.instance, inj.signal, args))
             state.next_seq += 1
 
     by_at = sorted(scenario.injections, key=lambda inj: inj.at)  # stable: file order
@@ -221,14 +221,13 @@ def _c_island(lib, read_attrs, name: str, machine: executor.Machine, out,
                     crossings.append((sig_id, bits))
                     args = tuple((bits >> f.bit_offset) & ((1 << f.width_bits) - 1)
                                  for f in s.payload)
-                    env = executor.SignalEnvelope(
-                        state.next_seq, inst, s.receiver, s.signal, args)
+                    env = (state.next_seq, inst, s.receiver, s.signal, args)
                     state.next_seq += 1
                     bus.append((round_no, hw.append, (env,)))
                 sent.clear()
             elif not on_sw and hw:
                 env = hw.popleft()
-                dispatched.append((env.receiver, env.signal))
+                dispatched.append((env[executor.RECEIVER], env[executor.SIGNAL]))
                 assert executor.execute_rtc_step(
                     machine, state, env, hw_deliver, executor.STRICT) is not None
         assert len(dispatched) <= executor.ExecConfig().max_steps
@@ -260,12 +259,12 @@ def test_c_half_runs_as_the_sw_island(tmp_path, capfd, name, hw):
         trace = cosim(model, p, scenario, latency=latency)
         assert trace.outcome.kind == executor.QUIESCENT
         crossings = []
-        for ev in sorted(trace.events, key=lambda ev: ev.envelope.seq):
-            if ev.envelope.seq in trace.bus:
-                s = by_key[ev.envelope.receiver, ev.envelope.signal]
-                crossings.append((s.id, _pack(s, ev.envelope.args)))
+        for seq, _, receiver, signal, args, *_ in sorted(trace.events):
+            if seq in trace.bus:
+                s = by_key[receiver, signal]
+                crossings.append((s.id, _pack(s, args)))
         want = {
-            "dispatch order": [(ev.envelope.receiver, ev.envelope.signal) for ev in trace.events],
+            "dispatch order": [ev[executor.RECEIVER:executor.ARGS] for ev in trace.events],
             "final attributes": trace.final.attrs,
             "bus crossings": crossings,
         }

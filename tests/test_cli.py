@@ -1,11 +1,15 @@
 """Exit codes and output contract of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import CORPUS, marks_path, model_path, scenario_path
 
+import comodel
 from comodel.cli import main
 from comodel.frontend import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, ParseError, parse_model
 
@@ -164,6 +168,24 @@ def test_cosim_non_confluent_informative(capsys):
     out = capsys.readouterr().out
     assert out.startswith("L1 pass L2 pass L3 ")
     assert "(informative)" in out
+
+
+def test_cosim_skips_idle_bus_rounds(tmp_path):
+    # no island can step while pong.Hit rides the bus, so those rounds are
+    # skipped at once: at latency 2^40 the two-step cosim still ends, and
+    # its bus rounds read the enqueue round and that round plus the latency
+    latency = 2**40
+    trace = tmp_path / "t.jsonl"
+    src = str(Path(comodel.__file__).resolve().parent.parent)
+    code = "import sys; from comodel.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run(
+        [sys.executable, "-c", code, "cosim", PP, "--marks", PP_MARKS, "--scenario", PP_SCN,
+         "--latency", str(latency), "--trace", str(trace)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, timeout=60,
+    )
+    lines = [json.loads(line) for line in trace.read_text().splitlines()[:-1]]
+    assert [(line["bus_enqueue_step"], line["bus_deliver_step"]) for line in lines] == [
+        (None, None), (0, latency)]
 
 
 def test_cosim_scenario_ref_error_exits_2(tmp_path, capsys):

@@ -611,7 +611,7 @@ def test_generated_c_runs_like_the_interpreter(tmp_path, capfd, model_name, scn_
     dispatched, attrs, crossings = _c_island(
         lib, read_attrs, model_name, machine, out, domain, scenario, 1)
     # the step count is the length of the dispatch order
-    assert dispatched == [(ev.envelope.receiver, ev.envelope.signal) for ev in trace.events]
+    assert dispatched == [ev[executor.RECEIVER:executor.ARGS] for ev in trace.events]
     assert attrs == trace.final.attrs
     assert crossings == []
     assert capfd.readouterr().err == ""

@@ -216,10 +216,10 @@ def builds(monkeypatch):
 
 def _fired(checked: ir.Checked, traces) -> set[tuple[str, str, str]]:
     return {
-        (checked.instance_class[ev.envelope.receiver].name, ev.from_state, ev.envelope.signal)
+        (checked.instance_class[ev[executor.RECEIVER]].name, ev[executor.FROM], ev[executor.SIGNAL])
         for trace in traces
         for ev in trace.events
-        if not ev.dropped
+        if not ev[executor.DROPPED]
     }
 
 

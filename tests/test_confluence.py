@@ -81,11 +81,11 @@ def explore(model, scenario) -> tuple[set[tuple], bool, int]:
                 rest[sender, receiver] = queue[1:]
 
             def deliver(env, rest=rest):
-                pair = (env.sender, env.receiver)
-                rest[pair] = rest.get(pair, ()) + ((env.signal, env.args),)
+                _, sender, receiver, signal, args = env
+                rest[sender, receiver] = rest.get((sender, receiver), ()) + ((signal, args),)
 
             state = executor.SystemState(dict(states), {**attrs, receiver: dict(attrs[receiver])})
-            env = executor.SignalEnvelope(0, sender, receiver, *queue[0])
+            env = (0, sender, receiver, *queue[0])
             if executor.execute_rtc_step(machine, state, env, deliver, executor.STRICT) is None:
                 unhandled = True
                 continue

@@ -7,12 +7,16 @@ from conftest import CORPUS_PAIRS, load_model, load_scenario
 
 from comodel import ir
 from comodel.executor import (
+    DROPPED,
+    FROM,
+    RECEIVER,
+    SENT,
+    TO,
+    WRITES,
     ExecConfig,
     Machine,
     ScenarioError,
-    SignalEnvelope,
     Trace,
-    TraceEvent,
     Outcome,
     check_causality,
     check_pair_fifo,
@@ -109,9 +113,9 @@ def test_unhandled_lenient_drops():
     trace = run(model, parse_scenario("at 0 send ping.Hit();"), ExecConfig(mode="lenient"))
     assert trace.outcome.kind == "quiescent"
     dropped = trace.events[1]
-    assert dropped.dropped
-    assert dropped.writes == () and dropped.sent == range(0)
-    assert dropped.from_state == dropped.to_state
+    assert dropped[DROPPED]
+    assert dropped[WRITES] == () and dropped[SENT] == range(0)
+    assert dropped[FROM] == dropped[TO]
     assert trace.final.attrs["pong"]["hits"] == 0
 
 
@@ -267,8 +271,8 @@ def test_width_safety(model_name, scn_name):
         for a in c.attributes
     }
     for ev in trace.events:
-        cls = machine.instance_class[ev.envelope.receiver]
-        for attr, value in ev.writes:
+        cls = machine.instance_class[ev[RECEIVER]]
+        for attr, value in ev[WRITES]:
             assert 0 <= value < (1 << widths[(cls.name, attr)])
     for inst, attrs in trace.final.attrs.items():
         cls = machine.instance_class[inst]
@@ -284,10 +288,10 @@ def test_rtc_atomicity_via_replay(model_name, scn_name):
     trace = run(model, load_scenario(scn_name))
     state = Machine(model).initial_state()
     for ev in trace.events:
-        owned = set(state.attrs[ev.envelope.receiver])
-        for attr, value in ev.writes:
+        owned = set(state.attrs[ev[RECEIVER]])
+        for attr, value in ev[WRITES]:
             assert attr in owned
-            state.attrs[ev.envelope.receiver][attr] = value
+            state.attrs[ev[RECEIVER]][attr] = value
     assert state.attrs == trace.final.attrs
 
 
@@ -314,11 +318,11 @@ def test_causality_on_empty_trace(pingpong):
 
 
 def test_pair_fifo_rejects_reordered_pair():
-    env1 = SignalEnvelope(0, "a", "b", "S", ())
-    env2 = SignalEnvelope(5, "a", "b", "S", ())
+    env1 = (0, "a", "b", "S", ())
+    env2 = (5, "a", "b", "S", ())
     events = [
-        TraceEvent(env2, "I", "I", [], []),
-        TraceEvent(env1, "I", "I", [], []),
+        env2 + ("I", "I", (), range(0), False),
+        env1 + ("I", "I", (), range(0), False),
     ]
     trace = Trace(events=events, final=None, outcome=Outcome("quiescent"))
     assert not check_pair_fifo(trace)
@@ -326,8 +330,8 @@ def test_pair_fifo_rejects_reordered_pair():
 
 def test_pair_fifo_single_envelope_per_pair_vacuous():
     events = [
-        TraceEvent(SignalEnvelope(0, "a", "b", "S", ()), "I", "I", [], []),
-        TraceEvent(SignalEnvelope(1, "a", "c", "S", ()), "I", "I", [], []),
+        (0, "a", "b", "S", (), "I", "I", (), range(0), False),
+        (1, "a", "c", "S", (), "I", "I", (), range(0), False),
     ]
     trace = Trace(events=events, final=None, outcome=Outcome("quiescent"))
     assert check_pair_fifo(trace)

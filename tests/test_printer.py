@@ -1,6 +1,7 @@
 """Transitions printed as Python functions: model names never reach the
 printed text, deep models stay within the Python parser's limits, one
-shape builds one code object, and trace records leave the collector."""
+shape is printed once per process and builds one code object, and trace
+records leave the collector."""
 
 import gc
 import itertools
@@ -14,11 +15,12 @@ from conftest import (
     load_model,
     load_ringgen,
     load_scenario,
+    model_path,
 )
 from test_compile import _run_block
 
 from comodel import executor, frontend, ir
-from comodel.executor import run
+from comodel.executor import SENT, WRITES, ExecConfig, run
 from comodel.frontend import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, parse_model
 from comodel.partition import cosim, derive_partition
 
@@ -146,13 +148,85 @@ def test_corpus_code_holds_no_model_text(name):
         _assert_shape_only(fn)
 
 
+def _ring(body: str) -> str:
+    ringgen = load_ringgen()
+    spec = ringgen.RingSpec(instances=8, tokens=2, ttl=5, body=body)
+    return ringgen.generate(spec, 3).model_text
+
+
 @pytest.mark.parametrize("body", ["light", "heavy"])
 def test_ring_transitions_share_one_code_object(body):
-    ringgen = load_ringgen()
-    ring = ringgen.generate(ringgen.RingSpec(instances=8, tokens=2, ttl=5, body=body), 3)
-    compiled = _compiled(_validated(ring.model_text))
+    compiled = _compiled(_validated(_ring(body)))
     assert len(compiled) == 16
     assert len({id(fn.__code__) for fn in compiled.values()}) == 1
+
+
+# --- the shape key: a shape is printed once per process ---
+
+
+def _prints() -> int:
+    """The functions printed so far: the misses of the shape cache."""
+    return executor._code.cache_info().misses
+
+
+def _starts(checked: ir.Checked) -> list[dict]:
+    """Every attribute of the model at each of a few values of its type."""
+    types = {a.name: a.type for cls in checked.classes.values() for a in cls.attributes}
+    return [{name: min(v, ir.mask_of(ty)) for name, ty in types.items()}
+            for v in (0, 1, 62, 2**32 - 1)]
+
+
+SOURCES = {
+    "clash": CLASH,
+    "deep": _deep_model(MAX_EXPR_DEPTH),
+    **{name: model_path(name).read_text() for name in CORPUS_MODELS},
+    "ring-light": _ring("light"),
+    "ring-heavy": _ring("heavy"),
+}
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_second_validation_prints_nothing_and_matches_reference(name):
+    # the first set may print new shapes; the second, from a fresh parse
+    # and validation, is built from cache hits alone
+    _compiled(_validated(SOURCES[name]))
+    prints = _prints()
+    checked = _validated(SOURCES[name])
+    _check_against_reference(checked, _starts(checked))
+    assert _prints() == prints
+
+
+def _key(actions: list[ir.Stmt]) -> tuple:
+    sig = ir.SignalDef("S", [ir.SignalParam("x", "u8"), ir.SignalParam("y", "u8")])
+    return executor._shape(ir.TransitionDef("S", "T", actions), sig)[0]
+
+
+def test_shape_keys_tell_apart_what_prints_apart():
+    n, m = ir.AttrRef("n", "u8"), ir.AttrRef("m", "u8")
+    cond = ir.Binary("<", n, m, "bool")
+    go = ir.Assign("n", m)
+    # a unary and a binary `-` over the same operands in the same order
+    assert _key([ir.Send("d", "Go", [n, ir.Unary("-", m, "u8")])]) != _key(
+        [ir.Send("d", "Go", [ir.Binary("-", n, m, "u8")])])
+    # an empty then-block before an else, and no else
+    assert _key([ir.If(cond, [], [go])]) != _key([ir.If(cond, [go], [])])
+    # a statement in the else-block, and the same statement after the if
+    assert _key([ir.If(cond, [go], [go])]) != _key([ir.If(cond, [go], []), go])
+    # the parameter at position 0, and the one at position 1
+    assert _key([ir.Assign("n", ir.ParamRef("x", "u8"))]) != _key(
+        [ir.Assign("n", ir.ParamRef("y", "u8"))])
+
+
+def test_an_empty_else_is_no_else():
+    # both parse to the same IR, so they print the same source under one key
+    texts = [
+        "class C { attr n: u8 = 0; signal S(); statemachine { initial I;"
+        f" state I {{ on S -> I {{ if (n < 3) {{ n = 1; }}{orelse} }} }} }} }} instance c: C;"
+        for orelse in ("", " else { }")
+    ]
+    keys = [executor._shape(tr, checked.signals[k[0], k[2]])[0]
+            for checked in map(_validated, texts) for k, tr in checked.transitions.items()]
+    assert len(keys) == 2 and keys[0] == keys[1]
 
 
 # --- trace records the collector does not keep ---
@@ -162,12 +236,20 @@ def test_ring_transitions_share_one_code_object(body):
 def test_trace_records_leave_the_collector(name, scn):
     model, scenario = load_model(name), load_scenario(scn)
     p = derive_partition(model, load_marks(CORPUS_MARKS[name]))
-    events = [*run(model, scenario).events, *cosim(model, p, scenario, latency=2).events]
-    assert events
-    # a tuple is untracked once its items are: the first pass untracks
-    # the (attr, value) pairs, the second the `writes` tuple holding them
-    gc.collect()
-    gc.collect()
+    traces = [run(model, scenario), cosim(model, p, scenario, latency=2)]
+    # cut off at the first step, so that envelopes stay pending
+    cut = ExecConfig(max_steps=1)
+    traces += [run(model, scenario, cut), cosim(model, p, scenario, cut, latency=2)]
+    events = [ev for trace in traces for ev in trace.events]
+    pending = [env for trace in traces for queue in trace.final.pending for env in queue]
+    assert events and (pending or len(traces[0].events) == 1)  # a step sent something
+    # an exact tuple is untracked once its items are: the first pass
+    # untracks the (attr, value) pairs and the args, the second a
+    # `writes` tuple holding them, the third the record holding that
+    for _ in range(3):
+        gc.collect()
     for ev in events:
-        assert type(ev.writes) is tuple and type(ev.sent) is range
-        assert not gc.is_tracked(ev.writes) and not gc.is_tracked(ev.sent)
+        assert type(ev) is tuple and type(ev[WRITES]) is tuple and type(ev[SENT]) is range
+        assert not gc.is_tracked(ev)
+    for env in pending:
+        assert type(env) is tuple and not gc.is_tracked(env)

@@ -27,13 +27,16 @@ from conftest import (
 from comodel import frontend
 from comodel.cli import main
 from comodel.executor import (
+    ARGS,
     ENV_SENDER,
+    RECEIVER,
+    SENT,
+    SEQ,
+    WRITES,
     ExecConfig,
     Outcome,
-    SignalEnvelope,
     SystemState,
     Trace,
-    TraceEvent,
     event_dict,
     run,
     serialize_trace,
@@ -61,8 +64,8 @@ def _oracle_cosim(trace: PartitionedTrace) -> list[str]:
     lines = []
     for step, ev in enumerate(trace.events):
         d = event_dict(ev, step)
-        enqueued = trace.bus.get(ev.envelope.seq)
-        d["domain"] = trace.domain_of[ev.envelope.receiver]
+        enqueued = trace.bus.get(ev[SEQ])
+        d["domain"] = trace.domain_of[ev[RECEIVER]]
         d["bus_enqueue_step"] = enqueued
         d["bus_deliver_step"] = None if enqueued is None else enqueued + trace.latency
         lines.append(json.dumps(d))
@@ -161,7 +164,7 @@ def test_true_literals_render_as_one():
     trace = run(model, scenario)
     assert trace.passed
     for ev in trace.events:
-        values = [*ev.envelope.args, *(v for _, v in ev.writes), *ev.sent]
+        values = [*ev[ARGS], *(v for _, v in ev[WRITES]), *ev[SENT]]
         assert all(type(v) is int for v in values)
     lines = serialize_trace(trace).splitlines()
     assert lines == _oracle_run(trace)
@@ -202,12 +205,12 @@ def _traces(draw, cosim: bool):
     names = st.sampled_from(draw(st.lists(_NAMES, min_size=1, max_size=4)))
     events = []
     for _ in range(draw(st.integers(0, 5))):
-        envelope = SignalEnvelope(
+        envelope = (
             draw(_U32), draw(names), draw(names), draw(names),
             tuple(draw(st.lists(_U32, max_size=3))),
         )
-        events.append(TraceEvent(
-            envelope, draw(names), draw(names),
+        events.append(envelope + (
+            draw(names), draw(names),
             draw(st.lists(st.tuples(names, _U32), max_size=3)),
             draw(st.lists(_U32, max_size=3)),
             draw(st.booleans()),
@@ -215,8 +218,8 @@ def _traces(draw, cosim: bool):
     if not cosim:
         return _trace_of(events)
     # any receiver's domain, and any seq on the bus at any round
-    domain_of = {ev.envelope.receiver: draw(st.sampled_from([SW, HW]) | names) for ev in events}
-    bus = {ev.envelope.seq: draw(_U32) for ev in events if draw(st.booleans())}
+    domain_of = {ev[RECEIVER]: draw(st.sampled_from([SW, HW]) | names) for ev in events}
+    bus = {ev[SEQ]: draw(_U32) for ev in events if draw(st.booleans())}
     return _trace_of(events, PartitionedTrace, domain_of, bus, draw(st.integers(1, 3)))
 
 
@@ -233,8 +236,8 @@ def test_cosim_lines_escape_as_json_dumps(trace):
 
 
 def test_rendered_names_stay_ascii():
-    env = SignalEnvelope(0, ENV_SENDER, 'q"\\\n', "é\U0001f600", (1,))
-    trace = _trace_of([TraceEvent(env, "\x00", " ", [("€", 3)], [], True)])
+    env = (0, ENV_SENDER, 'q"\\\n', "é\U0001f600", (1,))
+    trace = _trace_of([env + ("\x00", " ", [("€", 3)], [], True)])
     line = serialize_trace(trace).splitlines()[0]
     assert line.isascii()
     assert json.loads(line) == event_dict(trace.events[0], 0)

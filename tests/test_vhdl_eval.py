@@ -394,12 +394,12 @@ class Harness:
         sys_state = self.machine.initial_state()
         sys_state.states[self.inst] = state
         sys_state.attrs[self.inst] = dict(attrs)
-        sent: list[executor.SignalEnvelope] = []
-        envelope = executor.SignalEnvelope(0, executor.ENV_SENDER, self.inst, signal, args)
+        sent: list[executor.Envelope] = []
+        envelope = (0, executor.ENV_SENDER, self.inst, signal, args)
         event = executor.execute_rtc_step(self.machine, sys_state, envelope, sent.append,
                                           executor.LENIENT)
-        return (f"st_{event.to_state.lower()}", sys_state.attrs[self.inst],
-                [(e.receiver, e.signal, e.args) for e in sent])
+        return (f"st_{event[executor.TO].lower()}", sys_state.attrs[self.inst],
+                [e[executor.RECEIVER:] for e in sent])
 
 
 def _hw_partitions() -> list:
